@@ -1,10 +1,9 @@
 """Legacy setup shim.
 
-The offline environment ships setuptools 65 without the ``wheel`` package,
-so PEP 660 editable installs (``pip install -e .`` via pyproject only) fail
-with ``invalid command 'bdist_wheel'``.  This shim lets pip fall back to the
-legacy ``setup.py develop`` path: ``pip install -e . --no-build-isolation``.
-All real metadata lives in pyproject.toml.
+All metadata lives in pyproject.toml; ``pip install -e ".[test]"`` is the
+supported install.  The offline environment ships setuptools 65 without the
+``wheel`` package, where pip's editable install fails with ``invalid command
+'bdist_wheel'``; this shim keeps ``python setup.py develop`` working there.
 """
 
 from setuptools import setup

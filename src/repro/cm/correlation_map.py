@@ -8,6 +8,13 @@ heap ranges (:meth:`repro.storage.layout.HeapFile.prefix_value_ranges`).
 
 The structure satisfies the :class:`repro.storage.access.SecondaryStructure`
 protocol, so :func:`repro.storage.access.cm_scan` can execute through it.
+
+Entries are stored in CSR form and in no other: ``_packed`` holds every
+entry's sorted-unique clustered buckets back to back and ``_offsets`` (one
+more element than there are entries) says where each entry's run starts, so
+entry ``e`` owns ``_packed[_offsets[e]:_offsets[e + 1]]``.  Build, merge and
+lookup are each one vectorised pass over those two arrays, and shipping a CM
+through shared memory registers them as they are.
 """
 
 from __future__ import annotations
@@ -50,9 +57,8 @@ class CorrelationMap:
         self.key_widths = tuple(int(w) for w in key_widths)
         self.depth = depth if depth is not None else len(heapfile.cluster_key)
         self.cluster_width = int(cluster_width)
-        self._nranks = heapfile.prefix_distinct_count(self.depth)
+        self._stale_rows = 0
         self._build()
-        self._built_epoch = heapfile.sorted_epoch
         self.name = self._make_name()
 
     def _make_name(self) -> str:
@@ -61,18 +67,19 @@ class CorrelationMap:
         return f"cm[{keys}|w={widths}|cw={self.cluster_width}]"
 
     def _build(self) -> None:
+        """Build from scratch over the attached heap file's current state."""
         # A CM maps key values to clustered *ranks*, so it is built over the
         # sorted region only — appended tail rows have no rank until
         # compaction, and CM-guided scans read the tail wholesale instead.
         hf = self.heapfile
+        self._nranks = hf.prefix_distinct_count(self.depth)
+        self._built_epoch = hf.sorted_epoch
         nsorted = hf.sorted_rows
         bucketed = [
             bucket_codes(hf.table.column(a)[:nsorted], w)
             for a, w in zip(self.key_attrs, self.key_widths)
         ]
         cluster_buckets = bucket_codes(hf.prefix_ranks(self.depth), self.cluster_width)
-        # Group rows by joint bucketed key; store per-group unique clustered
-        # buckets.  Sorting once keeps this O(n log n).
         if len(bucketed) == 1:
             joint = bucketed[0]
         else:
@@ -82,23 +89,36 @@ class CorrelationMap:
                 lo = int(arr.min()) if len(arr) else 0
                 span = (int(arr.max()) - lo + 1) if len(arr) else 1
                 joint = joint * span + (arr - lo)
-        order = np.argsort(joint, kind="stable")
-        sorted_joint = joint[order]
-        sorted_clusters = cluster_buckets[order]
-        boundaries = np.nonzero(np.diff(sorted_joint))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(sorted_joint)]))
-        self._entry_keys: dict[str, np.ndarray] = {}
-        first_rows = order[starts]
-        for attr, arr in zip(self.key_attrs, bucketed):
-            self._entry_keys[attr] = arr[first_rows]
-        self._postings: list[np.ndarray] = [
-            np.unique(sorted_clusters[s:e]) for s, e in zip(starts, ends)
-        ]
-        self._entry_rows_built = nsorted
-        self.n_entries = len(self._postings)
-        self.total_postings = int(sum(len(p) for p in self._postings))
-        key_bytes = hf.table.schema.byte_size(self.key_attrs)
+        first_rows, packed, offsets = self._csr(joint, cluster_buckets)
+        self._entry_keys: dict[str, np.ndarray] = {
+            attr: arr[first_rows] for attr, arr in zip(self.key_attrs, bucketed)
+        }
+        self._set_postings(packed, offsets)
+
+    @staticmethod
+    def _csr(
+        entry_of: np.ndarray, buckets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group (entry, bucket) pairs into CSR with one sort: entries in
+        ascending ``entry_of`` order, each owning its sorted-unique buckets.
+        Returns (index of one pair per entry, packed buckets, offsets); an
+        empty input yields no entries and offsets ``[0]``."""
+        order = np.lexsort((buckets, entry_of))
+        entries, sorted_buckets = entry_of[order], buckets[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = entries[1:] != entries[:-1]
+        keep = first.copy()
+        keep[1:] |= sorted_buckets[1:] != sorted_buckets[:-1]
+        packed = sorted_buckets[keep]
+        offsets = np.append(np.flatnonzero(first[keep]), len(packed))
+        return order[first], packed, offsets
+
+    def _set_postings(self, packed: np.ndarray, offsets: np.ndarray) -> None:
+        self._packed, self._offsets = packed, offsets
+        self._entry_rows_built = self.heapfile.sorted_rows
+        self.n_entries = len(offsets) - 1
+        self.total_postings = len(packed)
+        key_bytes = self.heapfile.table.schema.byte_size(self.key_attrs)
         self._size_bytes = (
             self.n_entries * key_bytes + self.total_postings * _CLUSTER_ID_BYTES
         )
@@ -117,8 +137,6 @@ class CorrelationMap:
         """
         if heapfile is not None and heapfile is not self.heapfile:
             self.heapfile = heapfile
-            self._nranks = heapfile.prefix_distinct_count(self.depth)
-            self._built_epoch = heapfile.sorted_epoch
             self._build()
             return True
         hf = self.heapfile
@@ -126,16 +144,12 @@ class CorrelationMap:
             raise ValueError("cannot refresh a detached CorrelationMap")
         # ``sorted_epoch`` counts exactly the events that move the rank
         # space: compactions.  Tail inserts and tombstones leave it alone.
-        nranks_now = hf.prefix_distinct_count(self.depth)
-        sorted_unchanged = (
-            hf.sorted_epoch == getattr(self, "_built_epoch", 0)
-            and nranks_now == self._nranks
+        if (
+            hf.sorted_epoch == self._built_epoch
+            and hf.prefix_distinct_count(self.depth) == self._nranks
             and self._entry_rows_built == hf.sorted_rows
-        )
-        self._built_epoch = hf.sorted_epoch
-        if sorted_unchanged:
+        ):
             return False
-        self._nranks = nranks_now
         self._build()
         return True
 
@@ -163,99 +177,69 @@ class CorrelationMap:
         """
         if heapfile is not None and heapfile is not self.heapfile:
             self.heapfile = heapfile
-            self._nranks = heapfile.prefix_distinct_count(self.depth)
-            self._built_epoch = heapfile.sorted_epoch
             self._stale_rows = 0
             self._build()
             return "rebuild"
         hf = self.heapfile
         if hf is None:
             raise ValueError("cannot refresh a detached CorrelationMap")
-        if hf.sorted_epoch == getattr(self, "_built_epoch", 0) and (
-            self._entry_rows_built == hf.sorted_rows
+        if (
+            hf.sorted_epoch == self._built_epoch
+            and self._entry_rows_built == hf.sorted_rows
         ):
             return "noop"
         start = min(max(0, merged_from_row), hf.sorted_rows)
-        stale = getattr(self, "_stale_rows", 0) + max(
-            0, self._entry_rows_built - start
-        )
-        self._built_epoch = hf.sorted_epoch
-        self._nranks = hf.prefix_distinct_count(self.depth)
+        stale = self._stale_rows + max(0, self._entry_rows_built - start)
         if start == 0 or stale > bloat_limit * max(1, hf.sorted_rows):
             self._stale_rows = 0
             self._build()
             return "rebuild"
+        self._built_epoch = hf.sorted_epoch
+        self._nranks = hf.prefix_distinct_count(self.depth)
         self._stale_rows = stale
         self._merge_rows(start)
         return "incremental"
 
     def _merge_rows(self, start: int) -> None:
-        """Fold rows ``[start, sorted_rows)`` into the entry table: append
+        """Fold rows ``[start, sorted_rows)`` into the entry table: add
         their cluster buckets to matching entries (by joint bucketed key)
-        and create entries for unseen keys.  Existing postings are never
-        shrunk — see :meth:`refresh_merged` for why that is sound."""
+        and append entries for unseen keys, in key order.  Existing postings
+        are never shrunk — see :meth:`refresh_merged` for why that is sound."""
         hf = self.heapfile
-        nsorted = hf.sorted_rows
-        bucketed = [
-            bucket_codes(hf.table.column(a)[start:nsorted], w)
-            for a, w in zip(self.key_attrs, self.key_widths)
-        ]
+        suffix_keys = np.stack(
+            [
+                bucket_codes(hf.table.column(a)[start : hf.sorted_rows], w)
+                for a, w in zip(self.key_attrs, self.key_widths)
+            ],
+            axis=1,
+        )
         clusters = bucket_codes(
             hf.prefix_ranks(self.depth)[start:], self.cluster_width
         )
-        # Distinct (joint key, cluster bucket) pairs, lexicographically
-        # sorted — so each key's buckets form one sorted-unique run.
-        pairs = np.unique(
-            np.stack(bucketed + [clusters], axis=1), axis=0
-        )
-        keys = pairs[:, :-1]
-        buckets = pairs[:, -1]
-        is_new_key = np.ones(len(pairs), dtype=bool)
-        is_new_key[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        group_starts = np.nonzero(is_new_key)[0]
-        group_ends = np.append(group_starts[1:], len(pairs))
         entry_mat = np.stack(
             [self._entry_keys[a] for a in self.key_attrs], axis=1
         )
-        entry_rows = self._pack_rows(entry_mat)
-        group_rows = self._pack_rows(keys[group_starts])
-        order = np.argsort(entry_rows, kind="stable")
-        pos = np.searchsorted(entry_rows[order], group_rows)
-        new_keys: list[np.ndarray] = []
-        for g, (gs, ge) in enumerate(zip(group_starts, group_ends)):
-            group_buckets = buckets[gs:ge]
-            p = pos[g]
-            if p < len(order) and entry_rows[order[p]] == group_rows[g]:
-                e = int(order[p])
-                self._postings[e] = np.union1d(
-                    self._postings[e], group_buckets
-                )
-            else:
-                new_keys.append(keys[gs])
-                self._postings.append(group_buckets)
-        if new_keys:
-            added = np.stack(new_keys, axis=0)
-            for j, attr in enumerate(self.key_attrs):
-                self._entry_keys[attr] = np.concatenate(
-                    (self._entry_keys[attr], added[:, j])
-                )
-        self._entry_rows_built = nsorted
-        self.n_entries = len(self._postings)
-        self.total_postings = int(sum(len(p) for p in self._postings))
-        key_bytes = hf.table.schema.byte_size(self.key_attrs)
-        self._size_bytes = (
-            self.n_entries * key_bytes + self.total_postings * _CLUSTER_ID_BYTES
+        # Rank every key, old and new, in one lexicographic order; a rank no
+        # existing entry holds becomes a new entry.
+        n_old = self.n_entries
+        distinct, codes = np.unique(
+            np.concatenate((entry_mat, suffix_keys)), axis=0, return_inverse=True
         )
-
-    @staticmethod
-    def _pack_rows(mat: np.ndarray) -> np.ndarray:
-        """One comparable scalar per row of an (n, k) int64 matrix, ordered
-        lexicographically — a structured void view, so row matching is a
-        plain searchsorted."""
-        mat = np.ascontiguousarray(mat, dtype=np.int64)
-        if mat.ndim != 2 or mat.shape[1] == 0:
-            raise ValueError("expected a non-empty 2-D key matrix")
-        return mat.view([("", np.int64)] * mat.shape[1]).ravel()
+        codes = codes.reshape(-1)  # NumPy 2.0 returns it 2-D for axis=0
+        entry_of_code = np.full(len(distinct), -1, dtype=np.int64)
+        entry_of_code[codes[:n_old]] = np.arange(n_old)
+        fresh = entry_of_code < 0
+        entry_of_code[fresh] = n_old + np.arange(int(fresh.sum()))
+        self._entry_keys = {
+            attr: np.concatenate((self._entry_keys[attr], distinct[fresh, j]))
+            for j, attr in enumerate(self.key_attrs)
+        }
+        old_entry_of = np.repeat(np.arange(n_old), np.diff(self._offsets))
+        _, packed, offsets = self._csr(
+            np.concatenate((old_entry_of, entry_of_code[codes[n_old:]])),
+            np.concatenate((self._packed, clusters)),
+        )
+        self._set_postings(packed, offsets)
 
     # ---------------------------------------------------------------- sizes
 
@@ -285,62 +269,43 @@ class CorrelationMap:
     # -------------------------------------------------------- shared memory
 
     def share(self, arena) -> "CorrelationMap":
-        """A detached clone whose entry-key arrays and posting lists live
-        in ``arena`` shared memory: the per-entry posting arrays are packed
-        into one segment-resident array plus an offset table, and every
-        array is replaced by its :class:`~repro.engine.shm.ShmRef` token.
-        The clone is inert until :meth:`resolve_shared` re-attaches the
-        views — the snapshot installer calls it on the receiving side.
-        CMs too small to be worth a page-granular attach stay by-value."""
+        """A detached clone whose entry-key, packed-postings and offsets
+        arrays live in ``arena`` shared memory, each replaced by its
+        :class:`~repro.engine.shm.ShmRef` token.  The clone is inert until
+        :meth:`resolve_shared` re-attaches the views — the snapshot
+        installer calls it on the receiving side.  CMs too small to be
+        worth a page-granular attach stay by-value."""
         from repro.engine.shm import SHARE_MIN_BYTES
 
-        if self._size_bytes < SHARE_MIN_BYTES:
-            return self.detached()
         clone = self.detached()
-        if self._postings:
-            packed = np.concatenate(self._postings)
-            offsets = np.concatenate(
-                ([0], np.cumsum([len(p) for p in self._postings]))
-            ).astype(np.int64)
-        else:
-            packed = np.empty(0, dtype=np.int64)
-            offsets = np.zeros(1, dtype=np.int64)
-        clone._entry_keys = {
-            attr: arena.register(arr) for attr, arr in self._entry_keys.items()
-        }
-        clone._shared_postings = (arena.register(packed), arena.register(offsets))
-        clone._postings = None
+        if self._size_bytes >= SHARE_MIN_BYTES:
+            clone._entry_keys = {
+                attr: arena.register(arr) for attr, arr in self._entry_keys.items()
+            }
+            clone._packed = arena.register(self._packed)
+            clone._offsets = arena.register(self._offsets)
         return clone
 
     def resolve_shared(self) -> None:
         """Re-attach a :meth:`share`-exported clone's arrays as read-only
-        zero-copy views (postings become slices of the packed array).
-        Idempotent; a no-op for plainly detached CMs."""
-        parts = self.__dict__.pop("_shared_postings", None)
-        if parts is None:
+        zero-copy views.  Idempotent; a no-op for plainly detached CMs."""
+        if isinstance(self._packed, np.ndarray):
             return
         from repro.engine.shm import attach_ref
 
         self._entry_keys = {
             attr: attach_ref(ref) for attr, ref in self._entry_keys.items()
         }
-        packed = attach_ref(parts[0])
-        offsets = attach_ref(parts[1]).tolist()
-        self._postings = [
-            packed[s:e] for s, e in zip(offsets[:-1], offsets[1:])
-        ]
+        self._packed = attach_ref(self._packed)
+        self._offsets = attach_ref(self._offsets)
 
     def shared_nbytes(self) -> int:
         """Bytes this (share-exported, unresolved) CM references through
         shared memory; zero for by-value CMs."""
-        parts = getattr(self, "_shared_postings", None)
-        if parts is None:
+        if isinstance(self._packed, np.ndarray):
             return 0
-        return (
-            sum(ref.nbytes for ref in self._entry_keys.values())
-            + parts[0].nbytes
-            + parts[1].nbytes
-        )
+        refs = (*self._entry_keys.values(), self._packed, self._offsets)
+        return sum(ref.nbytes for ref in refs)
 
     # --------------------------------------------------------------- lookup
 
@@ -357,8 +322,8 @@ class CorrelationMap:
             mask &= entries_match(pred, self._entry_keys[attr], width)
         if not mask.any():
             return np.empty(0, dtype=np.int64)
-        matched = [p for p, m in zip(self._postings, mask) if m]
-        buckets = np.unique(np.concatenate(matched))
+        posting_mask = np.repeat(mask, np.diff(self._offsets))
+        buckets = np.unique(self._packed[posting_mask])
         session = get_session()
         if session is not None and self.cluster_width > 1:
             # Different CMs (and the same CM probed by different queries)

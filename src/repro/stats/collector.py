@@ -9,18 +9,30 @@ MV design and query".
 A :class:`TableStatistics` is bound to one *flattened* fact table (fact
 columns + reachable dimension columns) because that is the attribute
 universe MV candidates draw from.
+
+Everything derived from the synopsis is memoised on the object, keyed by
+content: sort orders per cluster key (``_layout_cache``), masks per predicate
+and per predicate *set* (``_pred_mask_cache``, ``_conj_mask_cache``), and the
+layout simulation per (cluster key, predicate set) (``_scan_memo``, see
+:meth:`TableStatistics.estimate_layout`).  The caches are sound because the
+synopsis is immutable today; the change that folds refresh samples into it
+(ROADMAP 4(c), stale statistics) must clear all four.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.relational.query import Query
+from repro.relational.query import Predicate, Query
 from repro.relational.table import Table
 from repro.stats.correlation import CorrelationModel
 from repro.stats.distinct import scale_distinct
 from repro.stats.histogram import EquiWidthHistogram
 from repro.stats.sampling import reservoir_sample_indices
+
+#: (attribute, predicate text) — text, not query name, because distinct Query
+#: objects may reuse a name and must never see each other's cache entries.
+PredKey = tuple[str, str]
 
 
 class TableStatistics:
@@ -51,7 +63,12 @@ class TableStatistics:
         self._query_sel: dict[str, float] = {}
         self._pred_sel: dict[tuple[str, str], float] = {}
         self._layout_cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self._pred_mask_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._pred_mask_cache: dict[PredKey, np.ndarray] = {}
+        self._conj_mask_cache: dict[frozenset[PredKey], np.ndarray] = {}
+        self._scan_memo: dict[
+            tuple[tuple[str, ...], frozenset[PredKey]],
+            tuple[int, float, np.ndarray],
+        ] = {}
 
     # ----------------------------------------------------------- primitives
 
@@ -103,13 +120,37 @@ class TableStatistics:
     # --------------------------------------- synopsis-driven fragment inputs
 
     def sample_mask(self, query: Query, attrs: tuple[str, ...] | None = None) -> np.ndarray:
-        """Boolean mask of synopsis rows matching the query's predicates
-        (restricted to ``attrs`` when given)."""
-        mask = np.ones(self.synopsis.nrows, dtype=bool)
-        for pred in query.predicates:
-            if attrs is not None and pred.attr not in attrs:
-                continue
-            mask &= pred.mask(self.synopsis.column(pred.attr))
+        """Read-only boolean mask of synopsis rows matching the query's
+        predicates (restricted to ``attrs`` when given), cached per
+        predicate set."""
+        return self._conjunction_mask(self._predicate_set(query, attrs))
+
+    @staticmethod
+    def _predicate_set(
+        query: Query, attrs: tuple[str, ...] | None
+    ) -> dict[PredKey, Predicate]:
+        return {
+            (p.attr, str(p)): p
+            for p in query.predicates
+            if attrs is None or p.attr in attrs
+        }
+
+    def _conjunction_mask(self, preds: dict[PredKey, Predicate]) -> np.ndarray:
+        """Cached read-only mask of the (unsorted) synopsis under the AND of
+        ``preds``; the empty set is the all-true mask.  Single-predicate
+        masks are cached too, shared by every conjunction they appear in."""
+        key = frozenset(preds)
+        mask = self._conj_mask_cache.get(key)
+        if mask is None:
+            mask = np.ones(self.synopsis.nrows, dtype=bool)
+            for pred_key, pred in preds.items():
+                single = self._pred_mask_cache.get(pred_key)
+                if single is None:
+                    single = pred.mask(self.synopsis.column(pred.attr))
+                    self._pred_mask_cache[pred_key] = single
+                mask &= single
+            mask.flags.writeable = False
+            self._conj_mask_cache[key] = mask
         return mask
 
     def _sorted_synopsis_codes(
@@ -132,19 +173,27 @@ class TableStatistics:
         self._layout_cache[cluster_key] = (perm, codes)
         return perm, codes
 
-    def _synopsis_pred_mask(self, query: Query, attr: str) -> np.ndarray:
-        """Cached mask of the (unsorted) synopsis under the query's
-        predicate on ``attr`` — shared across every cluster key evaluated.
-        Keyed by predicate text so same-named queries cannot collide."""
-        pred = query.predicate_on(attr)
-        if pred is None:
-            return np.ones(self.synopsis.nrows, dtype=bool)
-        key = (attr, str(pred))
-        cached = self._pred_mask_cache.get(key)
-        if cached is None:
-            cached = pred.mask(self.synopsis.column(attr))
-            self._pred_mask_cache[key] = cached
-        return cached
+    def _simulate_scan(
+        self, cluster_key: tuple[str, ...], mask: np.ndarray
+    ) -> tuple[int, float, np.ndarray]:
+        """(matching rows, scanned fraction, sorted gaps) of a group-expanded
+        scan for the synopsis rows in ``mask``: every row of a cluster-key
+        group that holds a match is read.  One scatter/gather over the dense
+        group codes.  Only gaps of two or more rows between consecutive
+        scanned positions are kept — a readahead gap is at least one sample
+        row, so adjacent rows never split a fragment — and they fit the
+        smallest unsigned type that holds the synopsis size."""
+        perm, codes = self._sorted_synopsis_codes(cluster_key)
+        hit_groups = np.zeros(int(codes[-1]) + 1, dtype=bool)
+        hit_groups[codes[mask[perm]]] = True
+        scanned = hit_groups[codes]
+        gaps = np.diff(np.flatnonzero(scanned))
+        gap_type = np.uint16 if len(codes) <= 1 << 16 else np.uint32
+        return (
+            int(np.count_nonzero(mask)),
+            float(scanned.mean()),
+            np.sort(gaps[gaps > 1]).astype(gap_type),
+        )
 
     def estimate_layout(
         self,
@@ -167,33 +216,43 @@ class TableStatistics:
         row (CM false positives included), so fragments/fraction are
         measured over those group-expanded rows.
 
+        The simulation is memoised per (cluster key, set of predicate texts
+        on ``pred_attrs``): which rows are scanned depends on nothing else.
+        The readahead gap is deliberately *outside* the key — it varies with
+        the row width of every candidate object — so the memo stores the
+        sorted gaps between scanned positions and a call answers its own
+        ``gap_rows`` with one binary search.
+
         Returns None when fewer than ``min_sample_matches`` sample rows
         match — the caller should fall back to the distinct-value estimate
         (:meth:`distinct_among`), as the paper's AE-based path does.
         """
         if not cluster_key or self.synopsis.nrows == 0:
             return None
-        perm, codes = self._sorted_synopsis_codes(tuple(cluster_key))
-        attrs = query.predicate_attrs() if pred_attrs is None else pred_attrs
-        mask = np.ones(self.synopsis.nrows, dtype=bool)
-        for attr in attrs:
-            if query.predicate_on(attr) is not None:
-                mask &= self._synopsis_pred_mask(query, attr)
-        mask = mask[perm]
-        n_match = int(mask.sum())
-        if n_match < min_sample_matches:
-            return None
+        cluster_key = tuple(cluster_key)
+        preds = self._predicate_set(query, pred_attrs)
         ratio = self.synopsis.nrows / max(self.nrows, 1)
         sample_gap = max(1.0, gap_rows * ratio)
         if expand_groups:
             # CM semantics: every row of a co-occurring clustered group is
             # read (bucketing false positives are part of the plan).
-            hit_groups = np.unique(codes[mask])
-            scanned = np.isin(codes, hit_groups)
-            fraction = float(scanned.mean())
-            positions = np.nonzero(scanned)[0]
-            fragments = 1.0 + float((np.diff(positions) > sample_gap).sum())
-            return fragments, fraction
+            key = (cluster_key, frozenset(preds))
+            memo = self._scan_memo.get(key)
+            if memo is None:
+                memo = self._simulate_scan(cluster_key, self._conjunction_mask(preds))
+                self._scan_memo[key] = memo
+            n_match, fraction, gaps = memo
+            if n_match < min_sample_matches:
+                return None
+            # Gaps are whole rows: ``gap > sample_gap`` is ``gap > floor``.
+            floor = min(int(sample_gap), np.iinfo(gaps.dtype).max)
+            wider = len(gaps) - int(gaps.searchsorted(gaps.dtype.type(floor), "right"))
+            return 1.0 + float(wider), fraction
+        perm, _ = self._sorted_synopsis_codes(cluster_key)
+        mask = self._conjunction_mask(preds)[perm]
+        n_match = int(mask.sum())
+        if n_match < min_sample_matches:
+            return None
         # Sorted secondary-B+Tree semantics: only pages holding matching
         # rows (plus readahead-bridged holes) are read.  Sampling thins
         # matches, so run counts cannot be read off the sample directly;

@@ -1,0 +1,179 @@
+"""Reference implementations the fast kernels in ``src/`` are checked against.
+
+These are the loop-and-``np.unique`` forms the production code used before it
+became one sorted pass each, moved here verbatim: they exist *only* as test
+oracles (``test_reference_kernels.py``) and share no state with the code under
+test — no cache, no memo, no packed array.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.cm.bucketing import bucket_codes, entries_match
+from repro.relational.query import Query
+from repro.stats.collector import TableStatistics
+from repro.storage.layout import HeapFile
+
+_CLUSTER_ID_BYTES = 4
+
+
+def reference_estimate_layout(
+    stats: TableStatistics,
+    cluster_key: tuple[str, ...],
+    query: Query,
+    gap_rows: int,
+    pred_attrs: tuple[str, ...] | None = None,
+    min_sample_matches: int = 8,
+) -> tuple[float, float] | None:
+    """The group-expanded layout simulation, recomputed from the synopsis on
+    every call: sort, mask, ``np.unique`` + ``np.isin``, diff."""
+    synopsis = stats.synopsis
+    if not cluster_key or synopsis.nrows == 0:
+        return None
+    perm = synopsis.sort_permutation(tuple(cluster_key))
+    changed = np.zeros(synopsis.nrows, dtype=bool)
+    for attr in cluster_key:
+        arr = synopsis.column(attr)[perm]
+        changed[1:] |= arr[1:] != arr[:-1]
+    codes = np.cumsum(changed).astype(np.int64)
+    attrs = query.predicate_attrs() if pred_attrs is None else pred_attrs
+    mask = np.ones(synopsis.nrows, dtype=bool)
+    for attr in attrs:
+        pred = query.predicate_on(attr)
+        if pred is not None:
+            mask &= pred.mask(synopsis.column(attr))
+    mask = mask[perm]
+    n_match = int(mask.sum())
+    if n_match < min_sample_matches:
+        return None
+    ratio = synopsis.nrows / max(stats.nrows, 1)
+    sample_gap = max(1.0, gap_rows * ratio)
+    hit_groups = np.unique(codes[mask])
+    scanned = np.isin(codes, hit_groups)
+    fraction = float(scanned.mean())
+    positions = np.nonzero(scanned)[0]
+    fragments = 1.0 + float((np.diff(positions) > sample_gap).sum())
+    return fragments, fraction
+
+
+class ReferenceCorrelationMap:
+    """Entry table of a Correlation Map as a Python list of per-entry posting
+    arrays: per-entry ``np.unique`` build, per-group ``np.union1d`` merge,
+    list-comprehension lookup (cluster buckets, before rank expansion)."""
+
+    def __init__(
+        self,
+        heapfile: HeapFile,
+        key_attrs: tuple[str, ...],
+        key_widths: tuple[int, ...],
+        depth: int,
+        cluster_width: int,
+    ) -> None:
+        self.heapfile = heapfile
+        self.key_attrs = tuple(key_attrs)
+        self.key_widths = tuple(key_widths)
+        self.depth = depth
+        self.cluster_width = cluster_width
+        self.build()
+
+    def build(self) -> None:
+        hf = self.heapfile
+        nsorted = hf.sorted_rows
+        bucketed = [
+            bucket_codes(hf.table.column(a)[:nsorted], w)
+            for a, w in zip(self.key_attrs, self.key_widths)
+        ]
+        cluster_buckets = bucket_codes(hf.prefix_ranks(self.depth), self.cluster_width)
+        if len(bucketed) == 1:
+            joint = bucketed[0]
+        else:
+            joint = np.zeros(nsorted, dtype=np.int64)
+            for arr in bucketed:
+                lo = int(arr.min()) if len(arr) else 0
+                span = (int(arr.max()) - lo + 1) if len(arr) else 1
+                joint = joint * span + (arr - lo)
+        order = np.argsort(joint, kind="stable")
+        sorted_joint = joint[order]
+        sorted_clusters = cluster_buckets[order]
+        boundaries = np.nonzero(np.diff(sorted_joint))[0] + 1
+        starts = np.concatenate(([0], boundaries))
+        ends = np.concatenate((boundaries, [len(sorted_joint)]))
+        self.entry_keys: dict[str, np.ndarray] = {}
+        first_rows = order[starts]
+        for attr, arr in zip(self.key_attrs, bucketed):
+            self.entry_keys[attr] = arr[first_rows]
+        self.postings: list[np.ndarray] = [
+            np.unique(sorted_clusters[s:e]) for s, e in zip(starts, ends)
+        ]
+
+    def merge_rows(self, start: int) -> None:
+        hf = self.heapfile
+        nsorted = hf.sorted_rows
+        bucketed = [
+            bucket_codes(hf.table.column(a)[start:nsorted], w)
+            for a, w in zip(self.key_attrs, self.key_widths)
+        ]
+        clusters = bucket_codes(
+            hf.prefix_ranks(self.depth)[start:], self.cluster_width
+        )
+        pairs = np.unique(np.stack(bucketed + [clusters], axis=1), axis=0)
+        keys = pairs[:, :-1]
+        buckets = pairs[:, -1]
+        is_new_key = np.ones(len(pairs), dtype=bool)
+        is_new_key[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        group_starts = np.nonzero(is_new_key)[0]
+        group_ends = np.append(group_starts[1:], len(pairs))
+        entry_mat = np.stack([self.entry_keys[a] for a in self.key_attrs], axis=1)
+        entry_rows = self._pack_rows(entry_mat)
+        group_rows = self._pack_rows(keys[group_starts])
+        order = np.argsort(entry_rows, kind="stable")
+        pos = np.searchsorted(entry_rows[order], group_rows)
+        new_keys: list[np.ndarray] = []
+        for g, (gs, ge) in enumerate(zip(group_starts, group_ends)):
+            group_buckets = buckets[gs:ge]
+            p = pos[g]
+            if p < len(order) and entry_rows[order[p]] == group_rows[g]:
+                e = int(order[p])
+                self.postings[e] = np.union1d(self.postings[e], group_buckets)
+            else:
+                new_keys.append(keys[gs])
+                self.postings.append(group_buckets)
+        if new_keys:
+            added = np.stack(new_keys, axis=0)
+            for j, attr in enumerate(self.key_attrs):
+                self.entry_keys[attr] = np.concatenate(
+                    (self.entry_keys[attr], added[:, j])
+                )
+
+    @staticmethod
+    def _pack_rows(mat: np.ndarray) -> np.ndarray:
+        mat = np.ascontiguousarray(mat, dtype=np.int64)
+        return mat.view([("", np.int64)] * mat.shape[1]).ravel()
+
+    @property
+    def n_entries(self) -> int:
+        return len(self.postings)
+
+    @property
+    def total_postings(self) -> int:
+        return int(sum(len(p) for p in self.postings))
+
+    @property
+    def size_bytes(self) -> int:
+        key_bytes = self.heapfile.table.schema.byte_size(self.key_attrs)
+        return self.n_entries * key_bytes + self.total_postings * _CLUSTER_ID_BYTES
+
+    def lookup_buckets(self, query: Query) -> np.ndarray | None:
+        preds = [query.predicate_on(a) for a in self.key_attrs]
+        if all(p is None for p in preds):
+            return None
+        mask = np.ones(self.n_entries, dtype=bool)
+        for pred, attr, width in zip(preds, self.key_attrs, self.key_widths):
+            if pred is None:
+                continue
+            mask &= entries_match(pred, self.entry_keys[attr], width)
+        if not mask.any():
+            return np.empty(0, dtype=np.int64)
+        matched = [p for p, m in zip(self.postings, mask) if m]
+        return np.unique(np.concatenate(matched))

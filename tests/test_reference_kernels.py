@@ -1,0 +1,265 @@
+"""The one-pass kernels equal their reference implementations bit for bit:
+the memoised layout simulation of ``TableStatistics.estimate_layout`` and
+the CSR-packed ``CorrelationMap`` against ``tests/reference_kernels.py``."""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cm.correlation_map import CorrelationMap
+from repro.engine.shm import SHARE_MIN_BYTES, ShmArena
+from repro.relational.query import EqPredicate, InPredicate, Query, RangePredicate
+from repro.stats.collector import TableStatistics
+from repro.storage.disk import DiskModel
+from repro.storage.layout import HeapFile
+from tests.reference_kernels import (
+    ReferenceCorrelationMap,
+    reference_estimate_layout,
+)
+from tests.test_table import make_table
+
+DISK = DiskModel()
+
+
+def _random_table(rng: np.random.Generator, n: int):
+    a = rng.integers(0, 12, n)
+    return make_table(
+        a=a,
+        b=a * 4 + rng.integers(0, 4, n),  # b determines a
+        c=rng.integers(0, 30, n),
+        m=rng.integers(0, 200, n),
+    )
+
+
+@st.composite
+def predicates(draw):
+    """A random conjunction with at most one predicate per attribute."""
+    preds = []
+    for attr, hi in (("a", 11), ("b", 47), ("c", 29), ("m", 199)):
+        kind = draw(st.sampled_from(["none", "none", "eq", "range", "in"]))
+        if kind == "eq":
+            preds.append(EqPredicate(attr, draw(st.integers(0, hi))))
+        elif kind == "range":
+            lo = draw(st.integers(0, hi))
+            preds.append(RangePredicate(attr, lo, lo + draw(st.integers(0, hi))))
+        elif kind == "in":
+            vals = draw(st.sets(st.integers(0, hi), min_size=1, max_size=5))
+            preds.append(InPredicate(attr, tuple(vals)))
+    return preds
+
+
+CLUSTER_KEYS = [("a",), ("b",), ("a", "c"), ("c", "b"), ("m",), ("b", "m")]
+PRED_ATTRS = [None, ("a",), ("b", "c"), ("m", "a", "c"), ("c",), ()]
+
+
+# ------------------------------------------------------------- estimate_layout
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 500),
+    synopsis_rows=st.sampled_from([16, 64, 4096]),
+    conjunctions=st.lists(predicates(), min_size=1, max_size=4),
+    cluster_keys=st.lists(st.sampled_from(CLUSTER_KEYS), min_size=1, max_size=3),
+    pred_attrs=st.sampled_from(PRED_ATTRS),
+    gaps=st.lists(st.integers(0, 3_000), min_size=1, max_size=4),
+)
+def test_estimate_layout_equals_reference(
+    seed, n, synopsis_rows, conjunctions, cluster_keys, pred_attrs, gaps
+):
+    """Random tables, cluster keys, predicate subsets, ``pred_attrs``,
+    ``min_sample_matches`` on both sides of the match count, and several
+    ``gap_rows`` against one key of one stats object — first as misses,
+    then as memo hits (``gap_rows`` 0 and 1 give ``gap_rows x ratio < 1``
+    whenever the synopsis thins the table)."""
+    table = _random_table(np.random.default_rng(seed), n)
+    stats = TableStatistics(table, synopsis_rows=synopsis_rows, seed=seed)
+    queries = [Query(f"q{i}", "t", preds) for i, preds in enumerate(conjunctions)]
+    for _ in range(2):
+        for query in queries:
+            n_match = int(stats.sample_mask(query, attrs=pred_attrs).sum())
+            for cluster_key in cluster_keys:
+                for gap_rows in [0, 1, *gaps]:
+                    for min_matches in (0, 8, n_match, n_match + 1):
+                        args = (cluster_key, query, gap_rows, pred_attrs, min_matches)
+                        assert stats.estimate_layout(*args) == (
+                            reference_estimate_layout(stats, *args)
+                        ), args
+
+
+def test_estimate_layout_gap_is_outside_the_memo_key():
+    """One simulation per (cluster key, predicate set), whatever the gap,
+    the query name or the ``min_sample_matches`` asked for."""
+    table = _random_table(np.random.default_rng(3), 5_000)
+    stats = TableStatistics(table, synopsis_rows=512)
+    preds = [RangePredicate("m", 10, 90), EqPredicate("a", 4)]
+    for i, gap_rows in enumerate([0, 7, 40, 400, 4_000, 40_000]):
+        query = Query(f"q{i}", "t", list(preds))
+        for min_matches in (1, 8):
+            args = (("c", "b"), query, gap_rows, None, min_matches)
+            assert stats.estimate_layout(*args) == (
+                reference_estimate_layout(stats, *args)
+            )
+    assert len(stats._scan_memo) == 1
+    stats.estimate_layout(("c", "b"), query, 7, pred_attrs=("m",))
+    stats.estimate_layout(("b",), query, 7)
+    assert len(stats._scan_memo) == 3
+
+
+def test_synopsis_masks_are_cached_and_read_only():
+    table = _random_table(np.random.default_rng(5), 2_000)
+    stats = TableStatistics(table, synopsis_rows=256)
+    query = Query("q", "t", [EqPredicate("a", 3), RangePredicate("m", 0, 50)])
+    mask = stats.sample_mask(query, attrs=("a",))
+    assert np.array_equal(mask, stats.synopsis.column("a") == 3)
+    assert stats.sample_mask(Query("other", "t", [EqPredicate("a", 3)])) is mask
+    everything = stats.sample_mask(query, attrs=())
+    assert everything.all() and everything is stats.sample_mask(Query("e", "t", []))
+    for cached in (mask, everything):
+        with pytest.raises(ValueError):
+            cached[0] = False
+
+
+# ------------------------------------------------------------- CorrelationMap
+
+
+def _postings(cm: CorrelationMap) -> list[np.ndarray]:
+    return np.split(cm._packed, cm._offsets[1:-1])
+
+
+def _assert_cm_equals_reference(cm, ref, queries) -> None:
+    assert cm.n_entries == ref.n_entries
+    assert cm.total_postings == ref.total_postings
+    assert cm.size_bytes == ref.size_bytes
+    assert set(cm._entry_keys) == set(ref.entry_keys)
+    for attr, keys in ref.entry_keys.items():
+        assert np.array_equal(cm._entry_keys[attr], keys)
+    assert len(cm._offsets) == cm.n_entries + 1
+    for got, want in zip(_postings(cm), ref.postings, strict=True):
+        assert np.array_equal(got, want)
+    for query in queries:
+        want = ref.lookup_buckets(query)
+        if want is not None:
+            want = cm._expand_cluster_buckets(want)
+        got = cm.lookup(query)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _churn(hf: HeapFile, rng: np.random.Generator, recent: bool) -> None:
+    """Insert a batch (above every sorted lead value when ``recent``, so the
+    merge boundary stays high) and tombstone a few rows."""
+    n_new = int(rng.integers(1, 40))
+    a = rng.integers(0, 12, n_new)
+    batch = {
+        "a": a,
+        "b": a * 4 + rng.integers(0, 4, n_new),
+        "c": rng.integers(0, 30, n_new),
+        "m": rng.integers(0, 200, n_new),
+    }
+    if recent:
+        lead = hf.cluster_key[0]
+        batch[lead] = batch[lead] + int(hf.table.column(lead).max()) + 1
+    hf.insert(batch)
+    if not recent and hf.nrows > 4:
+        hf.delete_rows(rng.choice(hf.nrows, size=3, replace=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 600),
+    cluster_key=st.sampled_from(CLUSTER_KEYS),
+    key=st.sampled_from(
+        [(("a",), (1,)), (("b",), (4,)), (("m",), (16,)), (("c", "a"), (1, 2)),
+         (("m", "b"), (8, 1))]
+    ),
+    cluster_width=st.sampled_from([1, 2, 7]),
+    queries=st.lists(predicates(), min_size=1, max_size=5),
+    rounds=st.lists(
+        st.tuples(st.booleans(), st.sampled_from([0.0, 0.5, 100.0])),
+        min_size=0, max_size=3,
+    ),
+)
+def test_correlation_map_equals_reference(
+    seed, n, cluster_key, key, cluster_width, queries, rounds
+):
+    """After the build, after every ``refresh_merged`` that follows a
+    ``tail_merge`` (incremental, and rebuild by boundary or by bloat), and
+    after ``share -> pickle -> resolve_shared``."""
+    rng = np.random.default_rng(seed)
+    hf = HeapFile(_random_table(rng, n), cluster_key, DISK)
+    key_attrs, key_widths = key
+    depth = int(rng.integers(1, len(cluster_key) + 1))
+    cm = CorrelationMap(hf, key_attrs, key_widths, depth, cluster_width)
+    ref = ReferenceCorrelationMap(hf, key_attrs, key_widths, depth, cluster_width)
+    queries = [Query(f"q{i}", "t", preds) for i, preds in enumerate(queries)]
+    _assert_cm_equals_reference(cm, ref, queries)
+    for recent, bloat_limit in rounds:
+        _churn(hf, rng, recent)
+        merged_from = hf.tail_merge().merged_from_row
+        outcome = cm.refresh_merged(
+            merged_from_row=merged_from, bloat_limit=bloat_limit
+        )
+        assert outcome in ("incremental", "rebuild")
+        if outcome == "rebuild":
+            ref.build()
+        else:
+            ref.merge_rows(merged_from)
+        _assert_cm_equals_reference(cm, ref, queries)
+    arena = ShmArena()
+    try:
+        shipped = pickle.loads(pickle.dumps(cm.share(arena)))
+        shipped.resolve_shared()
+        shipped.resolve_shared()  # idempotent
+        assert shipped.heapfile is None and shipped.shared_nbytes() == 0
+        _assert_cm_equals_reference(shipped, ref, queries)
+    finally:
+        arena.dispose()
+
+
+def test_shared_correlation_map_ships_three_refs_and_no_arrays():
+    rng = np.random.default_rng(11)
+    hf = HeapFile(_random_table(rng, 4_000), ("c",), DISK)
+    cm = CorrelationMap(hf, ("m",))
+    assert cm.size_bytes >= SHARE_MIN_BYTES
+    arena = ShmArena()
+    try:
+        clone = cm.share(arena)
+        expected = cm._packed.nbytes + cm._offsets.nbytes + cm._entry_keys["m"].nbytes
+        assert clone.shared_nbytes() == expected
+        assert len(pickle.dumps(clone)) < expected / 4
+        # The packed arrays are the CM's own: a second export registers nothing.
+        registered = arena.bytes_registered
+        cm.share(arena)
+        assert arena.bytes_registered == registered
+        assert cm.shared_nbytes() == 0 and isinstance(cm._packed, np.ndarray)
+    finally:
+        arena.dispose()
+
+
+def test_empty_sorted_region_builds_an_empty_map():
+    """Regression: an empty shard (or a file that is all tail) used to raise
+    IndexError in the build."""
+    flat = _random_table(np.random.default_rng(0), 50)
+    hf = HeapFile(flat.select(np.arange(0)), ("a",), DISK)
+    probe = Query("q", "t", [EqPredicate("m", 5), RangePredicate("c", 0, 9)])
+    for key_attrs in (("m",), ("m", "c")):
+        cm = CorrelationMap(hf, key_attrs, cluster_width=4)
+        assert cm.n_entries == 0 and cm.total_postings == 0 and cm.size_bytes == 0
+        ranks = cm.lookup(probe)
+        assert ranks.dtype == np.int64 and len(ranks) == 0
+        assert cm.lookup(Query("none", "t", [EqPredicate("b", 1)])) is None
+    # All tail: rows arrive, none has a rank yet; folding them in rebuilds.
+    hf.insert({name: flat.column(name) for name in flat.column_names})
+    assert cm.refresh() is False and cm.n_entries == 0
+    assert len(cm.lookup(probe)) == 0
+    merged_from = hf.tail_merge().merged_from_row
+    assert cm.refresh_merged(merged_from_row=merged_from) == "rebuild"
+    ref = ReferenceCorrelationMap(hf, ("m", "c"), (1, 1), 1, 4)
+    _assert_cm_equals_reference(cm, ref, [probe])
