@@ -91,6 +91,11 @@ class ClusteredIndexDesigner:
     distinct_page_factor: float = 4.0
     seed: int = 0
     _score_cache: dict = field(default_factory=dict, repr=False)
+    # design_for_group answers per (members as (name, fingerprint,
+    # frequency) in order, mv_attrs, t): feedback re-requests the same
+    # group at the same t across rounds and budgets.  Valid while
+    # ``vectors`` are — the enumerator builds a new designer with them.
+    _group_memo: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------- dedicated keys
 
@@ -198,8 +203,16 @@ class ClusteredIndexDesigner:
             raise ValueError("empty query group")
         if t <= 0:
             raise ValueError("t must be positive")
-        ranked = self._design_recursive(queries, mv_attrs, t)
-        return ranked[:t]
+        memo_key = (
+            tuple((q.name, q.fingerprint(), q.frequency) for q in queries),
+            mv_attrs,
+            t,
+        )
+        ranked = self._group_memo.get(memo_key)
+        if ranked is None:
+            ranked = self._design_recursive(queries, mv_attrs, t)[:t]
+            self._group_memo[memo_key] = ranked
+        return list(ranked)
 
     def _rank(
         self,

@@ -9,7 +9,7 @@ pipeline is resumable and *incremental*:
 * :meth:`CoraddDesigner.enumerate` builds the domination-pruned candidate
   pool (pruned candidates are archived, not forgotten);
 * :meth:`CoraddDesigner.solve` runs ILP (+ feedback) for one budget, with
-  optional branch-and-bound warm starts;
+  optional warm starts;
 * :meth:`CoraddDesigner.design` assembles the :class:`Design` for a budget,
   and :meth:`CoraddDesigner.design_ladder` sweeps a whole budget ladder —
   sharding the per-budget ILP solves across processes in feedback-free mode;
@@ -76,7 +76,6 @@ class DesignerConfig:
     max_k: int | None = None
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
     use_feedback: bool = True
-    solver_backend: str = "auto"
     synopsis_rows: int = 4096
     seed: int = 0
     cm_budget_bytes: int = DEFAULT_CM_BUDGET_BYTES
@@ -493,10 +492,9 @@ class CoraddDesigner:
         free_ids: list[str] | None = None,
     ) -> ChosenDesign:
         """Stage 3: candidate selection for one budget.  ``warm_start``
-        (previous chosen ids) seeds the branch-and-bound incumbent — or the
-        HiGHS fix-and-polish pass, with ``free_ids`` (delta-touched
-        candidates) left free; the solution is recorded in the state for
-        future warm starts."""
+        (previous chosen ids) seeds the solver's fix-and-polish pass, with
+        ``free_ids`` (delta-touched candidates) left free; the solution is
+        recorded in the state for future warm starts."""
         use_feedback = self.config.use_feedback if feedback is None else feedback
         candidates = self.enumerate()
         with span(
@@ -521,7 +519,6 @@ class CoraddDesigner:
             else:
                 solution = choose_candidates(
                     self.problem(budget_bytes),
-                    backend=self.config.solver_backend,
                     warm_start=warm_start,
                     free_ids=free_ids,
                 )
@@ -581,9 +578,8 @@ class CoraddDesigner:
         # would be lost with the fork.
         self.enumerate()
         self.base_seconds()
-        backend = self.config.solver_backend
         solutions = ParallelSweep(workers=workers, warmup=False).map(
-            lambda budget: choose_candidates(self.problem(budget), backend=backend),
+            lambda budget: choose_candidates(self.problem(budget)),
             budgets,
         )
         designs = []
@@ -617,7 +613,7 @@ class CoraddDesigner:
         warm-started ILP re-solve prices the new weights; the warm start is
         only accepted when the LP bound certifies it, so a reweighted
         optimum is never missed.  An empty delta therefore re-solves the
-        identical problem with the previous optimum as the incumbent and
+        identical problem with the previous optimum as the warm start and
         returns a bit-identical design.
 
         ``budget_bytes`` defaults to the most recently designed budget.

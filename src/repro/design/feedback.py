@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 class FeedbackConfig:
     max_iterations: int = 3
     t_multiplier: int = 2
-    backend: str = "auto"
 
 
 @dataclass
@@ -116,7 +115,7 @@ def run_ilp_feedback(
     """Solve, feed back, re-solve (Section 6.1).
 
     ``warm_start`` (previous chosen candidate ids, from an incremental
-    update) seeds the first solve's branch-and-bound incumbent; once
+    update) seeds the first solve's fix-and-polish pass; once
     warm-started, every re-solve after a feedback round is seeded from the
     current best solution, and feedback rounds skip groups whose keys were
     already designed in an earlier solve (the enumerator's designed-group
@@ -129,8 +128,7 @@ def run_ilp_feedback(
         maintenance=maintenance,
     )
     design = choose_candidates(
-        problem, backend=config.backend, warm_start=warm_start,
-        free_ids=free_ids,
+        problem, warm_start=warm_start, free_ids=free_ids
     )
     history = [design.objective]
     total_added = 0
@@ -152,7 +150,6 @@ def run_ilp_feedback(
         total_added += len(added)
         new_design = choose_candidates(
             problem,
-            backend=config.backend,
             warm_start=design.chosen_ids if warm_start is not None else None,
             free_ids=added if warm_start is not None else None,
         )

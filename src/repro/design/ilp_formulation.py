@@ -47,6 +47,10 @@ _EPS = 1e-9
 # rows to the equivalent prefix-sum encoding (see module docstring).
 _DENSE_CHAIN_LIMIT = 64
 
+# query name -> penalty chain: the candidates covering the query that beat
+# its base runtime, fastest first (the ``p_{q,r}`` ordering).
+Chains = dict[str, list[tuple[float, MVCandidate]]]
+
 
 @dataclass
 class DesignProblem:
@@ -83,6 +87,11 @@ class DesignProblem:
         entries.sort(key=lambda item: (item[0], item[1].cand_id))
         return entries
 
+    def chains(self) -> Chains:
+        """Every query's penalty chain.  Each one scans the whole pool, so
+        :func:`choose_candidates` computes them once and shares them."""
+        return {q.name: self.chain_for(q) for q in self.queries}
+
 
 @dataclass
 class ChosenDesign:
@@ -110,11 +119,15 @@ class ChosenDesign:
         return [candidates.candidate(cid) for cid in self.chosen_ids]
 
 
-def build_design_ilp(problem: DesignProblem) -> MILPModel:
+def build_design_ilp(
+    problem: DesignProblem, chains: Chains | None = None
+) -> MILPModel:
     """Construct the Section 5.1 model.  Candidates that beat no query's
-    base runtime get no variable (they could never improve the objective)."""
+    base runtime get no variable (they could never improve the objective).
+    ``chains`` are ``problem.chains()`` when the caller already has them."""
     model = MILPModel("coradd_design")
-    chains = {q.name: problem.chain_for(q) for q in problem.queries}
+    if chains is None:
+        chains = problem.chains()
     used: dict[str, MVCandidate] = {}
     for chain in chains.values():
         for _, cand in chain:
@@ -177,8 +190,13 @@ def build_design_ilp(problem: DesignProblem) -> MILPModel:
 
 
 def extract_design(
-    problem: DesignProblem, solution: Solution, model: MILPModel
+    problem: DesignProblem,
+    solution: Solution,
+    model: MILPModel,
+    chains: Chains | None = None,
 ) -> ChosenDesign:
+    if chains is None:
+        chains = problem.chains()
     chosen_ids = sorted(
         name[2:-1] for name in solution.chosen("y[")
     )
@@ -188,7 +206,7 @@ def extract_design(
     for q in problem.queries:
         best_t = problem.base_seconds[q.name]
         best_id: str | None = None
-        for t, cand in problem.chain_for(q):
+        for t, cand in chains[q.name]:
             if cand.cand_id in chosen_set and t < best_t:
                 best_t = t
                 best_id = cand.cand_id
@@ -214,7 +232,10 @@ def extract_design(
 
 
 def incumbent_from_chosen(
-    problem: DesignProblem, model: MILPModel, chosen_ids: list[str]
+    problem: DesignProblem,
+    model: MILPModel,
+    chosen_ids: list[str],
+    chains: Chains | None = None,
 ) -> dict[str, float]:
     """A feasible warm-start point of :func:`build_design_ilp`'s model from a
     previously chosen candidate set.
@@ -224,9 +245,11 @@ def incumbent_from_chosen(
     any base runtime — are dropped), prefix-sum ``s`` variables get their
     implied counts, and every penalty ``x`` settles at its integral lower
     bound given the ``y``.  Feasibility under the *current* budget is not
-    checked here; the branch-and-bound seeder verifies it and ignores
-    infeasible incumbents.
+    checked here; the solver facade verifies it and ignores infeasible
+    incumbents.
     """
+    if chains is None:
+        chains = problem.chains()
     chosen = {cid for cid in chosen_ids if f"y[{cid}]" in model.variables}
     values: dict[str, float] = {
         name: (1.0 if name[2:-1] in chosen else 0.0)
@@ -234,7 +257,7 @@ def incumbent_from_chosen(
         if name.startswith("y[")
     }
     for q in problem.queries:
-        chain = problem.chain_for(q)
+        chain = chains[q.name]
         base = problem.base_seconds[q.name]
         times = [t for t, _ in chain] + [base]
         ids = [cand.cand_id for _, cand in chain]
@@ -253,43 +276,29 @@ def incumbent_from_chosen(
 
 def choose_candidates(
     problem: DesignProblem,
-    backend: str = "auto",
     warm_start: list[str] | None = None,
     free_ids: list[str] | None = None,
 ) -> ChosenDesign:
     """Build and solve the ILP; returns the chosen design.
 
     ``warm_start`` — candidate ids of a previous solution — seeds the
-    branch-and-bound incumbent, or (HiGHS backend) the fix-and-polish pass;
-    ``free_ids`` names the candidates a workload delta touched, whose choice
-    variables stay free during the polish.  The returned optimum is the same
-    either way; when the warm point ties the optimum, the tie breaks toward
-    it.
+    solver's fix-and-polish pass; ``free_ids`` names the candidates a
+    workload delta touched, whose choice variables stay free during the
+    polish.  The returned optimum is the same either way; a warm point the
+    LP bound certifies is returned as it stands.  When no candidate helps
+    any query the model is empty and the answer is the base design.
     """
-    model = build_design_ilp(problem)
-    if model.num_variables == 0:
-        # No candidate helps any query: the base design is optimal.
-        total = sum(
-            q.frequency * problem.base_seconds[q.name] for q in problem.queries
-        )
-        return ChosenDesign(
-            chosen_ids=[],
-            objective=total,
-            assignment={q.name: None for q in problem.queries},
-            expected_seconds={
-                q.name: problem.base_seconds[q.name] for q in problem.queries
-            },
-            status="optimal",
-        )
+    chains = problem.chains()
+    model = build_design_ilp(problem, chains)
     incumbent = (
-        incumbent_from_chosen(problem, model, warm_start) if warm_start else None
+        incumbent_from_chosen(problem, model, warm_start, chains)
+        if warm_start
+        else None
     )
     free_vars = (
         {f"y[{cid}]" for cid in free_ids if f"y[{cid}]" in model.variables}
         if free_ids
         else None
     )
-    solution = solve(
-        model, backend=backend, warm_start=incumbent, free_vars=free_vars
-    )
-    return extract_design(problem, solution, model)
+    solution = solve(model, warm_start=incumbent, free_vars=free_vars)
+    return extract_design(problem, solution, model, chains)

@@ -118,6 +118,8 @@ def propagate_selectivities(
     """
     attrs = vectors.attrs
     limit = max_steps if max_steps is not None else max(1, len(attrs))
+    # strength(attr -> source) depends on neither the query nor the step.
+    strengths: dict[tuple[str, tuple[str, ...]], float] = {}
     steps = 0
     for _ in range(limit):
         changed = False
@@ -134,7 +136,10 @@ def propagate_selectivities(
                     source_key = source if isinstance(source, tuple) else (source,)
                     if attr in source_key:
                         continue
-                    s = stats.strength((attr,), source_key)
+                    s = strengths.get((attr, source_key))
+                    if s is None:
+                        s = stats.strength((attr,), source_key)
+                        strengths[(attr, source_key)] = s
                     if s <= 0.0:
                         continue
                     candidate = min(1.0, source_sel / s)

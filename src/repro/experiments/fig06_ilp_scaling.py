@@ -75,7 +75,6 @@ def run_fig06(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     n_queries: int = 13,
     seed: int = 0,
-    backend: str = "auto",
 ) -> ExperimentResult:
     result = ExperimentResult(
         name="figure6",
@@ -88,7 +87,7 @@ def run_fig06(
     )
     for n in sizes:
         problem = synthetic_problem(n, n_queries=n_queries, seed=seed)
-        chosen = choose_candidates(problem, backend=backend)
+        chosen = choose_candidates(problem)
         result.add_row(
             n_candidates=n,
             variables=chosen.num_variables,

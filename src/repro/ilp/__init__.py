@@ -1,26 +1,18 @@
-"""MILP substrate: model builder and solvers.
+"""MILP substrate: a model builder and the solver facade.
 
 CORADD solves its candidate-selection problem with "a commercial LP solver"
-(Section 5.1).  This package provides the equivalent from scratch: a model
-builder (:mod:`repro.ilp.model`), a dense two-phase primal simplex for LP
-relaxations (:mod:`repro.ilp.simplex`), a best-first branch & bound for the
-integer variables (:mod:`repro.ilp.branch_and_bound`), and a facade
-(:mod:`repro.ilp.solver`) that can also delegate to scipy's HiGHS ``milp``
-for large instances (the two backends are cross-checked in the tests).
+(Section 5.1).  Here a model is built with :mod:`repro.ilp.model` and solved
+by HiGHS through ``scipy.optimize.milp`` (:mod:`repro.ilp.solver`), which
+adds fix-and-polish warm starts and soft deadlines on top.
 """
 
 from repro.ilp.model import MILPModel, Constraint, Variable
-from repro.ilp.simplex import SimplexResult, solve_simplex
-from repro.ilp.branch_and_bound import solve_branch_and_bound
 from repro.ilp.solver import Solution, solve
 
 __all__ = [
     "MILPModel",
     "Constraint",
     "Variable",
-    "SimplexResult",
-    "solve_simplex",
-    "solve_branch_and_bound",
     "Solution",
     "solve",
 ]

@@ -2,8 +2,8 @@
 
 A thin, explicit representation: named variables with bounds / integrality /
 objective coefficients, and linear constraints stored sparsely as
-coefficient dicts.  Everything downstream (our simplex, our branch & bound,
-scipy's HiGHS) consumes the arrays produced by :meth:`MILPModel.to_arrays`.
+coefficient dicts.  The solver facade hands HiGHS the arrays produced by
+:meth:`MILPModel.to_arrays`.
 Minimization is assumed throughout, matching the paper's objective.
 """
 
@@ -51,7 +51,7 @@ class Constraint:
 
 @dataclass
 class ModelArrays:
-    """Dense/sparse arrays for solver backends (minimization)."""
+    """Dense/sparse arrays for the solver (minimization)."""
 
     c: np.ndarray
     A: sparse.csr_matrix  # all constraints, row-aligned with senses/rhs

@@ -1,26 +1,23 @@
-"""Solver facade: one call, several interchangeable backends.
+"""Solver facade: every model goes to HiGHS through ``scipy.optimize.milp``.
 
-Backends:
-
-* ``"bnb"``       — our branch & bound with HiGHS LP relaxations;
-* ``"bnb-simplex"`` — our branch & bound over our own simplex (fully
-  from-scratch path; small/medium instances);
-* ``"scipy"``     — scipy's HiGHS MILP directly;
-* ``"auto"``      — scipy for large instances, bnb otherwise (identical
-  optima; the tests assert agreement).
+One cold path (:func:`_solve_scipy`) and, on top of it, the pieces HiGHS's
+scipy binding lacks: warm starts (:func:`fix_and_polish` plus an LP-bound
+certificate, :func:`_solve_scipy_warm`) and soft deadlines
+(:func:`_degraded_solution`).  ``Solution.backend`` says which of them
+produced the answer: ``"scipy"``, ``"scipy-polish"`` or ``"degraded-*"``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.engine import faults
-from repro.ilp.branch_and_bound import solve_branch_and_bound
 from repro.ilp.model import MILPModel
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate, span
@@ -65,8 +62,6 @@ def _solve_scipy(
         if arrays.A.shape[0]
         else ()
     )
-    from scipy.optimize import Bounds
-
     lb = arrays.lb.copy()
     ub = arrays.ub.copy()
     if bounds_override:
@@ -81,8 +76,14 @@ def _solve_scipy(
         np.zeros_like(arrays.integrality) if relax_integrality
         else arrays.integrality
     )
+    # HiGHS's optimality tolerance is absolute (1e-7) and design objectives
+    # are model-seconds with penalty steps down to 1e-8, which it would
+    # leave slack: hand it the objective scaled by a power of two (exact in
+    # floating point) that puts the largest coefficient near 2**13.
+    largest = float(np.abs(arrays.c).max(initial=0.0))
+    scale = 2.0 ** (13 - math.frexp(largest)[1]) if largest else 1.0
     res = milp(
-        c=arrays.c,
+        c=arrays.c * scale,
         constraints=constraints,
         integrality=integrality,
         bounds=Bounds(lb, ub),
@@ -96,7 +97,7 @@ def _solve_scipy(
         )
     values = {name: float(v) for name, v in zip(arrays.names, res.x)}
     status = "time_limit" if res.status == 1 else "optimal"
-    return Solution(status, float(res.fun) + arrays.obj_constant, values)
+    return Solution(status, float(res.fun) / scale + arrays.obj_constant, values)
 
 
 def fix_and_polish(
@@ -169,7 +170,9 @@ def _solve_scipy_warm(
     *provably optimal* and the full MILP is skipped entirely — the common
     case for incremental re-solves, where the previous optimum plus a small
     polish already is the answer.  Otherwise the full (cold) solve runs; the
-    returned optimum is therefore identical to a cold solve either way.
+    returned optimum is therefore identical to a cold solve either way.  A
+    cold solve that runs out of time without beating the polished point
+    hands that point back (status ``"time_limit"``) instead of nothing.
     """
     if not model.is_feasible(warm_start):
         annotate(warm_outcome="infeasible-start")
@@ -178,6 +181,7 @@ def _solve_scipy_warm(
     if polished.status != "optimal":
         annotate(warm_outcome="polish-failed")
         return _solve_scipy(model, time_limit_s=time_limit_s)
+    polished.backend = "scipy-polish"
     relaxed = _solve_scipy(model, relax_integrality=True)
     if relaxed.status == "optimal":
         annotate(incumbent=polished.objective, lp_bound=relaxed.objective)
@@ -185,100 +189,85 @@ def _solve_scipy_warm(
         if polished.objective <= relaxed.objective + gap_tol:
             annotate(warm_outcome="polish-certified")
             obs_metrics.count("ilp.polish_certified")
-            polished.backend = "scipy-polish"
             return polished
     annotate(warm_outcome="cold-fallback")
     full = _solve_scipy(model, time_limit_s=time_limit_s)
+    if full.status == "time_limit" and full.objective >= polished.objective:
+        polished.status = "time_limit"
+        return polished
     return full
 
 
 def solve(
     model: MILPModel,
-    backend: str = "auto",
     time_limit_s: float | None = None,
     warm_start: dict[str, float] | None = None,
     free_vars: set[str] | None = None,
     deadline_s: float | None = None,
 ) -> Solution:
-    """Solve ``model`` (minimization) with the chosen backend.
+    """Solve ``model`` (minimization) with HiGHS.
 
-    ``warm_start`` is a feasible point (variable name -> value).  The
-    branch-and-bound backends seed their incumbent from it; the scipy/HiGHS
-    backend — which has no incumbent API — runs a *fix-and-polish* pass
-    around it instead (integer variables outside ``free_vars`` pinned, the
-    rest polished) and accepts the polished point outright when the LP
-    relaxation certifies it optimal, falling back to a cold solve otherwise.
-    The returned optimum is unchanged either way.
+    ``warm_start`` is a feasible point (variable name -> value).  scipy's
+    ``milp`` has no incumbent API, so the facade runs a *fix-and-polish*
+    pass around the point instead (integer variables outside ``free_vars``
+    pinned, the rest polished) and accepts the polished point outright when
+    the LP relaxation certifies it optimal, falling back to a cold solve
+    otherwise.  The returned optimum is unchanged either way; an infeasible
+    warm start is ignored.
 
-    ``deadline_s`` makes the call *soft real-time*: the backend gets at most
-    that long, and instead of surfacing a bare time-limit status the facade
-    degrades — best incumbent found in time, else the warm start, else an
-    LP-rounding repair (see :func:`_degraded_solution`) — returning status
-    ``"deadline"`` so a continuous-tuning caller can keep serving with a
-    good-enough design rather than block on optimality.  ``time_limit_s``
-    alone keeps the raw backend semantics (bnb returns ``"time_limit"``).
+    ``deadline_s`` makes the call *soft real-time*: HiGHS gets at most that
+    long, and instead of surfacing a bare time-limit status the facade
+    degrades — best point found in time (HiGHS's own, or the polished warm
+    start), else the warm start, else an LP-rounding repair (see
+    :func:`_degraded_solution`) — returning status ``"deadline"`` so a
+    continuous-tuning caller can keep serving with a good-enough design
+    rather than block on optimality.  ``time_limit_s`` alone keeps the raw
+    semantics: status ``"time_limit"`` with whatever point was in hand.
+
+    A model without variables is its own answer: ``"optimal"`` at the
+    objective constant.
     """
     start = time.monotonic()
-    if backend == "auto":
-        large = model.num_variables > 400 or model.num_constraints > 400
-        backend = "scipy" if large else "bnb"
     limit = time_limit_s
     if deadline_s is not None:
         limit = deadline_s if limit is None else min(limit, deadline_s)
     with span(
         "ilp.solve",
-        backend=backend,
         variables=model.num_variables,
         constraints=model.num_constraints,
         warm=warm_start is not None,
     ):
         spec = faults.fire("ilp.solve")
         forced_timeout = spec is not None and spec.kind == "timeout"
-        if forced_timeout and deadline_s is not None:
-            # Injected solver timeout: the backend "ran out of time"
-            # without burning any — straight to the degraded path.
+        if model.num_variables == 0:
+            solution = Solution("optimal", model.obj_constant, {})
+        elif forced_timeout and deadline_s is not None:
+            # Injected solver timeout: HiGHS "ran out of time" without
+            # burning any — straight to the degraded path.
             solution = _degraded_solution(model, warm_start)
-        elif backend == "scipy":
-            solution = (
-                _solve_scipy_warm(model, warm_start, free_vars, limit)
-                if warm_start is not None
-                else _solve_scipy(model, time_limit_s=limit)
-            )
-        elif backend in ("bnb", "bnb-simplex"):
-            relaxation = "simplex" if backend == "bnb-simplex" else "highs"
-            res = solve_branch_and_bound(
-                model,
-                relaxation=relaxation,
-                time_limit_s=limit,
-                incumbent=warm_start,
-            )
-            annotate(nodes=res.nodes_explored)
-            obs_metrics.count("ilp.bnb_nodes", res.nodes_explored)
-            arrays_names = list(model.variables)
-            values = (
-                {name: float(v) for name, v in zip(arrays_names, res.x)}
-                if len(res.x)
-                else {}
-            )
-            solution = Solution(res.status, res.objective, values)
+        elif warm_start is not None:
+            solution = _solve_scipy_warm(model, warm_start, free_vars, limit)
         else:
-            raise ValueError(f"unknown backend {backend!r}")
+            solution = _solve_scipy(model, time_limit_s=limit)
         if (
             deadline_s is not None
             and solution.status not in ("optimal", "infeasible")
         ):
             if solution.status == "time_limit" and solution.values:
-                # The backend beat the deadline to *some* incumbent: take it.
+                # Some point beat the deadline: take it.
                 obs_metrics.count("ilp.deadline_degraded")
                 annotate(deadline_outcome="backend-incumbent")
                 solution.status = "deadline"
-                solution.backend = solution.backend or f"{backend}-incumbent"
             elif solution.status not in ("deadline", "deadline-failed"):
                 solution = _degraded_solution(model, warm_start)
         solution.solve_seconds = time.monotonic() - start
         if not solution.backend:
-            solution.backend = backend
-        annotate(status=solution.status, objective=solution.objective)
+            solution.backend = "scipy"
+        annotate(
+            status=solution.status,
+            objective=solution.objective,
+            backend=solution.backend,
+        )
         obs_metrics.count("ilp.solves")
         obs_metrics.count(f"ilp.solves.{solution.backend}")
         if warm_start is not None:

@@ -1,9 +1,10 @@
 """Reference implementations the fast kernels in ``src/`` are checked against.
 
-These are the loop-and-``np.unique`` forms the production code used before it
-became one sorted pass each, moved here verbatim: they exist *only* as test
-oracles (``test_reference_kernels.py``) and share no state with the code under
-test — no cache, no memo, no packed array.
+These are the forms the production code used before it was made faster (one
+sorted pass instead of a loop of ``np.unique``; one strength lookup per
+attribute pair instead of one per query and step), moved here verbatim: they
+exist *only* as test oracles (``test_reference_kernels.py``) and share no
+state with the code under test — no cache, no memo, no packed array.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cm.bucketing import bucket_codes, entries_match
+from repro.design.selectivity import SelectivityVectors, VectorKey
 from repro.relational.query import Query
 from repro.stats.collector import TableStatistics
 from repro.storage.layout import HeapFile
 
 _CLUSTER_ID_BYTES = 4
+_EPSILON = 1e-9  # repro.design.selectivity's change threshold
 
 
 def reference_estimate_layout(
@@ -55,6 +58,46 @@ def reference_estimate_layout(
     positions = np.nonzero(scanned)[0]
     fragments = 1.0 + float((np.diff(positions) > sample_gap).sum())
     return fragments, fraction
+
+
+def reference_propagate_selectivities(
+    vectors: SelectivityVectors,
+    stats: TableStatistics,
+    max_steps: int | None = None,
+) -> int:
+    """Selectivity Propagation asking ``stats.strength`` afresh for every
+    (query, attribute, source) of every step."""
+    attrs = vectors.attrs
+    limit = max_steps if max_steps is not None else max(1, len(attrs))
+    steps = 0
+    for _ in range(limit):
+        changed = False
+        for qname, vec in vectors.vectors.items():
+            sources: list[tuple[VectorKey, float]] = [
+                (key, sel) for key, sel in vec.items() if sel < 1.0 - _EPSILON
+            ]
+            for attr in attrs:
+                current = vec.get(attr, 1.0)
+                best = current
+                for source, source_sel in sources:
+                    if source == attr:
+                        continue
+                    source_key = source if isinstance(source, tuple) else (source,)
+                    if attr in source_key:
+                        continue
+                    s = stats.strength((attr,), source_key)
+                    if s <= 0.0:
+                        continue
+                    candidate = min(1.0, source_sel / s)
+                    if candidate < best - _EPSILON:
+                        best = candidate
+                if best < current - _EPSILON:
+                    vec[attr] = best
+                    changed = True
+        steps += 1
+        if not changed:
+            break
+    return steps
 
 
 class ReferenceCorrelationMap:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.costmodel.correlation_aware import CorrelationAwareCostModel
 from repro.design.clustering import ClusteredIndexDesigner, order_preserving_merges
 from repro.design.dominate import dominates, prune_dominated
+from repro.design.enumerate import CandidateEnumerator
 from repro.design.grouping import enumerate_query_groups, extended_vectors
 from repro.design.mv import (
     KIND_FACT_RECLUSTER,
@@ -93,6 +94,19 @@ def test_merge_properties(a, b):
     assert len(set(merges)) == len(merges)
 
 
+def count_score_key_calls(monkeypatch) -> list:
+    """Record every ``ClusteredIndexDesigner.score_key`` call from now on."""
+    calls = []
+    score_key = ClusteredIndexDesigner.score_key
+
+    def counting(self, key, mv_attrs, queries):
+        calls.append(key)
+        return score_key(self, key, mv_attrs, queries)
+
+    monkeypatch.setattr(ClusteredIndexDesigner, "score_key", counting)
+    return calls
+
+
 class TestClusteredIndexDesigner:
     def make_designer(self, stats, disk) -> ClusteredIndexDesigner:
         model = CorrelationAwareCostModel(stats, disk)
@@ -156,6 +170,54 @@ class TestClusteredIndexDesigner:
         best_full = full.design_for_group(queries, attrs, t=1)[0][1]
         best_concat = concat.design_for_group(queries, attrs, t=1)[0][1]
         assert best_full <= best_concat + 1e-12
+
+    def test_design_for_group_memoises_per_group_attrs_and_t(
+        self, stats, disk, monkeypatch
+    ):
+        calls = count_score_key_calls(monkeypatch)
+        designer = self.make_designer(stats, disk)
+        queries = queries_fixture()
+        attrs = ordered_mv_attrs((), queries)
+        first = designer.design_for_group(queries, attrs, t=2)
+        scored = len(calls)
+        assert scored > 0
+        again = designer.design_for_group(queries, attrs, t=2)
+        assert again == first
+        assert len(calls) == scored  # no key was scored a second time
+        again.clear()  # callers own the list they get
+        assert designer.design_for_group(queries, attrs, t=2) == first
+        assert len(calls) == scored
+        # Another t, another member order, another weight: new designs.
+        for variant, t in (
+            (queries, 3),
+            (queries[::-1], 2),
+            ([queries[0].with_frequency(5.0)] + queries[1:], 2),
+        ):
+            before = len(calls)
+            designer.design_for_group(variant, attrs, t=t)
+            assert len(calls) > before
+
+    def test_with_queries_starts_from_an_empty_memo(
+        self, stats, disk, monkeypatch
+    ):
+        queries = queries_fixture()
+        enumerator = CandidateEnumerator(
+            fact="people",
+            queries=queries,
+            stats=stats,
+            disk=disk,
+            cost_model=CorrelationAwareCostModel(stats, disk),
+            primary_key=("city",),
+        )
+        attrs = ordered_mv_attrs((), queries[:2])
+        want = enumerator.designer.design_for_group(queries[:2], attrs, t=2)
+        clone = enumerator.with_queries(queries[:2])
+        assert clone.designer is not enumerator.designer
+        calls = count_score_key_calls(monkeypatch)
+        # The clone's selectivity vectors are its own, so it designs again
+        # (and, the inputs being equal here, arrives at the same keys).
+        assert clone.designer.design_for_group(queries[:2], attrs, t=2) == want
+        assert calls
 
     def test_validation(self, stats, disk):
         designer = self.make_designer(stats, disk)

@@ -59,17 +59,6 @@ class TestNoDominationPruning:
         assert len(unpruned.enumerate()) >= len(pruned.enumerate())
 
 
-class TestSolverBackendConfig:
-    def test_bnb_backend_matches_scipy(self, ssb_small, budget):
-        scipy_designer = make_designer(ssb_small, solver_backend="scipy")
-        bnb_designer = make_designer(ssb_small, solver_backend="bnb")
-        d_scipy = scipy_designer.design(budget)
-        d_bnb = bnb_designer.design(budget)
-        assert d_scipy.ilp.objective == pytest.approx(
-            d_bnb.ilp.objective, rel=1e-6
-        )
-
-
 class TestMaxK:
     def test_max_k_caps_group_sweep(self, ssb_small, budget):
         capped = make_designer(ssb_small, max_k=3)

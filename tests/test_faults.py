@@ -544,7 +544,7 @@ class TestIlpDeadline:
         return model
 
     def test_without_faults_deadline_is_inert(self):
-        solution = solve(self._model(), backend="scipy", deadline_s=30.0)
+        solution = solve(self._model(), deadline_s=30.0)
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(1.0)
 
@@ -554,8 +554,7 @@ class TestIlpDeadline:
         plan = FaultPlan(FaultSpec("ilp.solve", "timeout"))
         with use_faults(plan), use_metrics(registry):
             solution = solve(
-                self._model(), backend="scipy",
-                warm_start=warm, deadline_s=5.0,
+                self._model(), warm_start=warm, deadline_s=5.0
             )
         assert solution.status == "deadline"
         assert solution.backend == "degraded-incumbent"
@@ -565,7 +564,7 @@ class TestIlpDeadline:
     def test_injected_timeout_without_warm_start_repairs_the_lp(self):
         plan = FaultPlan(FaultSpec("ilp.solve", "timeout"))
         with use_faults(plan):
-            solution = solve(self._model(), backend="scipy", deadline_s=5.0)
+            solution = solve(self._model(), deadline_s=5.0)
         assert solution.status == "deadline"
         assert solution.backend == "degraded-greedy"
         model = self._model()
@@ -574,5 +573,5 @@ class TestIlpDeadline:
     def test_timeout_fault_without_deadline_changes_nothing(self):
         plan = FaultPlan(FaultSpec("ilp.solve", "timeout"))
         with use_faults(plan):
-            solution = solve(self._model(), backend="scipy")
+            solution = solve(self._model())
         assert solution.status == "optimal"

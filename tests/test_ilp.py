@@ -1,14 +1,12 @@
-"""MILP substrate: model building, simplex, branch & bound, backends."""
+"""MILP substrate: model building and the HiGHS solver facade."""
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
-from repro.ilp.branch_and_bound import solve_branch_and_bound
 from repro.ilp.model import MILPModel
-from repro.ilp.simplex import solve_simplex
 from repro.ilp.solver import solve
 
 
@@ -67,93 +65,6 @@ class TestModelBuilding:
         assert arrays.integrality.tolist() == [1, 0]
 
 
-def lp_model(c, A_ub, b_ub, bounds) -> MILPModel:
-    m = MILPModel()
-    for j, (coef, (lb, ub)) in enumerate(zip(c, bounds)):
-        m.add_var(f"v{j}", lb=lb, ub=ub, obj=coef)
-    for row, rhs in zip(A_ub, b_ub):
-        coeffs = {f"v{j}": a for j, a in enumerate(row) if a}
-        if coeffs:  # all-zero rows carry no constraint
-            m.add_constraint(coeffs, "<=", rhs)
-    return m
-
-
-class TestSimplex:
-    def test_simple_lp(self):
-        # max x + y s.t. x + y <= 1 -> min -(x+y), optimum -1.
-        m = lp_model([-1, -1], [[1, 1]], [1], [(0, 10), (0, 10)])
-        res = solve_simplex(m.to_arrays())
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(-1.0)
-
-    def test_equality_constraint(self):
-        m = MILPModel()
-        m.add_var("x", obj=1.0, ub=10)
-        m.add_var("y", obj=2.0, ub=10)
-        m.add_constraint({"x": 1, "y": 1}, "==", 4)
-        res = solve_simplex(m.to_arrays())
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(4.0)  # all weight on x
-
-    def test_infeasible(self):
-        m = MILPModel()
-        m.add_var("x", ub=1.0)
-        m.add_constraint({"x": 1.0}, ">=", 5.0)
-        assert solve_simplex(m.to_arrays()).status == "infeasible"
-
-    def test_unbounded(self):
-        m = MILPModel()
-        m.add_var("x", obj=-1.0)  # minimize -x with x unbounded above
-        m.add_constraint({"x": -1.0}, "<=", 0.0)
-        assert solve_simplex(m.to_arrays()).status == "unbounded"
-
-    def test_shifted_lower_bounds(self):
-        m = MILPModel()
-        m.add_var("x", lb=2.0, ub=8.0, obj=1.0)
-        res = solve_simplex(m.to_arrays())
-        assert res.objective == pytest.approx(2.0)
-        assert res.x[0] == pytest.approx(2.0)
-
-    def test_infeasible_bounds(self):
-        m = MILPModel()
-        m.add_var("x", lb=0, ub=10)
-        arrays = m.to_arrays()
-        res = solve_simplex(arrays, extra_bounds={0: (5.0, 3.0)})
-        assert res.status == "infeasible"
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 4),
-    m_rows=st.integers(1, 4),
-    data=st.data(),
-)
-def test_simplex_matches_scipy_on_random_lps(n, m_rows, data):
-    """Property: our simplex agrees with HiGHS on random bounded LPs."""
-    rng_vals = data.draw(
-        st.lists(
-            st.integers(-5, 5), min_size=n * m_rows + n + m_rows, max_size=n * m_rows + n + m_rows
-        )
-    )
-    A = np.array(rng_vals[: n * m_rows], dtype=float).reshape(m_rows, n)
-    c = np.array(rng_vals[n * m_rows : n * m_rows + n], dtype=float)
-    b = np.abs(np.array(rng_vals[n * m_rows + n :], dtype=float)) + 1.0
-    model = lp_model(c, A, b, [(0.0, 10.0)] * n)
-    ours = solve_simplex(model.to_arrays())
-    # Feed scipy only the non-zero rows, mirroring the model builder.
-    keep = np.abs(A).sum(axis=1) > 0
-    ref = linprog(
-        c,
-        A_ub=A[keep] if keep.any() else None,
-        b_ub=b[keep] if keep.any() else None,
-        bounds=[(0, 10)] * n,
-        method="highs",
-    )
-    assert ours.status == "optimal"
-    assert ref.status == 0
-    assert ours.objective == pytest.approx(float(ref.fun), abs=1e-6)
-
-
 def knapsack_model(values, weights, capacity) -> MILPModel:
     m = MILPModel()
     for i, v in enumerate(values):
@@ -164,67 +75,107 @@ def knapsack_model(values, weights, capacity) -> MILPModel:
     return m
 
 
-class TestBranchAndBound:
-    def test_knapsack_optimal(self):
-        m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
-        res = solve_branch_and_bound(m)
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(-9.0)
-
-    def test_infeasible_integer_program(self):
-        m = MILPModel()
-        m.add_binary("y")
-        m.add_constraint({"y": 2.0}, "==", 1.0)  # y = 0.5 required
-        assert solve_branch_and_bound(m).status == "infeasible"
-
-    def test_simplex_relaxation_backend(self):
-        m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
-        res = solve_branch_and_bound(m, relaxation="simplex")
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(-9.0)
+def brute_force(model: MILPModel) -> float:
+    """Best objective over every 0/1 point of an all-binary model (``inf``
+    when none is feasible) — shares nothing with the solver but the model."""
+    names = list(model.variables)
+    best = float("inf")
+    for bits in itertools.product((0.0, 1.0), repeat=len(names)):
+        point = dict(zip(names, bits))
+        if model.is_feasible(point):
+            best = min(best, model.evaluate(point))
+    return best
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    values=st.lists(st.integers(1, 20), min_size=2, max_size=7),
+    values=st.lists(st.integers(-5, 20), min_size=1, max_size=7),
+    n_rows=st.integers(0, 3),
     data=st.data(),
 )
-def test_bnb_matches_scipy_milp_on_random_knapsacks(values, data):
-    weights = data.draw(
-        st.lists(st.integers(1, 10), min_size=len(values), max_size=len(values))
-    )
-    capacity = data.draw(st.integers(1, sum(weights)))
-    model = knapsack_model(values, weights, capacity)
-    ours = solve(model, backend="bnb")
-    ref = solve(model, backend="scipy")
-    assert ours.status == ref.status == "optimal"
-    assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
+def test_milp_matches_brute_force_on_random_knapsacks(values, n_rows, data):
+    """Random small multi-row knapsacks against enumeration: ``<=``, ``>=``
+    and ``==`` rows, no row at all, and right-hand sides no 0/1 point can
+    meet (infeasible models must be reported, not solved)."""
+    n = len(values)
+    model = MILPModel()
+    for i, v in enumerate(values):
+        model.add_binary(f"y{i}", obj=-float(v))
+    model.add_objective_constant(float(data.draw(st.integers(-3, 3))))
+    for _ in range(n_rows):
+        weights = data.draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+        coeffs = {f"y{i}": float(w) for i, w in enumerate(weights) if w}
+        if not coeffs:  # all-zero rows carry no constraint
+            continue
+        sense = data.draw(st.sampled_from(["<=", ">=", "=="]))
+        rhs = data.draw(st.integers(0, sum(weights) + 2))
+        model.add_constraint(coeffs, sense, float(rhs))
+    want = brute_force(model)
+    got = solve(model)
+    if want == float("inf"):
+        assert got.status == "infeasible"
+    else:
+        assert got.status == "optimal"
+        assert got.objective == pytest.approx(want, abs=1e-6)
+        assert model.is_feasible(got.values)
 
 
 class TestSolverFacade:
-    def test_backends_agree(self):
-        m = knapsack_model([10, 7, 7, 3], [4, 3, 3, 1], 6)
-        results = {be: solve(m, backend=be).objective for be in ("scipy", "bnb", "bnb-simplex")}
-        assert len({round(v, 6) for v in results.values()}) == 1
+    def test_knapsack_optimal(self):
+        m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
+        sol = solve(m)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-9.0)
+        assert sol.backend == "scipy"
 
     def test_chosen_helper(self):
         m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
-        sol = solve(m, backend="scipy")
+        sol = solve(m)
         assert sorted(sol.chosen("y")) == ["y1", "y2"]
 
     def test_objective_constant_included(self):
         m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
         m.add_objective_constant(100.0)
-        for be in ("scipy", "bnb"):
-            assert solve(m, backend=be).objective == pytest.approx(91.0)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            solve(MILPModel(), backend="gurobi")
+        assert solve(m).objective == pytest.approx(91.0)
 
     def test_infeasible_reported(self):
         m = MILPModel()
         m.add_binary("y")
         m.add_constraint({"y": 1.0}, ">=", 2.0)
-        assert solve(m, backend="scipy").status == "infeasible"
-        assert solve(m, backend="bnb").status == "infeasible"
+        assert solve(m).status == "infeasible"
+
+    def test_infeasible_integer_program(self):
+        m = MILPModel()
+        m.add_binary("y")
+        m.add_constraint({"y": 2.0}, "==", 1.0)  # y = 0.5 required
+        assert solve(m).status == "infeasible"
+
+    def test_empty_model_is_its_own_answer(self):
+        m = MILPModel()
+        m.add_objective_constant(7.5)
+        sol = solve(m)
+        assert sol.status == "optimal"
+        assert sol.objective == 7.5
+        assert sol.values == {}
+
+    def test_timed_out_warm_solve_keeps_the_polished_point(self):
+        # LP bound -14 (y0 = 1, y1 = 2/3) sits below the integer optimum
+        # -13, so the polish is never certified and the cold solve runs —
+        # into a time limit it cannot meet.
+        m = knapsack_model([10, 6, 3], [2, 3, 1], 4)
+        warm = {"y0": 0.0, "y1": 1.0, "y2": 1.0}  # feasible, objective -9
+        raw = solve(m, warm_start=warm, time_limit_s=1e-9)
+        assert raw.status == "time_limit"
+        assert raw.backend == "scipy-polish"
+        assert raw.values == warm
+        assert raw.objective == pytest.approx(-9.0)
+        # Free variables let the polish move: the deadline path must hand
+        # back that better point, not the raw warm start.
+        soft = solve(
+            m, warm_start=warm, free_vars={"y0", "y1"}, deadline_s=1e-9
+        )
+        assert soft.status == "deadline"
+        assert soft.backend == "scipy-polish"
+        assert soft.objective == pytest.approx(-13.0)
+        assert m.is_feasible(soft.values)
+        assert solve(m).objective == pytest.approx(-13.0)

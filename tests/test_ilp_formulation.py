@@ -7,7 +7,10 @@ from repro.design.ilp_formulation import (
     DesignProblem,
     build_design_ilp,
     choose_candidates,
+    extract_design,
+    incumbent_from_chosen,
 )
+from repro.ilp.solver import solve
 from repro.design.mv import KIND_FACT_RECLUSTER, CandidateSet
 from repro.relational.query import Aggregate, EqPredicate, Query
 from tests.test_design_units import cand
@@ -27,6 +30,27 @@ def problem_of(cands, queries, base, budget) -> DesignProblem:
     return DesignProblem(cs, queries, base, budget)
 
 
+def shared_problem() -> DesignProblem:
+    queries = make_queries(["q1", "q2", "q3"])
+    cands = [
+        cand("m1", 60, {"q1": 1.0}, attrs=("a", "b")),
+        cand("m2", 60, {"q2": 1.0}, attrs=("a", "b", "x")),
+        cand("m3", 60, {"q3": 1.0}, attrs=("a", "b", "y")),
+        cand("big", 100, {"q1": 4.0, "q2": 4.0, "q3": 4.0}, attrs=("a", "b", "z")),
+    ]
+    return problem_of(cands, queries, {"q1": 10.0, "q2": 10.0, "q3": 10.0}, 120)
+
+
+def long_chain_problem() -> DesignProblem:
+    queries = make_queries(["q1", "q2"])
+    cands = [
+        cand(f"m{i}", 20 + i, {"q1": 10.0 - i * 0.1, "q2": 9.0 - i * 0.05},
+             attrs=("a", "b", f"x{i}"))
+        for i in range(12)
+    ]
+    return problem_of(cands, queries, {"q1": 20.0, "q2": 20.0}, 70)
+
+
 class TestChains:
     def test_chain_sorted_and_filtered(self):
         queries = make_queries(["q1"])
@@ -42,6 +66,35 @@ class TestChains:
         )
         chain = p.chain_for(queries[0])
         assert [c.cand_id for _, c in chain] == ["fast", "slow"]
+
+    @pytest.mark.parametrize("dense_limit", [64, 2])
+    @pytest.mark.parametrize("make_problem", [shared_problem, long_chain_problem])
+    def test_precomputed_chains_change_nothing(
+        self, make_problem, dense_limit, monkeypatch
+    ):
+        """Model, extracted design and incumbent are the same whether each
+        function derives the chains itself or is handed them — in the dense
+        and in the prefix-sum encoding."""
+        monkeypatch.setattr(
+            "repro.design.ilp_formulation._DENSE_CHAIN_LIMIT", dense_limit
+        )
+        p = make_problem()
+        chains = p.chains()
+        assert chains == {q.name: p.chain_for(q) for q in p.queries}
+        model = build_design_ilp(p)
+        shared = build_design_ilp(p, chains)
+        assert shared.variables == model.variables
+        assert shared.constraints == model.constraints
+        assert shared.obj_constant == model.obj_constant
+        solution = solve(model)
+        design = extract_design(p, solution, model)
+        assert extract_design(p, solution, model, chains) == design
+        chosen = choose_candidates(p)
+        chosen.solve_seconds = design.solve_seconds  # the one timing field
+        assert chosen == design
+        assert incumbent_from_chosen(
+            p, model, design.chosen_ids, chains
+        ) == incumbent_from_chosen(p, model, design.chosen_ids)
 
 
 class TestKnownOptima:
@@ -156,13 +209,7 @@ class TestKnownOptima:
         literal constraint rows."""
         import repro.design.ilp_formulation as f
 
-        queries = make_queries(["q1", "q2"])
-        cands = [
-            cand(f"m{i}", 20 + i, {"q1": 10.0 - i * 0.1, "q2": 9.0 - i * 0.05},
-                 attrs=("a", "b", f"x{i}"))
-            for i in range(12)
-        ]
-        p = problem_of(cands, queries, {"q1": 20.0, "q2": 20.0}, 70)
+        p = long_chain_problem()
         old = f._DENSE_CHAIN_LIMIT
         try:
             f._DENSE_CHAIN_LIMIT = 64
@@ -187,24 +234,14 @@ class TestKnownOptima:
 
 
 class TestGreedyMK:
-    def shared_problem(self):
-        queries = make_queries(["q1", "q2", "q3"])
-        cands = [
-            cand("m1", 60, {"q1": 1.0}, attrs=("a", "b")),
-            cand("m2", 60, {"q2": 1.0}, attrs=("a", "b", "x")),
-            cand("m3", 60, {"q3": 1.0}, attrs=("a", "b", "y")),
-            cand("big", 100, {"q1": 4.0, "q2": 4.0, "q3": 4.0}, attrs=("a", "b", "z")),
-        ]
-        return problem_of(cands, queries, {"q1": 10.0, "q2": 10.0, "q3": 10.0}, 120)
-
     def test_greedy_never_beats_ilp(self):
-        p = self.shared_problem()
+        p = shared_problem()
         ilp = choose_candidates(p)
         greedy = greedy_mk(p, m=2)
         assert greedy.objective >= ilp.objective - 1e-9
 
     def test_greedy_respects_budget(self):
-        p = self.shared_problem()
+        p = shared_problem()
         greedy = greedy_mk(p, m=2)
         used = sum(
             p.candidates.candidate(cid).size_bytes for cid in greedy.chosen_ids
@@ -232,11 +269,11 @@ class TestGreedyMK:
         assert greedy.objective == pytest.approx(3.0)
 
     def test_greedy_m1_still_seeds(self):
-        p = self.shared_problem()
+        p = shared_problem()
         greedy = greedy_mk(p, m=1)
         assert greedy.objective < sum(p.base_seconds.values())
 
     def test_greedy_k_caps_candidates(self):
-        p = self.shared_problem()
+        p = shared_problem()
         greedy = greedy_mk(p, m=1, k=1)
         assert len(greedy.chosen_ids) <= 1

@@ -569,10 +569,8 @@ class TestLayerMetricsSmoke:
             return m
 
         with observed("ilp") as obs:
-            cold = solve(tiny_model(), backend="scipy")
-            warm = solve(
-                tiny_model(), backend="scipy", warm_start={"x": 1.0, "y": 0.0}
-            )
+            cold = solve(tiny_model())
+            warm = solve(tiny_model(), warm_start={"x": 1.0, "y": 0.0})
         assert cold.objective == warm.objective == -2.0
         assert obs.metrics.counter("ilp.solves") == 2
         assert obs.metrics.counter("ilp.warm_starts") == 1

@@ -1,6 +1,7 @@
-"""The one-pass kernels equal their reference implementations bit for bit:
-the memoised layout simulation of ``TableStatistics.estimate_layout`` and
-the CSR-packed ``CorrelationMap`` against ``tests/reference_kernels.py``."""
+"""The fast kernels equal their reference implementations bit for bit: the
+memoised layout simulation of ``TableStatistics.estimate_layout``, the
+CSR-packed ``CorrelationMap`` and the strength-caching Selectivity
+Propagation against ``tests/reference_kernels.py``."""
 
 import pickle
 
@@ -10,6 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cm.correlation_map import CorrelationMap
+from repro.design.selectivity import (
+    build_selectivity_vectors,
+    propagate_selectivities,
+)
 from repro.engine.shm import SHARE_MIN_BYTES, ShmArena
 from repro.relational.query import EqPredicate, InPredicate, Query, RangePredicate
 from repro.stats.collector import TableStatistics
@@ -18,6 +23,7 @@ from repro.storage.layout import HeapFile
 from tests.reference_kernels import (
     ReferenceCorrelationMap,
     reference_estimate_layout,
+    reference_propagate_selectivities,
 )
 from tests.test_table import make_table
 
@@ -263,3 +269,32 @@ def test_empty_sorted_region_builds_an_empty_map():
     assert cm.refresh_merged(merged_from_row=merged_from) == "rebuild"
     ref = ReferenceCorrelationMap(hf, ("m", "c"), (1, 1), 1, 4)
     _assert_cm_equals_reference(cm, ref, [probe])
+
+
+# ----------------------------------------------------- selectivity propagation
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 500),
+    conjunctions=st.lists(predicates(), min_size=1, max_size=6),
+    max_steps=st.sampled_from([None, 1, 2, 5]),
+)
+def test_propagate_selectivities_equals_reference(
+    seed, n, conjunctions, max_steps
+):
+    """Random tables (``b`` determines ``a``, so strengths really push
+    selectivities), random conjunctions — composites included whenever a
+    query predicates two attributes — and ``max_steps`` on both sides of
+    the fixpoint: same step count, bit-identical vectors."""
+    table = _random_table(np.random.default_rng(seed), n)
+    stats = TableStatistics(table, synopsis_rows=64, seed=seed)
+    queries = [Query(f"q{i}", "t", preds) for i, preds in enumerate(conjunctions)]
+    got = build_selectivity_vectors(queries, stats, propagate=False)
+    want = build_selectivity_vectors(queries, stats, propagate=False)
+    steps = propagate_selectivities(got, stats, max_steps=max_steps)
+    assert steps == reference_propagate_selectivities(
+        want, stats, max_steps=max_steps
+    )
+    assert got.vectors == want.vectors

@@ -317,10 +317,8 @@ class TestFixAndPolish:
     def test_scipy_warm_equals_cold(self, inst, budget):
         designer = _designer(inst)
         problem = designer.problem(budget)
-        cold = choose_candidates(problem, backend="scipy")
-        warm = choose_candidates(
-            problem, backend="scipy", warm_start=cold.chosen_ids
-        )
+        cold = choose_candidates(problem)
+        warm = choose_candidates(problem, warm_start=cold.chosen_ids)
         assert warm.chosen_ids == cold.chosen_ids
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
@@ -330,9 +328,9 @@ class TestFixAndPolish:
         designer = _designer(inst)
         problem = designer.problem(budget)
         model = build_design_ilp(problem)
-        cold = choose_candidates(problem, backend="scipy")
+        cold = choose_candidates(problem)
         incumbent = incumbent_from_chosen(problem, model, cold.chosen_ids)
-        solution = solve(model, backend="scipy", warm_start=incumbent)
+        solution = solve(model, warm_start=incumbent)
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(cold.objective, abs=1e-9)
         # Whether the polish short-circuit fired (LP bound tight) or the
@@ -350,7 +348,7 @@ class TestFixAndPolish:
         model.add_constraint({"y[a]": 1.0}, "<=", 1.0, name="ca")
         model.add_constraint({"y[b]": 1.0}, "<=", 1.0, name="cb")
         incumbent = {"y[a]": 1.0, "y[b]": 1.0}
-        solution = solve(model, backend="scipy", warm_start=incumbent)
+        solution = solve(model, warm_start=incumbent)
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(-3.0, abs=1e-9)
         assert solution.backend == "scipy-polish"
@@ -364,7 +362,7 @@ class TestFixAndPolish:
         # An arbitrary feasible-but-poor incumbent: choose nothing.
         incumbent = incumbent_from_chosen(problem, model, [])
         polished = fix_and_polish(model, incumbent)
-        cold = choose_candidates(problem, backend="scipy")
+        cold = choose_candidates(problem)
         assert polished.status == "optimal"
         assert polished.objective >= cold.objective - 1e-9
         assert polished.objective <= model.evaluate(incumbent) + 1e-9
@@ -378,8 +376,8 @@ class TestFixAndPolish:
             pytest.skip("no candidates")
         # All candidates at once blows the budget: infeasible point.
         bogus = {name: 1.0 for name in y_vars}
-        cold = choose_candidates(problem, backend="scipy")
-        solution = solve(model, backend="scipy", warm_start=bogus)
+        cold = choose_candidates(problem)
+        solution = solve(model, warm_start=bogus)
         assert solution.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
