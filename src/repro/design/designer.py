@@ -419,7 +419,7 @@ class CoraddDesigner:
             # Session-free fan-out: enumerators carry their own statistics,
             # so the sweep ships no snapshot and the work-stealing scheduler
             # just hands each enumerator to the next idle worker.
-            pools = ParallelSweep(workers=workers, warmup=False).map(
+            pools = ParallelSweep(workers=workers).map(
                 lambda enumerator: enumerator.enumerate(), self.enumerators
             )
             for enumerator, pool in zip(self.enumerators, pools):
@@ -578,7 +578,7 @@ class CoraddDesigner:
         # would be lost with the fork.
         self.enumerate()
         self.base_seconds()
-        solutions = ParallelSweep(workers=workers, warmup=False).map(
+        solutions = ParallelSweep(workers=workers).map(
             lambda budget: choose_candidates(self.problem(budget)),
             budgets,
         )

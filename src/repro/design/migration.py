@@ -590,7 +590,7 @@ def score_deployment_order(
     """
     from repro.storage.executor import PhysicalObject
 
-    scratch = PhysicalDatabase(plan_caching=db.plan_caching)
+    scratch = PhysicalDatabase()
     scratch.objects = {
         name: PhysicalObject(
             obj.heapfile, list(obj.cms), list(obj.btree_keys), obj.fact

@@ -17,17 +17,21 @@ Parallel sweeps (see :mod:`repro.engine.parallel`)::
     sweep = ParallelSweep(workers=4)    # serial fallback when workers=1
     evaluated = sweep.map(evaluate, designs, session=session)
 
+There is one parallel path — supervised work stealing — and one session:
+neither takes a switch that selects an older behaviour.
+
 Snapshots (see :mod:`repro.engine.snapshot`) make session caches portable
 across processes: ``export_snapshot(session)`` -> ship -> ``.install()`` ->
 ``merge_snapshots(*deltas)``.  On platforms with a shared-memory mount
 (:func:`repro.engine.shm.shm_available`) the sweep moves column arrays and
 large snapshot payloads through a :class:`~repro.engine.shm.ShmArena`, so
-workers attach zero-copy views instead of unpickling copies.
+workers attach zero-copy views instead of unpickling copies; elsewhere, and
+after a failed attach, the same snapshots cross as pickles.
 
-Fault tolerance (see :mod:`repro.engine.faults`): sweeps supervise their
-workers (crash/hang detection, requeue, respawn, in-parent fallback), and a
-contextvar-ambient :class:`~repro.engine.faults.FaultPlan` injects
-deterministic crashes/hangs/corruption for chaos tests::
+Fault tolerance (see :mod:`repro.engine.faults`): every forked sweep
+supervises its workers (crash/hang detection, requeue, respawn, in-parent
+fallback), and a contextvar-ambient :class:`~repro.engine.faults.FaultPlan`
+injects deterministic crashes/hangs/corruption for chaos tests::
 
     from repro.engine import FaultPlan, FaultSpec, use_faults
 

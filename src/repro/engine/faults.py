@@ -5,9 +5,9 @@ The fault layer is a contextvar-ambient :class:`FaultPlan` — an ordered set of
 *kind*.  Production code calls :func:`fire` at each site; with no ambient plan
 the call is a dictionary lookup returning ``None``, so the hooks are free in
 normal operation.  Because plans are plain data with per-process match
-counters, the same plan drives the unit tests, ``repro.experiments.chaos_smoke``
-and ``benchmarks/bench_fault_tolerance.py``, and a seeded plan replays the
-exact same fault schedule on every run.
+counters, the same plan drives the unit tests and
+``repro.experiments.chaos_smoke``, and a seeded plan replays the exact same
+fault schedule on every run.
 
 Instrumented sites (``key`` passed by the caller):
 

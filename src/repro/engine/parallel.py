@@ -5,12 +5,13 @@ independent given the data (PR 2 made caching observationally invisible, so
 evaluation order — and therefore process placement — cannot change any
 result).  A :class:`ParallelSweep` exploits that:
 
-1. the parent optionally **warms** the shared :class:`~repro.engine.session.
+1. the parent **warms** the shared :class:`~repro.engine.session.
    EvalSession` by running the first work item serially (the cheapest budget
    seeds the caches every later budget reuses: base-fact sort orderings,
    CM designs, masks, scan costs) — and, when the caller supplies a
    :class:`WarmupProbe`, the warmup item's per-query CM probe phase is
-   itself sharded across the pool first, so even the warmup is parallel;
+   itself sharded across the pool first, so even the warmup is parallel.
+   A sweep without a session has no cache to warm and fans out at once;
 2. the session is exported as a :class:`~repro.engine.snapshot.
    SessionSnapshot` — with its large array payloads (and the heap-file
    columns behind them) moved into a :class:`~repro.engine.shm.ShmArena`
@@ -34,18 +35,16 @@ result).  A :class:`ParallelSweep` exploits that:
    merge exactly once; see :mod:`repro.engine.faults` for injecting
    deterministic chaos).
 
-``scheduler="chunks"`` keeps the PR 3 static scheduler (deterministic
-contiguous partitioning via :func:`partition_chunks`, one fork-pool chunk
-per worker) as a fallback and as the bench baseline work stealing is
-measured against.
-
-Fallback semantics: with ``workers <= 1``, fewer than two work items, or on
-platforms without ``fork`` (Windows), the sweep degrades to a plain serial
-loop under the ambient session — same results, no subprocesses.  Without a
-usable shared-memory mount (see :func:`repro.engine.shm.shm_available`) the
-steal scheduler still runs, shipping plain pickled snapshots.  Workers
-inherit the parent via fork, so work functions may be closures; only task
-indices, results and (delta) snapshots cross process boundaries.
+This is the only parallel path, and nothing about it is chosen by the
+caller.  What varies is selected from what the code observes: with
+``workers <= 1``, fewer than two work items, or on platforms without
+``fork`` (Windows), the sweep degrades to a plain serial loop under the
+ambient session — same results, no subprocesses; without a usable
+shared-memory mount (see :func:`repro.engine.shm.shm_available`), and for
+workers respawned after a failed attach, snapshots cross as plain pickles
+instead of tokens.  Workers inherit the parent via fork, so work functions
+may be closures; only task indices, results and (delta) snapshots cross
+process boundaries.
 """
 
 from __future__ import annotations
@@ -70,39 +69,10 @@ from repro.engine.snapshot import (
 from repro.obs.metrics import MetricsRegistry, count, get_metrics, use_metrics
 from repro.obs.trace import span
 
-# Worker-side state, set by the chunks-scheduler pool initializer.  Under
-# the fork start method the initializer arguments are inherited, not
-# pickled, which is what lets ``fn`` and ``items`` be arbitrary closures
-# over designer state.
-_WORKER: dict = {}
-
 
 def fork_available() -> bool:
     """Whether the platform can fork worker processes."""
     return "fork" in mp.get_all_start_methods()
-
-
-def partition_chunks(indices: Sequence[int], chunks: int) -> list[list[int]]:
-    """Deterministic contiguous partition of ``indices`` into at most
-    ``chunks`` non-empty runs, sizes as even as possible, earlier runs
-    taking the remainder — ``[0..4] x 2 -> [[0, 1, 2], [3, 4]]``.
-
-    ``chunks`` must be a positive count; asking for zero or negative chunks
-    is a caller bug, not a degenerate partition, and raises."""
-    if chunks < 1:
-        raise ValueError(f"chunks must be >= 1, got {chunks}")
-    items = list(indices)
-    if not items:
-        return []
-    chunks = min(chunks, len(items))
-    size, extra = divmod(len(items), chunks)
-    out: list[list[int]] = []
-    start = 0
-    for i in range(chunks):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return [c for c in out if c]
 
 
 @dataclass(frozen=True)
@@ -140,47 +110,6 @@ def _clear_inherited_ambient() -> None:
     _METRICS.set(None)
     _TRACER.set(None)
     _MONITOR.set(None)
-
-
-# --------------------------------------------------------- chunks scheduler
-
-
-def _init_worker(payload) -> None:
-    _clear_inherited_ambient()
-    fn, items, snapshot, collect_deltas = payload
-    session = None
-    baseline = None
-    if snapshot is not None:
-        session = EvalSession()
-        snapshot.install(session)
-        baseline = session.cache_keys() if collect_deltas else None
-    _WORKER.update(
-        fn=fn, items=items, session=session, baseline=baseline,
-        collect_deltas=collect_deltas,
-    )
-
-
-def _run_chunk(indices: list[int]) -> tuple[list[tuple[int, Any]], Any]:
-    fn, items = _WORKER["fn"], _WORKER["items"]
-    session = _WORKER["session"]
-    # Each chunk records into a fresh registry, exported with the chunk's
-    # snapshot delta — so counters cross the process boundary exactly once
-    # and the parent-side merge stays commutative.
-    registry = MetricsRegistry()
-    with ambient_scope(session), use_metrics(registry):
-        results = [(i, fn(items[i])) for i in indices]
-    delta = None
-    if session is not None and _WORKER["collect_deltas"]:
-        session.publish_metrics(registry)
-        delta = export_snapshot(
-            session, exclude=_WORKER["baseline"], metrics=registry.export()
-        )
-        # Keep subsequent chunk deltas disjoint if this worker gets another.
-        _WORKER["baseline"] = session.cache_keys()
-    return results, delta
-
-
-# ---------------------------------------------------------- steal scheduler
 
 
 def _steal_worker(worker_id: int, payload, syncs, inbox, outbox) -> None:
@@ -341,9 +270,9 @@ class _StealPool:
     worker busy while any work remains, regardless of how skewed the
     per-item costs are.
 
-    Supervision (on by default): instead of blocking on a result queue the
-    parent waits on every worker's result pipe *and* process sentinel with
-    :func:`multiprocessing.connection.wait`, so
+    Supervision: instead of blocking on a result queue the parent waits on
+    every worker's result pipe *and* process sentinel (:meth:`_pump`, the
+    one place it waits at all), so
 
     * a worker that dies (SIGKILL, OOM, injected crash) is detected the
       moment its sentinel fires: its result pipe is drained first — a fully
@@ -375,7 +304,6 @@ class _StealPool:
         max_respawns: int | None = None,
         max_item_retries: int = 2,
         respawn_backoff_s: float = 0.05,
-        supervised: bool = True,
     ) -> None:
         self.ctx = ctx
         self.size = workers
@@ -387,7 +315,6 @@ class _StealPool:
         self.max_respawns = workers if max_respawns is None else max_respawns
         self.max_item_retries = max_item_retries
         self.respawn_backoff_s = respawn_backoff_s
-        self.supervised = supervised
         self.workers: dict[int, _WorkerHandle] = {}
         self._next_wid = 0
         self._syncs: list[SessionSnapshot] = []
@@ -476,7 +403,9 @@ class _StealPool:
 
     def _handle_msg(self, w: _WorkerHandle, msg) -> str:
         """Process one worker message; returns ``"dead"`` when the worker
-        announced its own demise and must be reaped."""
+        announced its own demise and must be reaped.  A ``"done"`` message
+        (the answer to :meth:`shutdown`'s sentinel) retires the worker
+        cleanly, keeping its terminal accounting payload."""
         tag = msg[0]
         state = self._round
         if tag == "result":
@@ -506,7 +435,14 @@ class _StealPool:
             self.last_error = msg[2]
             count("sweep.faults.worker_fatal")
             return "dead"
-        return "ok"  # "done" handled by shutdown; anything else is stale
+        if tag == "done":
+            _, _, payload, worker_seconds, _ = msg
+            self.worker_busy[w.wid] = worker_seconds
+            self.done_payloads.append(payload)
+            self.workers.pop(w.wid, None)
+            w.proc.join()
+            w.close()
+        return "ok"  # anything else is stale
 
     def _reap(self, w: _WorkerHandle) -> None:
         """A worker is gone (or being put down): drain its fully delivered
@@ -555,17 +491,34 @@ class _StealPool:
             w.in_flight = (state.kind, index)
             w.dispatched_at = perf_counter()
 
-    def _wait_objects(self) -> tuple[dict, dict]:
-        conns = {w.outbox: w for w in self.workers.values()}
-        sentinels = (
-            {w.proc.sentinel: w for w in self.workers.values()}
-            if self.supervised
-            else {}
+    def _pump(self, timeout: float | None = None) -> None:
+        """Block until a live worker has a message or has died (or
+        ``timeout`` elapses), then handle what is ready: one message per
+        readable pipe, a reap per dead worker.  A worker's pipe is served
+        before its sentinel, so a worker that reported and exited is never
+        mistaken for one that died.  :meth:`run_round`, :meth:`sync` and
+        :meth:`shutdown` each drive this with their own stop condition."""
+        live = list(self.workers.values())
+        ready = set(
+            mp_wait(
+                [w.outbox for w in live] + [w.proc.sentinel for w in live],
+                timeout=timeout,
+            )
         )
-        return conns, sentinels
+        for w in live:
+            if w.outbox in ready:
+                try:
+                    msg = w.outbox.recv()
+                except (EOFError, OSError):
+                    self._reap(w)
+                    continue
+                if self._handle_msg(w, msg) == "dead":
+                    self._reap(w)
+            elif w.proc.sentinel in ready:
+                self._reap(w)
 
     def _wait_timeout(self) -> float | None:
-        if not self.supervised or self.item_timeout_s is None:
+        if self.item_timeout_s is None:
             return None
         busy = [w for w in self.workers.values() if w.in_flight is not None]
         if not busy:
@@ -577,7 +530,7 @@ class _StealPool:
         return max(remaining + 0.002, 0.0)
 
     def _check_timeouts(self) -> None:
-        if not self.supervised or self.item_timeout_s is None:
+        if self.item_timeout_s is None:
             return
         now = perf_counter()
         for w in list(self.workers.values()):
@@ -596,8 +549,7 @@ class _StealPool:
         self._round = state
         try:
             while True:
-                if self.supervised:
-                    self._ensure_workers(len(state.pending))
+                self._ensure_workers(len(state.pending))
                 self._dispatch()
                 busy = any(
                     w.in_flight is not None for w in self.workers.values()
@@ -605,7 +557,7 @@ class _StealPool:
                 if not busy:
                     if not state.pending:
                         break
-                    if self.supervised and self._can_respawn():
+                    if self._can_respawn():
                         continue  # _ensure_workers will refill next pass
                     # Pool collapsed with work left: degrade to the parent.
                     self.collapsed = True
@@ -613,26 +565,7 @@ class _StealPool:
                     state.parent_units.extend(state.pending)
                     state.pending.clear()
                     break
-                conns, sentinels = self._wait_objects()
-                ready = mp_wait(
-                    list(conns) + list(sentinels), timeout=self._wait_timeout()
-                )
-                for obj in ready:
-                    w = conns.get(obj)
-                    if w is not None:
-                        if w.wid not in self.workers:
-                            continue  # reaped earlier in this batch
-                        try:
-                            msg = w.outbox.recv()
-                        except (EOFError, OSError):
-                            self._reap(w)
-                            continue
-                        if self._handle_msg(w, msg) == "dead":
-                            self._reap(w)
-                        continue
-                    w = sentinels.get(obj)
-                    if w is not None and w.wid in self.workers:
-                        self._reap(w)
+                self._pump(self._wait_timeout())
                 self._check_timeouts()
         finally:
             self._round = None
@@ -655,42 +588,14 @@ class _StealPool:
         """Ship a parent-side delta to every live worker and wait for acks.
         The delta is also remembered for any worker respawned later."""
         self._syncs.append(delta)
-        waiting: dict[int, _WorkerHandle] = {}
         for w in list(self.workers.values()):
             w.synced = False
             try:
                 w.inbox.send(("sync", delta))
             except OSError:
                 self._reap(w)
-                continue
-            waiting[w.wid] = w
-        while waiting:
-            conns = {w.outbox: w for w in waiting.values()}
-            sentinels = (
-                {w.proc.sentinel: w for w in waiting.values()}
-                if self.supervised
-                else {}
-            )
-            ready = mp_wait(list(conns) + list(sentinels))
-            for obj in ready:
-                w = conns.get(obj) or sentinels.get(obj)
-                if w is None or w.wid not in waiting:
-                    continue
-                if obj is w.outbox:
-                    try:
-                        msg = w.outbox.recv()
-                    except (EOFError, OSError):
-                        self._reap(w)
-                        waiting.pop(w.wid, None)
-                        continue
-                    if self._handle_msg(w, msg) == "dead":
-                        self._reap(w)
-                        waiting.pop(w.wid, None)
-                    elif w.synced:
-                        waiting.pop(w.wid, None)
-                else:
-                    self._reap(w)
-                    waiting.pop(w.wid, None)
+        while not all(w.synced for w in self.workers.values()):
+            self._pump()
 
     def shutdown(self) -> None:
         """Stop every worker, collecting terminal accounting payloads; a
@@ -702,31 +607,7 @@ class _StealPool:
             except OSError:
                 self._reap(w)
         while self.workers:
-            conns, sentinels = self._wait_objects()
-            ready = mp_wait(list(conns) + list(sentinels))
-            for obj in ready:
-                w = conns.get(obj)
-                if w is not None:
-                    if w.wid not in self.workers:
-                        continue
-                    try:
-                        msg = w.outbox.recv()
-                    except (EOFError, OSError):
-                        self._reap(w)
-                        continue
-                    if msg[0] == "done":
-                        _, _, payload, worker_seconds, _ = msg
-                        self.worker_busy[w.wid] = worker_seconds
-                        self.done_payloads.append(payload)
-                        self.workers.pop(w.wid, None)
-                        w.proc.join()
-                        w.close()
-                    elif self._handle_msg(w, msg) == "dead":
-                        self._reap(w)
-                    continue
-                w = sentinels.get(obj)
-                if w is not None and w.wid in self.workers:
-                    self._reap(w)
+            self._pump()
 
     def terminate(self) -> None:
         """Hard stop: kill every worker and close every pipe end."""
@@ -742,64 +623,64 @@ class _StealPool:
 class ParallelSweep:
     """Shards a sweep's work items across forked worker processes.
 
-    ``workers`` is the pool size (``1`` means serial).  ``warmup`` runs the
-    first item in the parent before fanning out, seeding the snapshot every
-    worker starts from — almost always worth it, because sweep items share
-    most of their cache footprint.  ``collect_deltas=False`` skips shipping
-    worker cache deltas back to the parent — the right call when the
-    session is a throwaway driving a single sweep, since the deltas' only
-    purpose is leaving a reusable warm session behind.
+    ``workers`` is the pool size (``1`` means serial).  With a session the
+    first item runs in the parent before fanning out, seeding the snapshot
+    every worker starts from — sweep items share most of their cache
+    footprint.  ``collect_deltas=False`` skips shipping worker cache deltas
+    back to the parent — the right call when the session is a throwaway
+    driving a single sweep, since the deltas' only purpose is leaving a
+    reusable warm session behind.
 
-    ``scheduler`` picks the dispatch policy: ``"steal"`` (default) hands
-    items out one at a time to whichever worker goes idle; ``"chunks"``
-    keeps the PR 3 static contiguous partition.  ``shared_memory`` forces
-    the zero-copy snapshot path on or off; the default (``None``)
-    auto-detects via :func:`repro.engine.shm.shm_available`.
-
-    The steal scheduler is supervised (see :class:`_StealPool`): worker
+    Items are handed out one at a time to whichever worker goes idle, and
+    the dispatcher supervises its pool (see :class:`_StealPool`): worker
     crashes, hangs and per-item exceptions are detected and recovered —
     requeue to survivors, bounded respawn, in-parent serial fallback — so a
     sweep completes with bit-identical results under any fault schedule.
     ``item_timeout_s`` bounds one unit's wall clock (``None`` = no hang
     detection); ``max_respawns`` caps replacement workers (default: pool
     size); ``max_item_retries`` is how often a failing unit is retried on
-    workers before the parent runs it; ``supervise=False`` reverts to
-    blocking waits with no failure detection (the A/B baseline for
-    measuring supervision overhead).
+    workers before the parent runs it; ``respawn_backoff_s`` is the first
+    respawn's delay, doubled per respawn.  Snapshots travel through shared
+    memory whenever :func:`repro.engine.shm.shm_available` says they can.
 
     Results are returned in item order and are bit-identical to a serial
     run; the only observable differences are wall-clock, ``session.stats``
-    and the ``sweep.*`` / ``engine.shm.*`` metrics.  After a parallel run,
-    ``last_stats`` holds the round's accounting (per-worker busy seconds
-    and task counts, snapshot payload bytes, shared bytes, and a
-    ``supervision`` block of fault/recovery counts) for benches.
+    and the ``sweep.*`` / ``engine.shm.*`` metrics.
+
+    ``last_stats`` is the last ``map`` call's accounting.  It is empty
+    unless that call forked workers (so empty after any serial fallback);
+    after a forked run it holds exactly:
+
+    * ``workers`` — the pool size the run used;
+    * ``wall_seconds`` — parent wall clock of the whole forked ``map``;
+    * ``worker_busy_seconds`` / ``worker_tasks`` — per worker (respawns
+      included), seconds spent inside units and units answered;
+    * ``tasks`` / ``probe_tasks`` — units dispatched in all, and how many
+      of them were warm-up probes;
+    * ``shm_bytes`` / ``shm_segments`` — what the arena registered (both
+      ``0`` on the pickled transport);
+    * ``snapshot_array_bytes`` / ``snapshot_shared_bytes`` — array bytes
+      inside the pickled snapshot vs. referenced through shared memory;
+    * ``supervision`` — fault/recovery counts: ``deaths``, ``hung_kills``,
+      ``item_errors``, ``requeues``, ``respawns``, ``parent_runs``,
+      ``shm_fallback``, ``pool_collapsed``.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        warmup: bool = True,
         collect_deltas: bool = True,
-        scheduler: str = "steal",
-        shared_memory: bool | None = None,
         item_timeout_s: float | None = None,
         max_respawns: int | None = None,
         max_item_retries: int = 2,
         respawn_backoff_s: float = 0.05,
-        supervise: bool = True,
     ) -> None:
-        if scheduler not in ("steal", "chunks"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
         self.workers = max(1, int(workers))
-        self.warmup = warmup
         self.collect_deltas = collect_deltas
-        self.scheduler = scheduler
-        self.shared_memory = shared_memory
         self.item_timeout_s = item_timeout_s
         self.max_respawns = max_respawns
         self.max_item_retries = max_item_retries
         self.respawn_backoff_s = respawn_backoff_s
-        self.supervise = supervise
         self.last_stats: dict = {}
 
     @property
@@ -818,8 +699,8 @@ class ParallelSweep:
         With ``session``, work runs under it ambiently: the parent's cache
         state is snapshot into every worker and worker deltas are merged
         back, so after ``map`` returns the session is as warm as a serial
-        sweep would have left it.  ``probe`` (steal scheduler only) shards
-        the warmup item's probe phase across the pool before the item runs.
+        sweep would have left it.  ``probe`` shards the warmup item's probe
+        phase across the pool before the item runs.
         """
         items = list(items)
         self.last_stats = {}
@@ -829,11 +710,7 @@ class ParallelSweep:
             if session is not None:
                 session.publish_metrics()
             return results
-        if self.scheduler == "steal":
-            return self._map_steal(fn, items, session, probe)
-        return self._map_chunks(fn, items, session)
-
-    # ----------------------------------------------------------- steal path
+        return self._map_steal(fn, items, session, probe)
 
     def _map_steal(
         self,
@@ -843,13 +720,11 @@ class ParallelSweep:
         probe: WarmupProbe | None,
     ) -> list[Any]:
         results: list[Any] = [None] * len(items)
-        warm = self.warmup and session is not None
-        use_shm = (
-            self.shared_memory
-            if self.shared_memory is not None
-            else shm.shm_available()
-        )
-        arena = shm.ShmArena() if (use_shm and session is not None) else None
+        # A session is what there is to warm and to ship: with one, item 0
+        # runs in the parent (after its probes, if any) and the rest fan
+        # out against a snapshot; without one, every item fans out at once.
+        warm = session is not None
+        arena = shm.ShmArena() if (warm and shm.shm_available()) else None
         started = perf_counter()
         probe_tasks: list = []
         if warm and probe is not None:
@@ -862,16 +737,10 @@ class ParallelSweep:
                 results[0] = fn(items[0])
         main_indices = list(range(1 if warm else 0, len(items)))
         workers = min(self.workers, max(len(main_indices), len(probe_tasks)))
-        if session is not None and arena is not None:
+        if arena is not None:
             session.share_heapfiles(arena)
-        snapshot = (
-            export_snapshot(session, arena=arena) if session is not None else None
-        )
-        baseline = (
-            session.cache_keys()
-            if (session is not None and probe_tasks)
-            else None
-        )
+        snapshot = export_snapshot(session, arena=arena) if warm else None
+        baseline = session.cache_keys() if probe_tasks else None
         plan = faults.get_faults()
         payload = (
             fn, items,
@@ -911,7 +780,6 @@ class ParallelSweep:
             max_respawns=self.max_respawns,
             max_item_retries=self.max_item_retries,
             respawn_backoff_s=self.respawn_backoff_s,
-            supervised=self.supervise,
         )
         deltas: list[SessionSnapshot] = []
         try:
@@ -956,7 +824,6 @@ class ParallelSweep:
             session.publish_metrics()
         wids = sorted(pool.worker_tasks)
         self.last_stats = {
-            "scheduler": "steal",
             "workers": workers,
             "tasks": len(main_indices) + len(probe_tasks),
             "probe_tasks": len(probe_tasks),
@@ -964,7 +831,6 @@ class ParallelSweep:
             "worker_busy_seconds": [pool.worker_busy[w] for w in wids],
             "worker_tasks": [pool.worker_tasks[w] for w in wids],
             "supervision": {
-                "supervised": pool.supervised,
                 "deaths": pool.deaths,
                 "hung_kills": pool.hung_kills,
                 "item_errors": pool.item_errors,
@@ -997,65 +863,3 @@ class ParallelSweep:
             registry = get_metrics()
             if registry is not None:
                 registry.merge(merged.metrics)
-
-    # ---------------------------------------------------------- chunks path
-
-    def _map_chunks(
-        self,
-        fn: Callable[[Any], Any],
-        items: list,
-        session: EvalSession | None,
-    ) -> list[Any]:
-        results: list[Any] = [None] * len(items)
-        started = perf_counter()
-        start = 0
-        if self.warmup and session is not None and items:
-            start = 1
-        pending = list(range(start, len(items)))
-        chunks = partition_chunks(pending, self.workers)
-        if self.warmup and session is not None and items:
-            # The parent evaluates the first item and each chunk's *head*
-            # serially before fanning out: the first item seeds the caches
-            # every item shares (base-fact orderings, base CM designs), and
-            # a chunk head seeds the design objects its own tail overlaps
-            # with — without it, every worker would redo its neighbour
-            # chunk's cold work.  Heads are cheap once the first item has
-            # warmed the session, and workers then run pure marginal work.
-            head_indices = [0] + [chunk[0] for chunk in chunks]
-            with use_session(session):
-                for i in head_indices:
-                    results[i] = fn(items[i])
-            chunks = [chunk[1:] for chunk in chunks]
-            chunks = [chunk for chunk in chunks if chunk]
-        if not chunks:
-            if session is not None:
-                session.publish_metrics()
-            return results
-
-        snapshot = export_snapshot(session) if session is not None else None
-        ctx = mp.get_context("fork")
-        deltas: list[SessionSnapshot] = []
-        with ctx.Pool(
-            processes=len(chunks),
-            initializer=_init_worker,
-            initargs=((fn, items, snapshot, self.collect_deltas),),
-        ) as pool:
-            for chunk_results, delta in pool.imap_unordered(_run_chunk, chunks):
-                for i, result in chunk_results:
-                    results[i] = result
-                if delta is not None:
-                    deltas.append(delta)
-        self._merge_back(session, deltas)
-        if session is not None:
-            session.publish_metrics()
-        self.last_stats = {
-            "scheduler": "chunks",
-            "workers": len(chunks),
-            "tasks": sum(len(chunk) for chunk in chunks),
-            "wall_seconds": perf_counter() - started,
-            "snapshot_array_bytes": (
-                snapshot_nbytes(snapshot) if snapshot is not None else 0
-            ),
-            "snapshot_shared_bytes": 0,
-        }
-        return results

@@ -17,9 +17,8 @@ plan, the same flattened fact table re-sorted at every budget point.  An
   designer knobs), reusing Correlation Maps when the same object serves the
   same queries at another budget.
 
-PR 3 adds a second tier of caches (gated by ``scan_caching``, on by
-default) that make the cached state *serializable* and close the executor
-recomputation gap:
+A second tier of caches makes the cached state *serializable* and closes
+the executor recomputation gap:
 
 * a **sort-ordering cache** keyed by (cluster key, key-column content): the
   stable lexsort permutation of a materialization, so rebuilding the same
@@ -94,12 +93,7 @@ class EvalSession:
     session's lifetime.  Drop the session to release everything.
     """
 
-    def __init__(self, scan_caching: bool = True) -> None:
-        # ``scan_caching`` gates the PR 3 cache tier (sort orderings, CM
-        # fragments, bucket expansions, executor scan results).  With it
-        # off the session behaves exactly like the PR 2 engine — the serial
-        # baseline the parallel-sweep benchmarks compare against.
-        self.scan_caching = scan_caching
+    def __init__(self) -> None:
         # id(array) -> content digest, with the arrays pinned so ids are
         # stable; digesting happens once per distinct array per session.
         self._array_digests: dict[int, bytes] = {}
@@ -254,7 +248,7 @@ class EvalSession:
             )
             permutation = (
                 self.sort_permutation(source, tuple(cluster_key))
-                if self.scan_caching and cluster_key
+                if cluster_key
                 else None
             )
             hf = HeapFile(
@@ -463,7 +457,7 @@ class EvalSession:
         blake2b identity every other session cache rests on.
         """
         hf_key = self.heapfile_key(heapfile)
-        if hf_key is None or not self.scan_caching:
+        if hf_key is None:
             return heapfile.page_fragments_for_prefix_codes(depth, codes)
         key = (hf_key, depth, _content_digest(codes))
         fragments = self._cm_fragments.get(key)
@@ -487,8 +481,6 @@ class EvalSession:
         """Memoized CM cluster-bucket -> rank-code expansion (``expand`` is
         the uncached computation), keyed by (width, rank count, bucket
         content)."""
-        if not self.scan_caching:
-            return expand(buckets)
         key = (cluster_width, nranks, _content_digest(buckets))
         codes = self._expansions.get(key)
         if codes is None:
@@ -514,8 +506,6 @@ class EvalSession:
         query mask, which the mask caches already share, so memoized and
         fresh results are bit-identical.
         """
-        if not self.scan_caching:
-            return None
         key = self._scan_key(heapfile, structure, query)
         if key is None:
             return None
@@ -534,8 +524,6 @@ class EvalSession:
         plan: str,
         cost,
     ) -> None:
-        if not self.scan_caching:
-            return
         key = self._scan_key(heapfile, structure, query)
         if key is not None:
             self._scan_results[key] = (plan, cost)

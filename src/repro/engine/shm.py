@@ -29,13 +29,16 @@ Ownership and cleanup are strictly parent-sided, fork-safe by pid guard:
 * the creating process — and only it — may :meth:`ShmArena.dispose`,
   which unlinks every segment name (the ``/dev/shm`` entry disappears
   immediately; the memory itself lives until the last mapping closes) and
-  closes the mappings of slabs that never vended a view into live parent
-  state.  A :mod:`weakref` finalizer unlinks on garbage collection as a
-  safety net, and the stdlib resource tracker covers hard crashes;
+  closes every mapping no view still reads.  A :mod:`weakref` finalizer
+  unlinks on garbage collection as a safety net, and the stdlib resource
+  tracker covers hard crashes;
 * forked children inherit the arena object but every mutating entry point
-  no-ops or raises for them; attach-side mappings are plain refcounted
-  ``mmap`` objects kept alive by the views themselves, so worker exit
-  cleans up without unlink races or tracker double-accounting.
+  no-ops or raises for them;
+* on both sides a mapping is a plain refcounted ``mmap`` that every view
+  over it pins through a buffer export: it cannot be closed under a live
+  view and it outlives the arena that made it, so parent-side heap-file
+  columns stay readable after the sweep's arena is collected and worker
+  exit cleans up without unlink races or tracker double-accounting.
 
 Platform matrix: zero-copy engages on platforms with both ``fork`` and a
 file-backed POSIX shm mount (Linux: ``/dev/shm``).  Elsewhere
@@ -124,6 +127,29 @@ def _bytes_digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def _map_file(name: str, writable: bool = False) -> mmap.mmap:
+    """Map the whole of segment ``name``; the descriptor is not kept."""
+    fd = os.open(
+        os.path.join(_SHM_DIR, name), os.O_RDWR if writable else os.O_RDONLY
+    )
+    try:
+        return mmap.mmap(
+            fd, 0, prot=mmap.PROT_READ | (mmap.PROT_WRITE if writable else 0)
+        )
+    finally:
+        os.close(fd)
+
+
+def _view_of(mapped: mmap.mmap, ref: ShmRef) -> np.ndarray:
+    """The array ``ref`` describes, as a view of ``mapped``.  The view's
+    base holds a buffer export of the mapping, which is what ties the
+    mapping's lifetime to its views'."""
+    return np.frombuffer(
+        mapped, dtype=np.dtype(ref.dtype), count=int(np.prod(ref.shape)),
+        offset=ref.offset,
+    ).reshape(ref.shape)
+
+
 def _unlink_segments(names: Sequence[str], pid: int) -> None:
     """Finalizer body: unlink segments, parent process only (a forked child
     inheriting the finalizer must never tear down segments the parent and
@@ -145,14 +171,24 @@ def _unlink_segments(names: Sequence[str], pid: int) -> None:
 
 
 class _Slab:
-    """One shared-memory segment plus its bump-allocation cursor."""
+    """One shared-memory segment, the parent's mapping of it, and the
+    bump-allocation cursor.
 
-    __slots__ = ("shm", "cursor", "vended")
+    ``shm`` is kept for its name, its ``unlink()`` and its resource-tracker
+    registration only.  Its own mapping is closed at once and replaced by a
+    plain ``mmap`` of the same file: ``SharedMemory`` unmaps when *it* is
+    collected, whoever still reads the pages, whereas views built with
+    :func:`_view_of` export the ``mmap``'s buffer and so keep it mapped for
+    exactly as long as one of them lives.  The segment's pages are never
+    touched through the first mapping, so they are resident once."""
+
+    __slots__ = ("shm", "mapped", "cursor")
 
     def __init__(self, shm: shared_memory.SharedMemory) -> None:
         self.shm = shm
+        self.mapped = _map_file(shm.name, writable=True)
+        shm.close()
         self.cursor = 0
-        self.vended = False  # a parent-side view points into this slab
 
     @property
     def capacity(self) -> int:
@@ -239,16 +275,12 @@ class ShmArena:
             ref = ShmRef("", 0, contiguous.dtype.str, tuple(contiguous.shape), 0)
         else:
             slab, offset = self._alloc(contiguous.nbytes)
-            dst = np.ndarray(
-                contiguous.shape, contiguous.dtype,
-                buffer=slab.shm.buf, offset=offset,
-            )
-            dst[...] = contiguous
             ref = ShmRef(
                 slab.shm.name, offset, contiguous.dtype.str,
                 tuple(contiguous.shape), contiguous.nbytes,
                 _bytes_digest(contiguous),
             )
+            _view_of(slab.mapped, ref)[...] = contiguous
         self._refs[id(arr)] = ref
         self._pinned.append(arr)  # keep id() stable for the memo's lifetime
         self.bytes_registered += contiguous.nbytes
@@ -261,24 +293,19 @@ class ShmArena:
         ref = self.register(arr)
         if ref.nbytes == 0:
             return _empty_view(ref)
-        for slab in self._slabs:
-            if slab.shm.name == ref.segment:
-                slab.vended = True
-                view = np.ndarray(
-                    ref.shape, np.dtype(ref.dtype),
-                    buffer=slab.shm.buf, offset=ref.offset,
-                )
-                view.setflags(write=False)
-                return view
-        raise KeyError(f"segment {ref.segment!r} is not owned by this arena")
+        slab = next(s for s in self._slabs if s.shm.name == ref.segment)
+        view = _view_of(slab.mapped, ref)
+        view.setflags(write=False)
+        return view
 
     # -------------------------------------------------------------- disposal
 
     def dispose(self) -> None:
-        """Unlink every segment name (idempotent, parent-only).  Mappings
-        of slabs that vended parent-side views stay open — the views keep
-        the pages alive and valid; everything else is closed now.  A forked
-        child calling this is a no-op: cleanup is the parent's job."""
+        """Unlink every segment name (idempotent, parent-only) and close
+        the mappings nothing reads any more.  A mapping with live views
+        refuses to close and is released with the last of them, so
+        parent-side views stay valid.  A forked child calling this is a
+        no-op: cleanup is the parent's job."""
         if os.getpid() != self._pid or self._disposed:
             return
         self._disposed = True
@@ -288,11 +315,10 @@ class ShmArena:
                 slab.shm.unlink()
             except FileNotFoundError:
                 pass
-            if not slab.vended:
-                try:
-                    slab.shm.close()
-                except (BufferError, ValueError):  # a view escaped: keep mapped
-                    pass
+            try:
+                slab.mapped.close()
+            except BufferError:  # pinned by a live view
+                pass
 
 
 # -------------------------------------------------------------- attach side
@@ -313,12 +339,7 @@ def _empty_view(ref: ShmRef) -> np.ndarray:
 def _map_segment(name: str) -> mmap.mmap:
     mapped = _ATTACHED.get(name)
     if mapped is None:
-        fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDONLY)
-        try:
-            mapped = mmap.mmap(fd, 0, prot=mmap.PROT_READ)
-        finally:
-            os.close(fd)
-        _ATTACHED[name] = mapped
+        mapped = _ATTACHED[name] = _map_file(name)
         obs_metrics.count("engine.shm.attach_segments")
     return mapped
 
@@ -353,10 +374,7 @@ def attach_ref(ref: ShmRef, verify: bool = True) -> np.ndarray:
             f"segment truncated: need bytes [{ref.offset}, "
             f"{ref.offset + ref.nbytes}) of {len(mapped)}",
         )
-    view = np.frombuffer(
-        mapped, dtype=np.dtype(ref.dtype), count=int(np.prod(ref.shape)),
-        offset=ref.offset,
-    ).reshape(ref.shape)
+    view = _view_of(mapped, ref)
     if verify and ref.digest and _bytes_digest(view) != ref.digest:
         obs_metrics.count("engine.shm.attach_errors")
         raise ShmAttachError(ref, "content digest mismatch")

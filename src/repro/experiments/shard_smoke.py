@@ -63,13 +63,11 @@ def run_shard_smoke(path: str | Path = "TRACE_shard_smoke.json") -> dict:
     flat = inst.flat_tables[FACT]
     disk = DiskModel()
     db = PhysicalDatabase(
-        [sharded_fact_object(flat, FACT, inst.primary_keys[FACT], spec, disk)],
-        plan_caching=False,
+        [sharded_fact_object(flat, FACT, inst.primary_keys[FACT], spec, disk)]
     )
     ref = PhysicalDatabase(
         [PhysicalObject(HeapFile(flat, tuple(inst.primary_keys[FACT]), disk,
-                                 name=FACT))],
-        plan_caching=False,
+                                 name=FACT))]
     )
     shf = db.object(FACT).heapfile
     ref_hf = ref.object(FACT).heapfile
@@ -85,7 +83,10 @@ def run_shard_smoke(path: str | Path = "TRACE_shard_smoke.json") -> dict:
         pages_avoided += res.pages_avoided
     assert pages_avoided > 0, "no query pruned any shard"
 
-    # Shard-parallel sweep: bit-identical to serial, no shm orphans.
+    # Shard-parallel sweep: bit-identical to serial, no shm orphans.  The
+    # serial arm must execute under the session, not replay the plans the
+    # loop above memoized.
+    db.invalidate_plans()
     before = _shm_entries()
     with observed("shard-smoke") as obs:
         with use_session(EvalSession()) as session:

@@ -9,6 +9,12 @@ workers under :func:`repro.obs.observed`, and the module asserts that
   no orphans from worker exit);
 * the parallel results are bit-identical to a serial sweep of the same
   ladder;
+* the session the sweep leaves behind is still usable: its heap-file
+  columns were rebound to views of the sweep's arena, so after that arena
+  has been collected the first design is evaluated under the session again
+  and must still equal serial, and every column of its heap files must
+  equal a fresh sessionless build (a view that outlived its mapping reads
+  unmapped pages and takes the interpreter down);
 * the trace artifact records the new machinery at work: ``sweep.steal``
   spans and positive ``engine.shm.bytes`` / ``engine.shm.attaches``
   counters (on platforms without a shm mount the sweep falls back to plain
@@ -17,6 +23,7 @@ workers under :func:`repro.obs.observed`, and the module asserts that
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from pathlib import Path
@@ -67,15 +74,25 @@ def run_shm_smoke(path: str | Path = "TRACE_shm_smoke.json") -> dict:
         serial = [evaluate_design(d) for d in designs]
 
     before = _shm_entries()
+    session = EvalSession()
     with observed("shm-smoke") as obs:
         sweep = ParallelSweep(workers=2)
         parallel = sweep.map(
-            evaluate_design, designs, session=EvalSession(), probe=CM_PROBE
+            evaluate_design, designs, session=session, probe=CM_PROBE
         )
     leaked = _shm_entries() - before
     assert not leaked, f"sweep leaked shared-memory segments: {sorted(leaked)}"
     for a, b in zip(serial, parallel):
         _assert_identical(a, b)
+    gc.collect()
+    with use_session(session):
+        _assert_identical(serial[0], evaluate_design(designs[0]))
+        shared = designs[0].materialize()
+    # Cached plans never read a column; compare the bytes themselves.
+    for name, obj in designs[0].materialize().objects.items():
+        fresh, kept = obj.heapfile.table, shared.object(name).heapfile.table
+        for column in fresh.column_names:
+            assert np.array_equal(fresh.column(column), kept.column(column))
 
     written = obs.write(path)
     report = json.loads(written.read_text())

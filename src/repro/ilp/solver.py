@@ -82,13 +82,19 @@ def _solve_scipy(
     # floating point) that puts the largest coefficient near 2**13.
     largest = float(np.abs(arrays.c).max(initial=0.0))
     scale = 2.0 ** (13 - math.frexp(largest)[1]) if largest else 1.0
-    res = milp(
+    problem = dict(
         c=arrays.c * scale,
         constraints=constraints,
         integrality=integrality,
         bounds=Bounds(lb, ub),
-        options={"time_limit": time_limit_s} if time_limit_s is not None else None,
     )
+    options = {"time_limit": time_limit_s} if time_limit_s is not None else {}
+    res = milp(**problem, options=options)
+    if res.status == 4:
+        # HiGHS's presolve aborts with "Solve error" on some tiny models
+        # (seen: one infeasible equality row, zero objective) that the
+        # solver proper decides at once.
+        res = milp(**problem, options={**options, "presolve": False})
     if res.status == 2:
         return Solution("infeasible", _INF, {})
     if res.x is None:

@@ -13,8 +13,9 @@ All plans of one (object, query) pair share an
 memoizes the winning plan per query fingerprint — repeated
 ``run_workload`` / ``total_seconds`` calls over the same database stop
 re-executing identical plans.  The memo is invalidated whenever an object
-is added, and can be disabled with ``plan_caching=False``; either way the
-results are bit-identical to uncached execution.
+is added or removed, and :meth:`PhysicalDatabase.invalidate_plans` forces
+a re-execution; either way the results are bit-identical to uncached
+execution.
 """
 
 from __future__ import annotations
@@ -93,13 +94,8 @@ class PhysicalDatabase:
     """Named physical objects; base objects are free, others count as design
     space (the caller decides which is which)."""
 
-    def __init__(
-        self,
-        objects: list[PhysicalObject] | None = None,
-        plan_caching: bool = True,
-    ) -> None:
+    def __init__(self, objects: list[PhysicalObject] | None = None) -> None:
         self.objects: dict[str, PhysicalObject] = {}
-        self.plan_caching = plan_caching
         self._plan_cache: dict[tuple, PlanChoice] = {}
         for obj in objects or []:
             self.add(obj)
@@ -168,11 +164,10 @@ class PhysicalDatabase:
 
     def run(self, query: Query) -> PlanChoice:
         """Execute ``query`` with the best plan over all covering objects."""
-        key = query.fingerprint() if self.plan_caching else None
-        if key is not None:
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                return cached
+        key = query.fingerprint()
+        cached = self._plan_cache.get(key)
+        if cached is not None:
+            return cached
         best: PlanChoice | None = None
         for obj in self.covering_objects(query):
             for res in self.plans_for(query, obj):
@@ -183,8 +178,7 @@ class PhysicalDatabase:
                 f"no physical object covers query {query.name!r} "
                 f"(attrs {query.attributes()})"
             )
-        if key is not None:
-            self._plan_cache[key] = best
+        self._plan_cache[key] = best
         return best
 
     def run_workload(self, workload: Workload) -> dict[str, PlanChoice]:

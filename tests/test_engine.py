@@ -161,23 +161,23 @@ class TestPlanMemoization:
         db.add(copy)
         assert not db._plan_cache
 
-    def test_plan_caching_can_be_disabled(self, simple_db):
+    def test_invalidate_plans_forces_reexecution(self, simple_db):
         inst, db = simple_db
-        db.plan_caching = False
         query = inst.workload.queries[0]
         first = db.run(query)
-        second = db.run(query)
+        db.invalidate_plans()
         assert not db._plan_cache
+        second = db.run(query)
         assert first is not second
         assert first.plan == second.plan
         assert first.result.cost == second.result.cost
 
     def test_total_seconds_consistent_with_and_without_memo(self, simple_db):
         inst, db = simple_db
-        memoized = db.total_seconds(inst.workload)
-        db.plan_caching = False
-        db._plan_cache.clear()
-        assert db.total_seconds(inst.workload) == memoized
+        executed = db.total_seconds(inst.workload)
+        assert db.total_seconds(inst.workload) == executed  # memoized
+        db.invalidate_plans()
+        assert db.total_seconds(inst.workload) == executed  # re-executed
 
 
 def _disk():

@@ -202,12 +202,6 @@ class TestSupervisedSweep:
         assert results == EXPECTED
         assert sup["pool_collapsed"] and sup["parent_runs"] == len(ITEMS)
 
-    def test_unsupervised_baseline_still_exact(self):
-        results, sup = self._run(None, supervise=False)
-        assert results == EXPECTED
-        assert not sup["supervised"]
-        assert sup["deaths"] == 0
-
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_schedules_stay_exact(self, seed):
         plan = FaultPlan.random(

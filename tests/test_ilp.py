@@ -150,6 +150,15 @@ class TestSolverFacade:
         m.add_constraint({"y": 2.0}, "==", 1.0)  # y = 0.5 required
         assert solve(m).status == "infeasible"
 
+    def test_infeasible_row_that_breaks_presolve(self):
+        """The random-knapsack property test found this one: HiGHS's
+        presolve gives up with a solve error on it (scipy 1.17)."""
+        m = MILPModel()
+        for i in range(5):
+            m.add_binary(f"y{i}")
+        m.add_constraint({"y2": 3.0, "y3": 2.0, "y4": 3.0}, "==", 4.0)
+        assert solve(m).status == "infeasible"
+
     def test_empty_model_is_its_own_answer(self):
         m = MILPModel()
         m.add_objective_constant(7.5)

@@ -3,10 +3,9 @@
 The contract under test: after ``HeapFile.insert`` / ``delete_source`` /
 ``compact`` — applied through a :class:`~repro.storage.update.
 RefreshExecutor` — every plan on every object returns post-mutation-correct
-results, with or without an :class:`~repro.engine.EvalSession`, with or
-without ``scan_caching``; the session observes mutations as content-key
-bumps (never stale hits); and the buffer-pool analytic model tracks the
-simulation it abstracts.
+results, with or without an :class:`~repro.engine.EvalSession`; the
+session observes mutations as content-key bumps (never stale hits); and the
+buffer-pool analytic model tracks the simulation it abstracts.
 """
 
 from __future__ import annotations
@@ -191,25 +190,6 @@ class TestMutationInvalidation:
             assert after.result.cost != before.result.cost or (
                 after.result.mask.sum() != before.result.mask.sum()
             )
-
-    def test_scan_caching_off_agrees_bit_identically(self, inst):
-        def run(scan_caching):
-            session = EvalSession(scan_caching=scan_caching)
-            with use_session(session):
-                _, db = _materialized(inst, session)
-                _apply_stream(inst, db, session)
-                out = {}
-                for query in inst.workload:
-                    choice = db.run(query)
-                    out[query.name] = (
-                        choice.object_name,
-                        choice.plan,
-                        choice.result.cost,
-                        choice.result.mask.tobytes(),
-                    )
-                return out
-
-        assert run(True) == run(False)
 
     def test_no_session_agrees_with_session(self, inst):
         def run(with_session):

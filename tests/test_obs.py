@@ -318,23 +318,18 @@ class TestEngineCacheMetrics:
             return evaluate_design(design).without_design()
 
         totals = {}
-        for workers, scheduler in ((1, "steal"), (2, "chunks"), (2, "steal")):
+        for workers in (1, 2):
             session = EvalSession()
             with use_metrics() as registry:
-                ParallelSweep(workers=workers, scheduler=scheduler).map(
+                ParallelSweep(workers=workers).map(
                     evaluate, designs, session=session
                 )
-            totals[workers, scheduler] = registry.counter(
-                "engine.cache.mask_misses"
-            )
-        # Contiguous chunks co-locate each worker's items in one session, so
-        # the union of work done (cache misses) equals the serial sweep's.
-        assert totals[1, "steal"] == totals[2, "chunks"] > 0
+            totals[workers] = registry.counter("engine.cache.mask_misses")
         # Per-item stealing isolates items on whichever worker pulls them;
         # a cache entry shared by two items on different workers is missed
         # once per worker, so the honest bound is >= — never fewer misses,
         # and results stay bit-identical either way (TestParallelIdentity).
-        assert totals[2, "steal"] >= totals[1, "steal"]
+        assert totals[2] >= totals[1] > 0
 
 
 # -------------------------------------------------------------- bit identity

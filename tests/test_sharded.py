@@ -267,8 +267,7 @@ def test_shard_parallel_matches_serial(people, disk):
     with use_session(EvalSession()) as session:
         db = PhysicalDatabase(
             [sharded_fact_object(people, "people", ("state",),
-                                 ShardSpec(4, "state"), disk)],
-            plan_caching=False,
+                                 ShardSpec(4, "state"), disk)]
         )
         serial = {q.name: db.run(q) for q in queries}
         sweep = ParallelSweep(workers=2)

@@ -9,6 +9,7 @@ attach but never mutate or tear down parent-owned state.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 
@@ -167,13 +168,16 @@ class TestCleanup:
     def test_vended_views_survive_dispose(self):
         """Unlink removes the name; the pages live until the last mapping
         drops — so parent-side heap-file columns rebound to arena views
-        stay valid after the sweep disposes the arena."""
+        stay valid after the sweep disposes the arena, and after the arena
+        itself is collected: the views own their mapping."""
         before = _shm_entries()
         arena = ShmArena()
         arr = np.arange(100_000, dtype=np.int64)
         view = arena.register_view(arr)
         arena.dispose()
         assert _shm_entries() - before == set()
+        del arena
+        gc.collect()
         assert np.array_equal(view, arr)
 
     def test_finalizer_unlinks_on_garbage_collection(self):

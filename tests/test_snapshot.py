@@ -189,7 +189,9 @@ class TestArenaSnapshots:
             assert snapshot_shared_nbytes(shared) > 0
             assert snapshot_shared_nbytes(plain) == 0
             assert snapshot_nbytes(shared) < snapshot_nbytes(plain)
-            assert len(pickle.dumps(shared)) < len(pickle.dumps(plain))
+            # The ship-bytes bar: what crosses the process boundary shrinks
+            # by an order of magnitude (34x at this fixture's scale).
+            assert len(pickle.dumps(plain)) >= 10 * len(pickle.dumps(shared))
         finally:
             arena.dispose()
 
