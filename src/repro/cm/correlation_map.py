@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.engine.session import get_session
 from repro.relational.query import Query
-from repro.storage.layout import HeapFile
+from repro.storage.layout import HeapFile, sorted_unique
 from repro.cm.bucketing import bucket_codes, entries_match
 
 # Bytes to store one clustered bucket id inside an entry's posting list.
@@ -102,8 +102,17 @@ class CorrelationMap:
         """Group (entry, bucket) pairs into CSR with one sort: entries in
         ascending ``entry_of`` order, each owning its sorted-unique buckets.
         Returns (index of one pair per entry, packed buckets, offsets); an
-        empty input yields no entries and offsets ``[0]``."""
-        order = np.lexsort((buckets, entry_of))
+        empty input yields no entries and offsets ``[0]``.
+
+        ``buckets`` must be non-decreasing — bucketed clustered ranks in
+        heap order are, by construction — so a *stable* sort on ``entry_of``
+        alone leaves every entry's buckets sorted.  A span of entry ids that
+        fits 16 bits takes NumPy's radix sort."""
+        if len(entry_of):
+            lo = entry_of.min()
+            if entry_of.max() - lo < 1 << 16:
+                entry_of = (entry_of - lo).astype(np.uint16)
+        order = np.argsort(entry_of, kind="stable")
         entries, sorted_buckets = entry_of[order], buckets[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = entries[1:] != entries[:-1]
@@ -235,10 +244,10 @@ class CorrelationMap:
             for j, attr in enumerate(self.key_attrs)
         }
         old_entry_of = np.repeat(np.arange(n_old), np.diff(self._offsets))
-        _, packed, offsets = self._csr(
-            np.concatenate((old_entry_of, entry_of_code[codes[n_old:]])),
-            np.concatenate((self._packed, clusters)),
-        )
+        entry_of = np.concatenate((old_entry_of, entry_of_code[codes[n_old:]]))
+        buckets = np.concatenate((self._packed, clusters))
+        by_bucket = np.argsort(buckets, kind="stable")
+        _, packed, offsets = self._csr(entry_of[by_bucket], buckets[by_bucket])
         self._set_postings(packed, offsets)
 
     # ---------------------------------------------------------------- sizes
@@ -346,7 +355,7 @@ class CorrelationMap:
         is sorted-unique by construction."""
         if self.cluster_width == 1:
             return buckets
-        buckets = np.unique(np.asarray(buckets, dtype=np.int64))
+        buckets = sorted_unique(np.asarray(buckets, dtype=np.int64))
         if len(buckets) == 0:
             return np.empty(0, dtype=np.int64)
         width = self.cluster_width

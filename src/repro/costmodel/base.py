@@ -9,7 +9,7 @@ materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.relational.query import Query
@@ -29,6 +29,10 @@ class ObjectGeometry:
     npages: int
     btree_height: int
     full_scan_s: float
+    _attr_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_attr_set", frozenset(self.attrs))
 
     @staticmethod
     def from_heapfile(heapfile) -> "ObjectGeometry":
@@ -52,29 +56,52 @@ class ObjectGeometry:
         attrs: tuple[str, ...],
         cluster_key: tuple[str, ...],
     ) -> "ObjectGeometry":
-        for a in cluster_key:
-            if a not in attrs:
-                raise ValueError(f"cluster key attr {a!r} not in MV attrs")
         row_bytes = stats.table.schema.byte_size(attrs)
-        nrows = stats.nrows
-        npages = disk.pages_for_rows(nrows, row_bytes)
+        npages = disk.pages_for_rows(stats.nrows, row_bytes)
+        unclustered = ObjectGeometry(
+            attrs=tuple(attrs),
+            cluster_key=(),
+            nrows=stats.nrows,
+            row_bytes=row_bytes,
+            npages=npages,
+            btree_height=btree_height(max(npages, 1), 8, disk.page_size),
+            full_scan_s=disk.full_scan_seconds(npages),
+        )
+        if not cluster_key:
+            return unclustered
+        return unclustered.clustered_by(stats, disk, cluster_key)
+
+    def clustered_by(
+        self,
+        stats: TableStatistics,
+        disk: DiskModel,
+        cluster_key: tuple[str, ...],
+    ) -> "ObjectGeometry":
+        """The same rows and columns under another clustered key: rows,
+        pages and full-scan time follow the attribute set alone, so B+Tree
+        height is the only field a key changes — which is what lets the
+        key designer size a query group's MV once and re-key it per
+        candidate."""
+        for a in cluster_key:
+            if a not in self._attr_set:
+                raise ValueError(f"cluster key attr {a!r} not in MV attrs")
         key_bytes = (
             stats.table.schema.byte_size(cluster_key) if cluster_key else 8
         )
-        height = btree_height(max(npages, 1), max(key_bytes, 1), disk.page_size)
         return ObjectGeometry(
-            attrs=tuple(attrs),
+            attrs=self.attrs,
             cluster_key=tuple(cluster_key),
-            nrows=nrows,
-            row_bytes=row_bytes,
-            npages=npages,
-            btree_height=height,
-            full_scan_s=disk.full_scan_seconds(npages),
+            nrows=self.nrows,
+            row_bytes=self.row_bytes,
+            npages=self.npages,
+            btree_height=btree_height(
+                max(self.npages, 1), max(key_bytes, 1), disk.page_size
+            ),
+            full_scan_s=self.full_scan_s,
         )
 
     def covers(self, query: Query) -> bool:
-        have = set(self.attrs)
-        return all(a in have for a in query.attributes())
+        return self._attr_set.issuperset(query.attributes())
 
 
 @dataclass(frozen=True)

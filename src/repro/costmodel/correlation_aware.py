@@ -13,11 +13,16 @@ design and query").
 The model prices three plan families on a hypothetical MV and returns the
 cheapest: a full scan, a clustered-prefix scan, and a CM-assisted scan
 (predicates on unclustered attributes resolved through a Correlation Map).
+One core (:meth:`CorrelationAwareCostModel._best_plan`) does the pricing, in
+scalars; ``explain`` formats its answer as a :class:`PlanEstimate`,
+``query_seconds`` memoises the seconds on the model by content.  The
+``PlanEstimate``-per-plan chain it replaced is the oracle in
+``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.costmodel.base import ObjectGeometry, PlanEstimate
 from repro.relational.query import KIND_EQ, Query
@@ -37,13 +42,30 @@ def expected_runs(groups_hit: float, groups_total: float) -> float:
     return max(1.0, k * (d - k + 1.0) / d)
 
 
+# Plan families, in the order ties are broken (``explain`` names them).
+_FULL_SCAN, _CLUSTERED, _CM = range(3)
+
+
 @dataclass
 class CorrelationAwareCostModel:
-    """CORADD's cost model, bound to one fact table's statistics."""
+    """CORADD's cost model, bound to one fact table's statistics.
+
+    Prices are memoised on the model, by content: given that the object
+    covers the query, the best plan's seconds follow from the object's row
+    width, page count, B+Tree height, full-scan time and clustered key, and
+    from the query's predicates — never from a name or a frequency.  The
+    designer keeps one model per fact for its whole life, so a price
+    survives ``with_queries``, ``update()`` and feedback rounds.  Like the
+    statistics' own caches, the memo assumes an immutable synopsis.
+    """
 
     stats: TableStatistics
     disk: DiskModel
     use_cm: bool = True
+    # (row bytes, pages, height, full-scan s, cluster key, fingerprint) -> s
+    _prices: dict[tuple, float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------ internals
 
@@ -67,16 +89,16 @@ class CorrelationAwareCostModel:
         rows_per_page = self.disk.rows_per_page(max(geometry.row_bytes, 1))
         return self.disk.fragment_gap_pages * rows_per_page
 
-    def _scan_plan(
+    def _scan_terms(
         self,
-        geometry: ObjectGeometry,
         query: Query,
         group_attrs: tuple[str, ...],
         pred_attrs: tuple[str, ...],
-        plan_name: str,
-    ) -> PlanEstimate:
-        """Price a scan that reads every clustered group of ``group_attrs``
-        co-occurring with the predicates on ``pred_attrs``.
+        gap_rows: int,
+    ) -> tuple[float, float]:
+        """(fragments, scanned fraction) of a scan that reads every
+        clustered group of ``group_attrs`` co-occurring with the predicates
+        on ``pred_attrs``, before the physical fragment ceiling.
 
         Primary estimator: layout simulation on the synopsis (fragments and
         scanned fraction read off the sorted sample).  Fallback when the
@@ -85,33 +107,60 @@ class CorrelationAwareCostModel:
         the paper's "AE over random samples on the fly" path.
         """
         layout = self.stats.estimate_layout(
-            group_attrs, query, self._gap_rows(geometry), pred_attrs=pred_attrs
+            group_attrs, query, gap_rows, pred_attrs=pred_attrs
         )
         if layout is not None:
-            fragments, fraction = layout
-        else:
-            mask = self.stats.sample_mask(query, attrs=pred_attrs)
-            groups_total = max(1.0, self.stats.distinct(group_attrs))
-            groups_hit = self.stats.distinct_among(mask, group_attrs)
-            if groups_hit <= 0.0:
-                sel = max(
-                    self.stats.query_selectivity(query),
-                    1.0 / max(self.stats.nrows, 1),
-                )
-                groups_hit = max(1.0, sel * groups_total)
-            fraction = min(1.0, groups_hit / groups_total)
-            fragments = expected_runs(groups_hit, groups_total)
-        fragments = min(fragments, self._max_fragments(geometry))
-        read_s = geometry.full_scan_s * fraction
-        seek_s = self.disk.seek_cost_s * fragments * geometry.btree_height
-        return PlanEstimate(
-            plan=plan_name,
-            seconds=read_s + seek_s,
-            read_s=read_s,
-            seek_s=seek_s,
-            fragments=fragments,
-            scanned_fraction=fraction,
+            return layout
+        mask = self.stats.sample_mask(query, attrs=pred_attrs)
+        groups_total = max(1.0, self.stats.distinct(group_attrs))
+        groups_hit = self.stats.distinct_among(mask, group_attrs)
+        if groups_hit <= 0.0:
+            sel = max(
+                self.stats.query_selectivity(query),
+                1.0 / max(self.stats.nrows, 1),
+            )
+            groups_hit = max(1.0, sel * groups_total)
+        return (
+            expected_runs(groups_hit, groups_total),
+            min(1.0, groups_hit / groups_total),
         )
+
+    def _best_plan(
+        self, geometry: ObjectGeometry, query: Query
+    ) -> tuple[float, int, float, float]:
+        """The one pricing core: (seconds, plan family, fragments, scanned
+        fraction) of the cheapest plan for a *covered* query, as scalars.
+        Ties go full scan, then clustered, then CM."""
+        full_scan_s = geometry.full_scan_s
+        seek_cost_s = self.disk.seek_cost_s
+        best = (full_scan_s + seek_cost_s, _FULL_SCAN, 1.0, 1.0)
+        cluster_key = geometry.cluster_key
+        if not cluster_key:
+            return best
+        depth = self._usable_prefix(geometry, query)
+        scans = []
+        if depth:
+            prefix = cluster_key[:depth]
+            scans.append((_CLUSTERED, prefix, prefix))
+        if self.use_cm and query.predicates:
+            # Coverage puts every predicated attribute in the object.
+            scans.append((_CM, cluster_key, query.predicate_attrs()))
+        if not scans:
+            return best
+        gap_rows = self._gap_rows(geometry)
+        max_fragments = self._max_fragments(geometry)
+        height = geometry.btree_height
+        for family, group_attrs, pred_attrs in scans:
+            fragments, fraction = self._scan_terms(
+                query, group_attrs, pred_attrs, gap_rows
+            )
+            fragments = min(fragments, max_fragments)
+            read_s = full_scan_s * fraction
+            seek_s = seek_cost_s * fragments * height
+            seconds = read_s + seek_s
+            if seconds < best[0]:
+                best = (seconds, family, fragments, fraction)
+        return best
 
     def secondary_btree_plan(
         self, geometry: ObjectGeometry, query: Query, key_attrs: tuple[str, ...]
@@ -151,58 +200,44 @@ class CorrelationAwareCostModel:
             scanned_fraction=fraction,
         )
 
-    def _clustered_plan(
-        self, geometry: ObjectGeometry, query: Query
-    ) -> PlanEstimate | None:
-        depth = self._usable_prefix(geometry, query)
-        if depth == 0:
-            return None
-        prefix = geometry.cluster_key[:depth]
-        return self._scan_plan(
-            geometry, query, prefix, prefix, f"clustered[{','.join(prefix)}]"
-        )
-
-    def _cm_plan(self, geometry: ObjectGeometry, query: Query) -> PlanEstimate | None:
-        if not geometry.cluster_key:
-            return None
-        pred_attrs = tuple(
-            a for a in query.predicate_attrs() if a in geometry.attrs
-        )
-        if not pred_attrs:
-            return None
-        return self._scan_plan(
-            geometry,
-            query,
-            geometry.cluster_key,
-            pred_attrs,
-            f"cm[{','.join(pred_attrs)}]",
-        )
-
-    def _full_scan_plan(self, geometry: ObjectGeometry) -> PlanEstimate:
-        seek_s = self.disk.seek_cost_s
-        return PlanEstimate(
-            plan="full_scan",
-            seconds=geometry.full_scan_s + seek_s,
-            read_s=geometry.full_scan_s,
-            seek_s=seek_s,
-            fragments=1.0,
-            scanned_fraction=1.0,
-        )
-
     # -------------------------------------------------------------- surface
 
     def explain(self, geometry: ObjectGeometry, query: Query) -> PlanEstimate:
         if not geometry.covers(query):
             return PlanEstimate(plan="not_covered", seconds=float("inf"))
-        plans = [self._full_scan_plan(geometry)]
-        clustered = self._clustered_plan(geometry, query)
-        if clustered is not None:
-            plans.append(clustered)
-        if self.use_cm:
-            cm = self._cm_plan(geometry, query)
-            if cm is not None:
-                plans.append(cm)
-        return min(plans, key=lambda p: p.seconds)
+        seconds, family, fragments, fraction = self._best_plan(geometry, query)
+        if family == _FULL_SCAN:
+            plan = "full_scan"
+            read_s, seek_s = geometry.full_scan_s, self.disk.seek_cost_s
+        else:
+            if family == _CLUSTERED:
+                depth = self._usable_prefix(geometry, query)
+                plan = f"clustered[{','.join(geometry.cluster_key[:depth])}]"
+            else:
+                plan = f"cm[{','.join(query.predicate_attrs())}]"
+            read_s = geometry.full_scan_s * fraction
+            seek_s = self.disk.seek_cost_s * fragments * geometry.btree_height
+        return PlanEstimate(
+            plan=plan,
+            seconds=seconds,
+            read_s=read_s,
+            seek_s=seek_s,
+            fragments=fragments,
+            scanned_fraction=fraction,
+        )
 
     def query_seconds(self, geometry: ObjectGeometry, query: Query) -> float:
-        return self.explain(geometry, query).seconds
+        if not geometry.covers(query):
+            return float("inf")
+        key = (
+            geometry.row_bytes,
+            geometry.npages,
+            geometry.btree_height,
+            geometry.full_scan_s,
+            geometry.cluster_key,
+            query.fingerprint(),
+        )
+        seconds = self._prices.get(key)
+        if seconds is None:
+            seconds = self._prices[key] = self._best_plan(geometry, query)[0]
+        return seconds

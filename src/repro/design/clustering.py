@@ -17,11 +17,20 @@ distinct count exceeds a multiple of the MV's page count, further attributes
 cannot change which page a row lands on, so they are dropped (the paper: "in
 practice, this limits the number of attributes in the clustered index to 7
 or 8").
+
+What no candidate key changes about a group's MV — row bytes, pages,
+full-scan seconds, and with the pages the attribute-dropping ceiling — is
+sized once per attribute set; a key only sets the B+Tree height.  Prices
+come from the cost model, which memoises them by content (so a score
+survives this designer), and a split already clustered for the same points
+and seed is looked up in the enumerator's
+:class:`~repro.design.grouping.GroupingMemo`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +40,9 @@ from repro.design.selectivity import SelectivityVectors
 from repro.relational.query import Query
 from repro.stats.collector import TableStatistics
 from repro.storage.disk import DiskModel
+
+if TYPE_CHECKING:  # the enumerator hands its own memo over
+    from repro.design.grouping import GroupingMemo
 
 
 def order_preserving_merges(
@@ -90,12 +102,20 @@ class ClusteredIndexDesigner:
     concat_only: bool = False
     distinct_page_factor: float = 4.0
     seed: int = 0
-    _score_cache: dict = field(default_factory=dict, repr=False)
+    # The enumerator's per-fact k-means memo: a subgroup re-split under
+    # another parent group is a lookup.  Without one (baselines, ablation
+    # benches) every split clusters.
+    grouping_memo: GroupingMemo | None = None
     # design_for_group answers per (members as (name, fingerprint,
     # frequency) in order, mv_attrs, t): feedback re-requests the same
     # group at the same t across rounds and budgets.  Valid while
     # ``vectors`` are — the enumerator builds a new designer with them.
     _group_memo: dict = field(default_factory=dict, repr=False)
+    # mv_attrs -> unclustered geometry: everything about a group's MV that
+    # no candidate key changes (row bytes, pages, full-scan seconds).
+    _shapes: dict[tuple[str, ...], ObjectGeometry] = field(
+        default_factory=dict, repr=False
+    )
 
     # ------------------------------------------------------- dedicated keys
 
@@ -144,9 +164,7 @@ class ClusteredIndexDesigner:
         length at ``max_key_attrs``."""
         if not key:
             return key
-        row_bytes = self.stats.table.schema.byte_size(mv_attrs)
-        npages = max(1, self.disk.pages_for_rows(self.stats.nrows, row_bytes))
-        cap = self.distinct_page_factor * npages
+        cap = self.distinct_page_factor * max(1, self._shape(mv_attrs).npages)
         kept: list[str] = []
         for attr in key[: self.max_key_attrs]:
             kept.append(attr)
@@ -165,15 +183,18 @@ class ClusteredIndexDesigner:
         """Frequency-weighted total model runtime of the group on an MV with
         this clustering."""
         total = 0.0
-        geometry = ObjectGeometry.from_attrs(self.stats, self.disk, mv_attrs, key)
+        geometry = self._shape(mv_attrs).clustered_by(self.stats, self.disk, key)
         for q in queries:
-            cache_key = (key, q.name, geometry.row_bytes)
-            seconds = self._score_cache.get(cache_key)
-            if seconds is None:
-                seconds = self.cost_model.query_seconds(geometry, q)
-                self._score_cache[cache_key] = seconds
-            total += q.frequency * seconds
+            total += q.frequency * self.cost_model.query_seconds(geometry, q)
         return total
+
+    def _shape(self, mv_attrs: tuple[str, ...]) -> ObjectGeometry:
+        shape = self._shapes.get(mv_attrs)
+        if shape is None:
+            shape = self._shapes[mv_attrs] = ObjectGeometry.from_attrs(
+                self.stats, self.disk, mv_attrs, ()
+            )
+        return shape
 
     # ------------------------------------------------------------ the merge
 
@@ -184,9 +205,12 @@ class ClusteredIndexDesigner:
             points = np.array(
                 [self.vectors.as_point(q.name) for q in queries], dtype=np.float64
             )
-            result = kmeans(points, 2, seed=self.seed)
-            left = [q for q, lab in zip(queries, result.labels) if lab == 0]
-            right = [q for q, lab in zip(queries, result.labels) if lab == 1]
+            if self.grouping_memo is not None:
+                labels = self.grouping_memo.split_labels(points, self.seed)
+            else:
+                labels = kmeans(points, 2, seed=self.seed).labels
+            left = [q for q, lab in zip(queries, labels) if lab == 0]
+            right = [q for q, lab in zip(queries, labels) if lab == 1]
             if left and right:
                 return left, right
         half = len(queries) // 2

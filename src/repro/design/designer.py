@@ -392,7 +392,6 @@ class CoraddDesigner:
             t0=self.config.t0,
             seed=self.config.seed,
             max_k=self.config.max_k,
-            runtime_cache=self.state.runtime_cache,
             grouping_memo=self.state.grouping_memos.setdefault(
                 fact, GroupingMemo()
             ),

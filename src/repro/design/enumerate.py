@@ -49,15 +49,10 @@ class CandidateEnumerator:
     seed: int = 0
     max_k: int | None = None
     propagate: bool = True
-    # Optional cross-phase memo of cost-model prices, keyed by
-    # ((attrs, cluster_key), query fingerprint) — both fully determine the
-    # estimate given this fact's statistics.  The incremental designer
-    # shares one dict across updates so a query returning from dormancy is
-    # never re-priced; ``None`` (the default) disables memoization.
-    runtime_cache: dict | None = None
     # Optional per-fact k-means memo: the incremental designer threads one
     # through so sweep cells untouched by a workload delta skip clustering
-    # and changed cells warm-seed from the previous assignment.
+    # and changed cells warm-seed from the previous assignment; the key
+    # designer's recursive splits share it.
     grouping_memo: GroupingMemo | None = None
     vectors: SelectivityVectors = field(init=False)
     designer: ClusteredIndexDesigner = field(init=False)
@@ -80,14 +75,16 @@ class CandidateEnumerator:
             cost_model=self.cost_model,
             vectors=self.vectors,
             seed=self.seed,
+            grouping_memo=self.grouping_memo,
         )
         self._query_by_name = {q.name: q for q in self.queries}
         self.designed_groups = set()
 
     def with_queries(self, queries: list[Query]) -> "CandidateEnumerator":
         """A new enumerator over a changed query list that reuses the
-        expensive per-fact inputs (table statistics, cost model) and carries
-        over the designed-group log — the incremental-update rebuild.
+        expensive per-fact inputs (table statistics, the cost model and
+        with it every price already computed) and carries over the
+        designed-group log — the incremental-update rebuild.
         ``dataclasses.replace`` keeps every other field (including ones
         added later) in sync by construction; ``__post_init__`` re-derives
         the selectivity vectors for the new query list."""
@@ -103,39 +100,27 @@ class CandidateEnumerator:
         """Fill model runtimes for every workload query the candidate
         covers (coverage is attribute-based, not group-based).  ``queries``
         restricts the computation to a subset — how incremental updates add
-        runtimes for newly arrived queries without re-pricing the rest."""
+        runtimes for newly arrived queries.  A (shape, query content) pair
+        priced before costs one lookup in the cost model's memo."""
         geometry = ObjectGeometry.from_attrs(
             self.stats, self.disk, candidate.attrs, candidate.cluster_key
         )
-        shape = (candidate.attrs, candidate.cluster_key)
         for q in self.queries if queries is None else queries:
             if candidate.covers(q):
-                candidate.runtimes[q.name] = self._priced(shape, geometry, q)
-
-    def _priced(self, shape: tuple, geometry: ObjectGeometry, q: Query) -> float:
-        """One cost-model estimate, memoized in ``runtime_cache`` when the
-        enumerator carries one (the estimate is a pure function of the
-        object shape, the query content and this fact's statistics)."""
-        if self.runtime_cache is None:
-            return self.cost_model.query_seconds(geometry, q)
-        key = (shape, q.fingerprint())
-        seconds = self.runtime_cache.get(key)
-        if seconds is None:
-            seconds = self.cost_model.query_seconds(geometry, q)
-            self.runtime_cache[key] = seconds
-        return seconds
+                candidate.runtimes[q.name] = self.cost_model.query_seconds(
+                    geometry, q
+                )
 
     def base_seconds(self, queries: list[Query] | None = None) -> dict[str, float]:
         """Per-query model runtime on the base design: the fact table
         clustered by its primary key, no additional objects.  ``queries``
         restricts to a subset (incremental updates price only arrivals)."""
-        all_attrs = tuple(self.stats.table.column_names)
         geometry = ObjectGeometry.from_attrs(
-            self.stats, self.disk, all_attrs, self.primary_key
+            self.stats, self.disk, tuple(self.stats.table.column_names),
+            self.primary_key,
         )
-        shape = (all_attrs, self.primary_key)
         return {
-            q.name: self._priced(shape, geometry, q)
+            q.name: self.cost_model.query_seconds(geometry, q)
             for q in (self.queries if queries is None else queries)
         }
 

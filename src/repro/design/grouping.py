@@ -17,7 +17,9 @@ assignment of its last run.  An unchanged slot (same queries, same vectors —
 e.g. a pure reweight, which does not move selectivity vectors) reuses its
 labels outright, bit-identically and with zero k-means work; a changed slot
 seeds a single Lloyd run from the surviving queries' previous centroids
-instead of the full ``n_init``-restart k-means++ sweep.
+instead of the full ``n_init``-restart k-means++ sweep.  The memo also holds
+the clustered-key designer's cold 2-means splits by (points, seed): the
+recursive merge meets the same subgroup under many parent groups.
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ class GroupingMemo:
     """Per-fact memory of the k-means sweep, one slot per (alpha_idx, k)."""
 
     slots: dict[tuple[int, int], _GroupingSlot] = field(default_factory=dict)
+    # (point-matrix digest, seed) -> labels of a cold 2-means: the key
+    # designer's recursive splits, which meet the same subgroup under many
+    # parent groups and across workload phases.
+    splits: dict[tuple[bytes, int], np.ndarray] = field(default_factory=dict)
+
+    def split_labels(self, points: np.ndarray, seed: int) -> np.ndarray:
+        """Labels of ``kmeans(points, 2, seed=seed)``, clustered once per
+        distinct point matrix and seed."""
+        key = (self.digest(points, []), seed)
+        labels = self.splits.get(key)
+        if labels is None:
+            labels = self.splits[key] = kmeans(points, 2, seed=seed).labels
+        return labels
 
     @staticmethod
     def digest(points: np.ndarray, names: list[str]) -> bytes:

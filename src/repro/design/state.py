@@ -7,7 +7,9 @@ over.  :class:`DesignerState` reifies every stage's output:
 
 * **profiled** — per-fact :class:`~repro.stats.collector.TableStatistics`
   and cost models (the single most expensive input, and one that does not
-  depend on the workload at all);
+  depend on the workload at all).  Each cost model carries its own price
+  memo, keyed by object shape and query content, so nothing priced in one
+  phase is priced again in a later one;
 * **enumerated** — the candidate pool with stable ids, the enumerators'
   designed-group logs, per-query base seconds, and the domination
   *archive*: candidates pruned off the frontier are parked, not forgotten,
@@ -49,15 +51,13 @@ class DesignerState:
     # sets a nonzero update weight; workload-independent like the stats).
     maintenance_models: dict = field(default_factory=dict)
     # Per-fact k-means grouping memos: the previous sweep's assignments seed
-    # the next update's clustering (see repro.design.grouping.GroupingMemo).
+    # the next update's clustering, and the key designer's 2-means splits
+    # are looked up by their points (see repro.design.grouping.GroupingMemo).
     grouping_memos: dict = field(default_factory=dict)
     # -- enumerated (updated incrementally per workload delta) -------------
     enumerators: list["CandidateEnumerator"] = field(default_factory=list)
     candidates: "CandidateSet | None" = None
     archive: dict[str, "MVCandidate"] = field(default_factory=dict)
-    # ((attrs, cluster_key), query fingerprint) -> model seconds; shared by
-    # every enumerator so returning queries are never re-priced.
-    runtime_cache: dict = field(default_factory=dict)
     base_seconds: dict[str, float] | None = None
     enumeration_stats: dict[str, int] = field(default_factory=dict)
     # -- solved (per budget; seeds warm starts and design diffs) -----------

@@ -43,7 +43,10 @@ shipped to worker processes and merged back — the backbone of
 All keys are *content*-derived (array bytes are digested, predicates and
 disk models are value-hashable dataclasses), which makes the caches safe to
 share across designers and budgets within a session, and makes two sessions
-over different data provably disjoint.  Cached masks are frozen
+over different data provably disjoint.  A heap file mutated after the
+session first saw it is keyed by that first content key plus the file's
+mutation lineage since (:meth:`EvalSession.heapfile_key`) — still a function
+of content alone, but computed without re-reading the file.  Cached masks are frozen
 (``writeable=False``) so accidental mutation raises instead of corrupting
 later plans.  Caching is observationally invisible: plan choices, simulated
 costs and result masks are bit-identical with or without a session.
@@ -105,12 +108,15 @@ class EvalSession:
         # materialization cache: content key -> HeapFile, plus id(HeapFile)
         # -> content key so dependent caches (CMs) can key off cached files.
         # ``_heapfile_versions`` remembers the mutation counter each key was
-        # computed at: a mutated file is re-keyed by its *new* content on the
-        # next lookup (a key bump — old entries become unreachable, nothing
-        # is torn down).
+        # computed at, and ``_heapfile_roots`` the (content key, lineage) the
+        # file was first tracked under: a mutated file is re-keyed on the
+        # next lookup by its root and what was done to it since (a key bump
+        # — old entries become unreachable, nothing is torn down, and the
+        # file is not read).
         self._heapfiles: dict[tuple, "HeapFile"] = {}
         self._heapfile_keys: dict[int, tuple] = {}
         self._heapfile_versions: dict[int, int] = {}
+        self._heapfile_roots: dict[int, tuple[tuple, bytes]] = {}
         self._pinned_objects: list = []
         # (heapfile key, query fingerprints, designer knobs) -> [CM, ...]
         self._cms: dict[tuple, list["CorrelationMap"]] = {}
@@ -258,36 +264,47 @@ class EvalSession:
             hf.shared = True  # may back several databases of the sweep
             self.stats["heapfile_bytes"] += hf.size_bytes
             self._heapfiles[key] = hf
-            self._heapfile_keys[id(hf)] = key
-            self._heapfile_versions[id(hf)] = hf.version
+            self._track(hf, key)
         else:
             self.stats["heapfile_hits"] += 1
         return hf
 
-    def heapfile_key(self, heapfile: "HeapFile") -> tuple | None:
-        """The content key of a session-tracked heap file, or None when the
-        file is unknown to this session.
+    def _track(self, heapfile: "HeapFile", key: tuple) -> None:
+        """Register ``heapfile`` under the content key of its present
+        state — the root its later lineage keys hang off."""
+        self._heapfile_keys[id(heapfile)] = key
+        self._heapfile_versions[id(heapfile)] = heapfile.version
+        self._heapfile_roots[id(heapfile)] = (key, heapfile.lineage)
 
-        A file mutated since its key was computed is *re-keyed* from its
-        current content: every dependent cache tier (CM builds/choices, page
-        fragments, scan results) keys off this value, so a mutation
-        invalidates them all by construction — entries under the old key
-        simply stop being addressed.
+    def heapfile_key(self, heapfile: "HeapFile") -> tuple | None:
+        """The key of a session-tracked heap file, or None when the file is
+        unknown to this session.
+
+        A file mutated since it was first tracked is keyed by *lineage*:
+        the content key it held then, its mutation chain then and now
+        (:attr:`repro.storage.layout.HeapFile.lineage`).  Equal keys still
+        imply equal content — same root, same mutations in the same order —
+        so twin copies fed the same refresh batches keep sharing CM builds,
+        fragments and scan results, within the session and across snapshot
+        boundaries; and the file itself is never re-read.  Every dependent
+        cache tier keys off this value, so a mutation invalidates them all
+        by construction — entries under the old key simply stop being
+        addressed.
         """
         key = self._heapfile_keys.get(id(heapfile))
         if key is None:
             return None
-        version = getattr(heapfile, "version", 0)
-        if self._heapfile_versions.get(id(heapfile), 0) != version:
+        if self._heapfile_versions[id(heapfile)] != heapfile.version:
             # Evict the stale materialization-cache entry (the cached object
             # no longer answers for the content it was built from) — but
             # keep the file pinned: its id() stays a registration key.
             if self._heapfiles.get(key) is heapfile:
                 del self._heapfiles[key]
                 self._pinned_objects.append(heapfile)
-            key = self._content_key_for(heapfile)
+            root_key, root_lineage = self._heapfile_roots[id(heapfile)]
+            key = ("hf-lineage", root_key, root_lineage, heapfile.lineage)
             self._heapfile_keys[id(heapfile)] = key
-            self._heapfile_versions[id(heapfile)] = version
+            self._heapfile_versions[id(heapfile)] = heapfile.version
         return key
 
     def adopt_heapfile(self, heapfile: "HeapFile") -> tuple:
@@ -295,12 +312,10 @@ class EvalSession:
         caches can key off it.  The file is pinned for the session's
         lifetime — ``id()``-keyed registration is only sound while the
         object cannot be recycled."""
-        key = self._heapfile_keys.get(id(heapfile))
-        if key is not None:
+        if id(heapfile) in self._heapfile_keys:
             return self.heapfile_key(heapfile)
         key = self._content_key_for(heapfile)
-        self._heapfile_keys[id(heapfile)] = key
-        self._heapfile_versions[id(heapfile)] = getattr(heapfile, "version", 0)
+        self._track(heapfile, key)
         self._pinned_objects.append(heapfile)
         return key
 
@@ -308,7 +323,9 @@ class EvalSession:
         """A content key for a heap file in an arbitrary mutation state:
         column content, clustered/tail boundary, tombstone mask, geometry
         inputs.  Two files agreeing on this key execute every plan
-        identically."""
+        identically.  Digests every column, so it runs once per file the
+        session did not build itself; later mutations are keyed by lineage
+        (:meth:`heapfile_key`)."""
         content = tuple(
             (n, self.array_key(heapfile.table.column(n)))
             for n in heapfile.table.column_names

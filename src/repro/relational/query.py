@@ -151,40 +151,57 @@ class Query:
         self.group_by = tuple(group_by)
         self.order_by = tuple(order_by)
         self.frequency = float(frequency)
-        self._fingerprint: tuple | None = None
+        # A query is never mutated after construction, so the views the
+        # designer asks for once per (candidate key, query) are derived
+        # here, once.
+        self._predicate_attrs = tuple(attrs)
+        self._by_attr = dict(zip(attrs, self.predicates))
+        self._target_attrs = tuple(
+            dict.fromkeys(
+                [a for agg in self.aggregates for a in agg.attrs]
+                + list(self.group_by)
+                + list(self.order_by)
+            )
+        )
+        self._attributes = tuple(
+            dict.fromkeys(self._predicate_attrs + self._target_attrs)
+        )
+        self._predicate_keys = {p.attr: (p.attr, str(p)) for p in self.predicates}
+        self._predicate_key_set = frozenset(self._predicate_keys.values())
+        self._fingerprint = (
+            self.fact_table,
+            tuple(self.predicates),
+            self._attributes,
+        )
 
     # ------------------------------------------------------------ attributes
 
     def predicate_attrs(self) -> tuple[str, ...]:
-        return tuple(p.attr for p in self.predicates)
+        return self._predicate_attrs
 
     def predicate_on(self, attr: str) -> Predicate | None:
-        for p in self.predicates:
-            if p.attr == attr:
-                return p
-        return None
+        return self._by_attr.get(attr)
+
+    def predicate_keys(
+        self, attrs: tuple[str, ...] | None = None
+    ) -> frozenset[tuple[str, str]]:
+        """``(attribute, predicate text)`` of every predicate (of those on
+        ``attrs`` when given) — what statistics caches key a predicate set
+        by.  Text, not query name: distinct Query objects may reuse a name
+        and must never see each other's cache entries."""
+        if attrs is None:
+            return self._predicate_key_set
+        keys = self._predicate_keys
+        return frozenset(keys[a] for a in attrs if a in keys)
 
     def target_attrs(self) -> tuple[str, ...]:
         """Attributes the query reads beyond its predicates (SELECT list,
         GROUP BY, ORDER BY, aggregate inputs), deduplicated, stable order."""
-        out: dict[str, None] = {}
-        for agg in self.aggregates:
-            for a in agg.attrs:
-                out.setdefault(a)
-        for a in self.group_by:
-            out.setdefault(a)
-        for a in self.order_by:
-            out.setdefault(a)
-        return tuple(out)
+        return self._target_attrs
 
     def attributes(self) -> tuple[str, ...]:
         """Every attribute an MV must contain to answer this query."""
-        out: dict[str, None] = {}
-        for a in self.predicate_attrs():
-            out.setdefault(a)
-        for a in self.target_attrs():
-            out.setdefault(a)
-        return tuple(out)
+        return self._attributes
 
     def fingerprint(self) -> tuple:
         """Hashable content identity of the query for plan memoization: the
@@ -192,12 +209,6 @@ class Query:
         application order) and the attribute footprint.  Name and frequency
         are deliberately excluded — two queries with the same fingerprint
         execute identically on any physical database."""
-        if self._fingerprint is None:
-            self._fingerprint = (
-                self.fact_table,
-                tuple(self.predicates),
-                self.attributes(),
-            )
         return self._fingerprint
 
     # ------------------------------------------------------------- execution

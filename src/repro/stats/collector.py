@@ -14,16 +14,21 @@ Everything derived from the synopsis is memoised on the object, keyed by
 content: sort orders per cluster key (``_layout_cache``), masks per predicate
 and per predicate *set* (``_pred_mask_cache``, ``_conj_mask_cache``), and the
 layout simulation per (cluster key, predicate set) (``_scan_memo``, see
-:meth:`TableStatistics.estimate_layout`).  The caches are sound because the
+:meth:`TableStatistics.estimate_layout`).  A predicate set is named by the
+``(attribute, predicate text)`` keys the :class:`~repro.relational.query.
+Query` derives once at construction.  The caches are sound because the
 synopsis is immutable today; the change that folds refresh samples into it
-(ROADMAP 4(c), stale statistics) must clear all four.
+(ROADMAP 3(c), stale statistics) must clear all four — and, one layer up,
+the price memo of every :class:`~repro.costmodel.correlation_aware.
+CorrelationAwareCostModel` bound to these statistics, which stores what the
+layout estimates added up to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.relational.query import Predicate, Query
+from repro.relational.query import Query
 from repro.relational.table import Table
 from repro.stats.correlation import CorrelationModel
 from repro.stats.distinct import scale_distinct
@@ -123,34 +128,27 @@ class TableStatistics:
         """Read-only boolean mask of synopsis rows matching the query's
         predicates (restricted to ``attrs`` when given), cached per
         predicate set."""
-        return self._conjunction_mask(self._predicate_set(query, attrs))
+        return self._conjunction_mask(query, query.predicate_keys(attrs))
 
-    @staticmethod
-    def _predicate_set(
-        query: Query, attrs: tuple[str, ...] | None
-    ) -> dict[PredKey, Predicate]:
-        return {
-            (p.attr, str(p)): p
-            for p in query.predicates
-            if attrs is None or p.attr in attrs
-        }
-
-    def _conjunction_mask(self, preds: dict[PredKey, Predicate]) -> np.ndarray:
+    def _conjunction_mask(
+        self, query: Query, pred_keys: frozenset[PredKey]
+    ) -> np.ndarray:
         """Cached read-only mask of the (unsorted) synopsis under the AND of
-        ``preds``; the empty set is the all-true mask.  Single-predicate
-        masks are cached too, shared by every conjunction they appear in."""
-        key = frozenset(preds)
-        mask = self._conj_mask_cache.get(key)
+        the query's predicates named by ``pred_keys``; the empty set is the
+        all-true mask.  Single-predicate masks are cached too, shared by
+        every conjunction they appear in."""
+        mask = self._conj_mask_cache.get(pred_keys)
         if mask is None:
             mask = np.ones(self.synopsis.nrows, dtype=bool)
-            for pred_key, pred in preds.items():
+            for pred_key in pred_keys:
                 single = self._pred_mask_cache.get(pred_key)
                 if single is None:
+                    pred = query.predicate_on(pred_key[0])
                     single = pred.mask(self.synopsis.column(pred.attr))
                     self._pred_mask_cache[pred_key] = single
                 mask &= single
             mask.flags.writeable = False
-            self._conj_mask_cache[key] = mask
+            self._conj_mask_cache[pred_keys] = mask
         return mask
 
     def _sorted_synopsis_codes(
@@ -227,29 +225,33 @@ class TableStatistics:
         match — the caller should fall back to the distinct-value estimate
         (:meth:`distinct_among`), as the paper's AE-based path does.
         """
-        if not cluster_key or self.synopsis.nrows == 0:
+        sample_rows = self.synopsis.nrows
+        if not cluster_key or sample_rows == 0:
             return None
         cluster_key = tuple(cluster_key)
-        preds = self._predicate_set(query, pred_attrs)
-        ratio = self.synopsis.nrows / max(self.nrows, 1)
+        pred_keys = query.predicate_keys(pred_attrs)
+        ratio = sample_rows / max(self.nrows, 1)
         sample_gap = max(1.0, gap_rows * ratio)
         if expand_groups:
             # CM semantics: every row of a co-occurring clustered group is
             # read (bucketing false positives are part of the plan).
-            key = (cluster_key, frozenset(preds))
+            key = (cluster_key, pred_keys)
             memo = self._scan_memo.get(key)
             if memo is None:
-                memo = self._simulate_scan(cluster_key, self._conjunction_mask(preds))
+                memo = self._simulate_scan(
+                    cluster_key, self._conjunction_mask(query, pred_keys)
+                )
                 self._scan_memo[key] = memo
             n_match, fraction, gaps = memo
             if n_match < min_sample_matches:
                 return None
-            # Gaps are whole rows: ``gap > sample_gap`` is ``gap > floor``.
-            floor = min(int(sample_gap), np.iinfo(gaps.dtype).max)
+            # Gaps are whole rows: ``gap > sample_gap`` is ``gap > floor``,
+            # and no gap spans the whole synopsis.
+            floor = min(int(sample_gap), sample_rows - 1)
             wider = len(gaps) - int(gaps.searchsorted(gaps.dtype.type(floor), "right"))
             return 1.0 + float(wider), fraction
         perm, _ = self._sorted_synopsis_codes(cluster_key)
-        mask = self._conjunction_mask(preds)[perm]
+        mask = self._conjunction_mask(query, pred_keys)[perm]
         n_match = int(mask.sum())
         if n_match < min_sample_matches:
             return None

@@ -41,6 +41,22 @@ def _frequency_of_frequencies(sample: np.ndarray) -> tuple[int, np.ndarray]:
     return d, f.astype(np.int64)
 
 
+def _gee(d: int, f: np.ndarray, r: int, n_total: int) -> float:
+    f1 = int(f[0]) if len(f) else 0
+    rest = d - f1
+    return math.sqrt(n_total / r) * f1 + rest
+
+
+def _chao(d: int, f: np.ndarray) -> float:
+    if d == 0:
+        return 0.0
+    f1 = int(f[0]) if len(f) >= 1 else 0
+    f2 = int(f[1]) if len(f) >= 2 else 0
+    if f2 > 0:
+        return d + f1 * f1 / (2.0 * f2)
+    return d + f1 * max(f1 - 1, 0) / 2.0
+
+
 def gee_estimator(sample: np.ndarray, n_total: int) -> float:
     """Guaranteed-Error Estimator of Charikar et al.:
     ``sqrt(n/r) * f1 + sum_{j>=2} f_j``."""
@@ -49,10 +65,7 @@ def gee_estimator(sample: np.ndarray, n_total: int) -> float:
         return 0.0
     if n_total < r:
         raise ValueError("n_total must be >= sample size")
-    d, f = _frequency_of_frequencies(sample)
-    f1 = int(f[0]) if len(f) else 0
-    rest = d - f1
-    return math.sqrt(n_total / r) * f1 + rest
+    return _gee(*_frequency_of_frequencies(sample), r, n_total)
 
 
 def chao_estimator(sample: np.ndarray) -> float:
@@ -61,14 +74,7 @@ def chao_estimator(sample: np.ndarray) -> float:
     When no value is seen twice (f2 = 0) the bias-corrected form
     ``d + f1 (f1 - 1) / 2`` is used.
     """
-    d, f = _frequency_of_frequencies(sample)
-    if d == 0:
-        return 0.0
-    f1 = int(f[0]) if len(f) >= 1 else 0
-    f2 = int(f[1]) if len(f) >= 2 else 0
-    if f2 > 0:
-        return d + f1 * f1 / (2.0 * f2)
-    return d + f1 * max(f1 - 1, 0) / 2.0
+    return _chao(*_frequency_of_frequencies(sample))
 
 
 def adaptive_estimator(sample: np.ndarray, n_total: int) -> float:
@@ -79,7 +85,8 @@ def adaptive_estimator(sample: np.ndarray, n_total: int) -> float:
     Chao-style correction suffices; for high-skew data singletons must be
     scaled up toward the GEE bound.  We measure skew evidence as the
     singleton fraction ``f1 / d`` and interpolate between the two published
-    estimators, clamped to the feasible range [d, n_total].
+    estimators, clamped to the feasible range [d, n_total].  The sample is
+    counted once; both estimators read the same ``(d, f)``.
     """
     r = len(sample)
     if r == 0:
@@ -94,8 +101,8 @@ def adaptive_estimator(sample: np.ndarray, n_total: int) -> float:
         # Every value repeated: the sample has very likely seen everything.
         return float(d)
     skew_evidence = f1 / d
-    low = chao_estimator(sample)
-    high = gee_estimator(sample, n_total)
+    low = _chao(d, f)
+    high = _gee(d, f, r, n_total)
     est = (1.0 - skew_evidence) * low + skew_evidence * high
     return float(min(max(est, d), n_total))
 

@@ -11,9 +11,13 @@ Heap files are *mutable*: :meth:`HeapFile.insert` appends a batch of rows to
 an unsorted tail region (rowids ``[sorted_rows, nrows)``), :meth:`delete_rows`
 tombstones rows in place, and :meth:`compact` folds the tail into the sorted
 region and reclaims tombstoned space.  The sorted region's arrays are never
-mutated — every mutation builds fresh column arrays — so content-keyed caches
-(:class:`~repro.engine.session.EvalSession`) observe mutations as new content
-keys rather than silently stale entries.  ``version`` counts mutations;
+mutated — every mutation builds fresh column arrays — and every mutator ends
+in :meth:`HeapFile._refresh_geometry`, which bumps ``version`` (the mutation
+count) and folds what the mutation was given into ``lineage``, a 16-byte hash
+chain.  Caches (:class:`~repro.engine.session.EvalSession`) key a mutated
+file by its content when first seen plus its lineage since, so they observe
+mutations as new keys rather than silently stale entries, without reading
+the file again.
 ``source_rowids`` keeps the provenance of every heap row back to its source
 (flat-table) row, which is what lets a deletion propagate to projections that
 do not carry the deletion predicate's attributes.
@@ -48,6 +52,15 @@ class CompactionStats:
     pages_read: int = 0
     pages_written: int = 0
     merged_from_row: int = 0
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``, skipped when ``values`` is already strictly
+    increasing — what a Correlation Map lookup hands the range and bucket
+    expansions, though other callers may pass anything."""
+    if len(values) < 2 or (values[1:] > values[:-1]).all():
+        return values
+    return np.unique(values)
 
 
 class HeapFile:
@@ -94,6 +107,12 @@ class HeapFile:
         # is the unsorted insert tail.  ``live`` is None (all rows live) or a
         # boolean mask; tombstoned rows keep their pages until compaction.
         self.version = 0
+        # What was done to this file since it was built: a 16-byte hash
+        # chain over every mutation's inputs, folded where ``version`` is
+        # bumped.  Two files with equal content at some point and equal
+        # chain values then and now hold equal content now, which lets a
+        # session key a mutated file without reading it.
+        self.lineage = b""
         # Counts *sorted-region* changes only: inserts grow the tail and
         # deletes tombstone in place, but only compaction rewrites the
         # clustered order — the event rank-code consumers (CMs) care about.
@@ -178,12 +197,25 @@ class HeapFile:
         self.shm_shared = True
         return moved
 
-    def _refresh_geometry(self) -> None:
+    def _refresh_geometry(self, mutation: str, *given: np.ndarray) -> None:
+        """Every mutator ends here: geometry follows the new row count, and
+        ``version`` and ``lineage`` record the mutation (its name and the
+        arrays it was given — all four mutators are deterministic in the
+        file's state and those)."""
+        from hashlib import blake2b
+
         self.npages = self.disk.pages_for_rows(self.table.nrows, self.row_bytes)
         self.btree_height = btree_height(
             self.npages, self._key_bytes, self.disk.page_size
         )
         self.version += 1
+        link = blake2b(self.lineage, digest_size=16)
+        link.update(mutation.encode())
+        for arr in given:
+            arr = np.ascontiguousarray(arr)
+            link.update(f"|{arr.dtype.str}{arr.shape}".encode())
+            link.update(arr)
+        self.lineage = link.digest()
         # Mutators rebind arrays, so the file may no longer be fully
         # arena-backed; allow a later share_columns() to re-share it.
         self.shm_shared = False
@@ -233,7 +265,9 @@ class HeapFile:
             self.live = np.concatenate(
                 (self.live, np.ones(n_new, dtype=bool))
             )
-        self._refresh_geometry()
+        self._refresh_geometry(
+            "insert", *(batch[n] for n in names), self.source_rowids[-n_new:]
+        )
         return target_pages
 
     def _clustered_target_pages(
@@ -268,7 +302,7 @@ class HeapFile:
             return doomed
         live[doomed] = False
         self.live = live
-        self._refresh_geometry()
+        self._refresh_geometry("delete", doomed)
         return doomed
 
     def delete_source(self, source_ids: np.ndarray) -> np.ndarray:
@@ -300,7 +334,7 @@ class HeapFile:
         self.sorted_rows = self.table.nrows
         self.sorted_epoch += 1
         self._prefix_codes = {}
-        self._refresh_geometry()
+        self._refresh_geometry("compact")
         return CompactionStats(
             rows_merged=rows_merged,
             rows_reclaimed=rows_reclaimed,
@@ -361,7 +395,7 @@ class HeapFile:
         self.sorted_rows = self.table.nrows
         self.sorted_epoch += 1
         self._prefix_codes = {}
-        self._refresh_geometry()
+        self._refresh_geometry("tail_merge")
         first_page = boundary // self.rows_per_page
         return CompactionStats(
             rows_merged=rows_merged,
@@ -432,7 +466,7 @@ class HeapFile:
         codes.  ``wanted_codes`` must be in the same code space as
         :meth:`prefix_codes_for_rows` output for this depth."""
         codes = self._prefix_code(depth)
-        wanted = np.unique(np.asarray(wanted_codes, dtype=np.int64))
+        wanted = sorted_unique(np.asarray(wanted_codes, dtype=np.int64))
         if len(wanted) == 0 or self.nrows == 0:
             return []
         starts = np.searchsorted(codes, wanted, side="left")

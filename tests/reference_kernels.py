@@ -2,7 +2,8 @@
 
 These are the forms the production code used before it was made faster (one
 sorted pass instead of a loop of ``np.unique``; one strength lookup per
-attribute pair instead of one per query and step), moved here verbatim: they
+attribute pair instead of one per query and step; one scalar pricing core
+instead of a ``PlanEstimate`` per plan family), moved here verbatim: they
 exist *only* as test oracles (``test_reference_kernels.py``) and share no
 state with the code under test — no cache, no memo, no packed array.
 """
@@ -12,8 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cm.bucketing import bucket_codes, entries_match
+from repro.costmodel.base import ObjectGeometry, PlanEstimate
+from repro.costmodel.correlation_aware import (
+    CorrelationAwareCostModel,
+    expected_runs,
+)
 from repro.design.selectivity import SelectivityVectors, VectorKey
-from repro.relational.query import Query
+from repro.relational.query import KIND_EQ, Query
 from repro.stats.collector import TableStatistics
 from repro.storage.layout import HeapFile
 
@@ -220,3 +226,116 @@ class ReferenceCorrelationMap:
             return np.empty(0, dtype=np.int64)
         matched = [p for p, m in zip(self.postings, mask) if m]
         return np.unique(np.concatenate(matched))
+
+
+# ------------------------------------------------------------ plan pricing
+
+
+def _reference_scan_plan(
+    model: CorrelationAwareCostModel,
+    geometry: ObjectGeometry,
+    query: Query,
+    group_attrs: tuple[str, ...],
+    pred_attrs: tuple[str, ...],
+    plan_name: str,
+) -> PlanEstimate:
+    stats, disk = model.stats, model.disk
+    rows_per_page = disk.rows_per_page(max(geometry.row_bytes, 1))
+    gap_rows = disk.fragment_gap_pages * rows_per_page
+    layout = stats.estimate_layout(
+        group_attrs, query, gap_rows, pred_attrs=pred_attrs
+    )
+    if layout is not None:
+        fragments, fraction = layout
+    else:
+        mask = stats.sample_mask(query, attrs=pred_attrs)
+        groups_total = max(1.0, stats.distinct(group_attrs))
+        groups_hit = stats.distinct_among(mask, group_attrs)
+        if groups_hit <= 0.0:
+            sel = max(
+                stats.query_selectivity(query),
+                1.0 / max(stats.nrows, 1),
+            )
+            groups_hit = max(1.0, sel * groups_total)
+        fraction = min(1.0, groups_hit / groups_total)
+        fragments = expected_runs(groups_hit, groups_total)
+    max_fragments = max(1.0, geometry.npages / (disk.fragment_gap_pages + 1.0))
+    fragments = min(fragments, max_fragments)
+    read_s = geometry.full_scan_s * fraction
+    seek_s = disk.seek_cost_s * fragments * geometry.btree_height
+    return PlanEstimate(
+        plan=plan_name,
+        seconds=read_s + seek_s,
+        read_s=read_s,
+        seek_s=seek_s,
+        fragments=fragments,
+        scanned_fraction=fraction,
+    )
+
+
+def _reference_clustered_plan(
+    model: CorrelationAwareCostModel, geometry: ObjectGeometry, query: Query
+) -> PlanEstimate | None:
+    depth = 0
+    for attr in geometry.cluster_key:
+        pred = query.predicate_on(attr)
+        if pred is None:
+            break
+        depth += 1
+        if pred.kind != KIND_EQ:
+            break
+    if depth == 0:
+        return None
+    prefix = geometry.cluster_key[:depth]
+    return _reference_scan_plan(
+        model, geometry, query, prefix, prefix, f"clustered[{','.join(prefix)}]"
+    )
+
+
+def _reference_cm_plan(
+    model: CorrelationAwareCostModel, geometry: ObjectGeometry, query: Query
+) -> PlanEstimate | None:
+    if not geometry.cluster_key:
+        return None
+    pred_attrs = tuple(
+        a for a in query.predicate_attrs() if a in geometry.attrs
+    )
+    if not pred_attrs:
+        return None
+    return _reference_scan_plan(
+        model,
+        geometry,
+        query,
+        geometry.cluster_key,
+        pred_attrs,
+        f"cm[{','.join(pred_attrs)}]",
+    )
+
+
+def reference_explain(
+    model: CorrelationAwareCostModel, geometry: ObjectGeometry, query: Query
+) -> PlanEstimate:
+    """The per-pair plan chain: one ``PlanEstimate`` per plan family (full
+    scan, clustered prefix, CM), the cheapest by ``min`` — first wins ties."""
+    have = set(geometry.attrs)
+    if not all(a in have for a in query.attributes()):
+        return PlanEstimate(plan="not_covered", seconds=float("inf"))
+    seek_s = model.disk.seek_cost_s
+    plans = [
+        PlanEstimate(
+            plan="full_scan",
+            seconds=geometry.full_scan_s + seek_s,
+            read_s=geometry.full_scan_s,
+            seek_s=seek_s,
+            fragments=1.0,
+            scanned_fraction=1.0,
+        )
+    ]
+    clustered = _reference_clustered_plan(model, geometry, query)
+    if clustered is not None:
+        plans.append(clustered)
+    if model.use_cm:
+        cm = _reference_cm_plan(model, geometry, query)
+        if cm is not None:
+            plans.append(cm)
+    return min(plans, key=lambda p: p.seconds)

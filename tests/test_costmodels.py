@@ -141,6 +141,91 @@ class TestCorrelationAwareModel:
         assert estimated == pytest.approx(measured, rel=1.0)
 
 
+class TestPriceMemo:
+    """``query_seconds`` memoises on the model, by content."""
+
+    Q = Query(
+        "q", "people", [EqPredicate("city", 123)], [Aggregate("sum", ("salary",))]
+    )
+
+    def test_second_call_is_a_lookup(self, stats, disk, monkeypatch):
+        from repro.costmodel import base
+
+        model = CorrelationAwareCostModel(stats, disk)
+        g = geom(stats, disk, ("state",))
+        first = model.query_seconds(g, self.Q)
+        assert first == model.explain(g, self.Q).seconds
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a memoised price recomputed or allocated")
+
+        monkeypatch.setattr(TableStatistics, "estimate_layout", no_work)
+        monkeypatch.setattr(CorrelationAwareCostModel, "_best_plan", no_work)
+        monkeypatch.setattr(base.PlanEstimate, "__init__", no_work)
+        assert model.query_seconds(g, self.Q) is first
+        # The same content under another name, weight and geometry object.
+        twin = Query(
+            "other", "people", self.Q.predicates, self.Q.aggregates, frequency=9.0
+        )
+        assert model.query_seconds(geom(stats, disk, ("state",)), twin) is first
+        assert len(model._prices) == 1
+
+    def test_content_not_name_is_the_key(self, stats, disk):
+        model = CorrelationAwareCostModel(stats, disk)
+        g = geom(stats, disk, ("state",))
+        narrow = Query(
+            "same", "people", [EqPredicate("city", 123), EqPredicate("state", 6)]
+        )
+        wide = Query("same", "people", [EqPredicate("state", 6)])
+        fresh = CorrelationAwareCostModel(stats, disk)
+        assert model.query_seconds(g, narrow) != model.query_seconds(g, wide)
+        assert model.query_seconds(g, wide) == fresh.query_seconds(g, wide)
+        # Another key, another row width or another file size is another price.
+        assert len(model._prices) == 2
+        model.query_seconds(geom(stats, disk, ("salary",)), wide)
+        narrower = ObjectGeometry.from_attrs(
+            stats, disk, ("state", "city"), ("state",)
+        )
+        model.query_seconds(narrower, wide)
+        assert len(model._prices) == 4
+
+    def test_uncovered_is_infinite_and_not_stored(self, stats, disk):
+        model = CorrelationAwareCostModel(stats, disk)
+        g = ObjectGeometry.from_attrs(stats, disk, ("state", "region"), ("state",))
+        assert model.query_seconds(g, self.Q) == float("inf")
+        assert model._prices == {}
+
+    def test_models_over_different_statistics_never_share(self, stats, disk):
+        other_stats = TableStatistics(
+            make_people(n=60_000, seed=5), synopsis_rows=6_000
+        )
+        a = CorrelationAwareCostModel(stats, disk)
+        b = CorrelationAwareCostModel(other_stats, disk)
+        assert a._prices is not b._prices
+        price_a = a.query_seconds(geom(stats, disk, ("state",)), self.Q)
+        assert b._prices == {}
+        price_b = b.query_seconds(geom(other_stats, disk, ("state",)), self.Q)
+        assert price_b == CorrelationAwareCostModel(other_stats, disk).explain(
+            geom(other_stats, disk, ("state",)), self.Q
+        ).seconds
+        assert price_a == a.explain(geom(stats, disk, ("state",)), self.Q).seconds
+
+    def test_heapfile_geometry_of_other_size_is_priced_apart(
+        self, people, stats, disk
+    ):
+        """A geometry read off a physical file need not match the model's
+        own row count; its pages and height are part of the key."""
+        model = CorrelationAwareCostModel(stats, disk)
+        half = people.select(slice(0, people.nrows // 2)).project(list(ATTRS))
+        g_half = ObjectGeometry.from_heapfile(HeapFile(half, ("state",), disk))
+        g_full = geom(stats, disk, ("state",))
+        assert g_half.row_bytes == g_full.row_bytes
+        assert g_half.npages < g_full.npages
+        price_half = model.query_seconds(g_half, self.Q)
+        assert model.query_seconds(g_full, self.Q) > price_half
+        assert price_half == model.explain(g_half, self.Q).seconds
+
+
 class TestObliviousModel:
     def test_cardenas_limits(self):
         assert cardenas_pages(100, 0) == 0.0

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel.correlation_aware import CorrelationAwareCostModel
+from repro.design import clustering, grouping
 from repro.design.clustering import ClusteredIndexDesigner, order_preserving_merges
+from repro.design.designer import CoraddDesigner, DesignerConfig
 from repro.design.dominate import dominates, prune_dominated
 from repro.design.enumerate import CandidateEnumerator
-from repro.design.grouping import enumerate_query_groups, extended_vectors
+from repro.design.grouping import (
+    GroupingMemo,
+    enumerate_query_groups,
+    extended_vectors,
+)
 from repro.design.mv import (
     KIND_FACT_RECLUSTER,
     KIND_MV,
@@ -26,9 +32,12 @@ from repro.relational.query import (
     InPredicate,
     Query,
     RangePredicate,
+    Workload,
 )
+from repro.stats import distinct
 from repro.stats.collector import TableStatistics
 from repro.storage.disk import DiskModel
+from repro.workloads.registry import make
 from tests.conftest import make_people
 
 
@@ -94,23 +103,30 @@ def test_merge_properties(a, b):
     assert len(set(merges)) == len(merges)
 
 
-def count_score_key_calls(monkeypatch) -> list:
-    """Record every ``ClusteredIndexDesigner.score_key`` call from now on."""
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Count every call of ``owner.name`` from now on (one entry each)."""
     calls = []
-    score_key = ClusteredIndexDesigner.score_key
+    original = getattr(owner, name)
 
-    def counting(self, key, mv_attrs, queries):
-        calls.append(key)
-        return score_key(self, key, mv_attrs, queries)
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(ClusteredIndexDesigner, "score_key", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
+def count_score_key_calls(monkeypatch) -> list:
+    """Record every ``ClusteredIndexDesigner.score_key`` call from now on."""
+    return count_calls(monkeypatch, ClusteredIndexDesigner, "score_key")
+
+
 class TestClusteredIndexDesigner:
-    def make_designer(self, stats, disk) -> ClusteredIndexDesigner:
+    def make_designer(self, stats, disk, **kwargs) -> ClusteredIndexDesigner:
         model = CorrelationAwareCostModel(stats, disk)
-        return ClusteredIndexDesigner(stats=stats, disk=disk, cost_model=model)
+        return ClusteredIndexDesigner(
+            stats=stats, disk=disk, cost_model=model, **kwargs
+        )
 
     def test_dedicated_key_orders_by_kind_then_selectivity(self, stats, disk):
         designer = self.make_designer(stats, disk)
@@ -214,10 +230,66 @@ class TestClusteredIndexDesigner:
         clone = enumerator.with_queries(queries[:2])
         assert clone.designer is not enumerator.designer
         calls = count_score_key_calls(monkeypatch)
+        priced = count_calls(monkeypatch, CorrelationAwareCostModel, "_best_plan")
         # The clone's selectivity vectors are its own, so it designs again
-        # (and, the inputs being equal here, arrives at the same keys).
+        # (and, the inputs being equal here, arrives at the same keys) —
+        # from prices the cost model it shares has already computed.
         assert clone.designer.design_for_group(queries[:2], attrs, t=2) == want
-        assert calls
+        assert calls and not priced
+
+    def test_reused_query_name_is_priced_by_content(self):
+        """Regression: scores were cached under the query *name*, so a
+        second query reusing a name got the first one's price."""
+        inst = make("ssb", scale=0.02)
+        designer = CoraddDesigner(
+            inst.flat_tables, inst.workload, inst.primary_keys, inst.fk_attrs
+        )
+        kd = designer.enumerators[0].designer
+        q11 = inst.workload.query("Q1.1")
+        a = Query("same", q11.fact_table, list(q11.predicates), q11.aggregates)
+        b = Query("same", q11.fact_table, q11.predicates[:1], q11.aggregates)
+        attrs, key = a.attributes(), ("year", "discount", "quantity")
+        price_a = kd.score_key(key, attrs, [a])
+        price_b = kd.score_key(key, attrs, [b])
+        assert price_a != price_b
+        unprimed = CoraddDesigner(
+            inst.flat_tables, inst.workload, inst.primary_keys, inst.fk_attrs
+        ).enumerators[0].designer
+        assert price_b == unprimed.score_key(key, attrs, [b])
+
+    def test_split_is_memoised_per_points(self, stats, disk, monkeypatch):
+        queries = queries_fixture()
+        vectors = build_selectivity_vectors(queries, stats)
+        memo = GroupingMemo()
+        designer = self.make_designer(
+            stats, disk, vectors=vectors, grouping_memo=memo
+        )
+        calls = count_calls(monkeypatch, grouping, "kmeans")
+        attrs = ordered_mv_attrs((), queries)
+        designer.design_for_group(queries, attrs, t=2)
+        clustered = len(calls)
+        assert clustered == len(memo.splits) > 0
+        # The same members met again — under another parent group, at
+        # another t, through another designer on the same memo — are looked
+        # up; a split is points and seed, nothing else.
+        wider = ordered_mv_attrs(("region",), queries)
+        designer.design_for_group(queries, wider, t=3)
+        again = self.make_designer(
+            stats, disk, vectors=vectors, grouping_memo=memo
+        )
+        assert again._split(queries) == designer._split(queries)
+        assert len(calls) == clustered
+        reseeded = self.make_designer(
+            stats, disk, vectors=vectors, grouping_memo=memo, seed=1
+        )
+        reseeded._split(queries)
+        assert len(calls) == clustered + 1
+        # No memo, no lookup: every split clusters, to the same halves.
+        direct = count_calls(monkeypatch, clustering, "kmeans")
+        bare = self.make_designer(stats, disk, vectors=vectors)
+        assert bare._split(queries) == designer._split(queries)
+        bare._split(queries)
+        assert len(direct) == 2 and len(calls) == clustered + 1
 
     def test_validation(self, stats, disk):
         designer = self.make_designer(stats, disk)
@@ -225,6 +297,34 @@ class TestClusteredIndexDesigner:
             designer.design_for_group([], ("state",), t=1)
         with pytest.raises(ValueError):
             designer.design_for_group(queries_fixture(), ("state",), t=0)
+
+
+def test_design_work_is_bounded(monkeypatch):
+    """The kernel work of ``enumerate()`` plus one ``update()`` on the small
+    drift fixture of ``tests/test_incremental.py``, as exact call counts
+    (they repeat): layout simulations, k-means runs, sample counts.  A
+    change that drops a memo — prices on the cost model, splits on the
+    grouping memo, one count per AE estimate — fails here instead of
+    slowing a benchmark."""
+    inst = make("ssb", lineorder_rows=12_000, seed=3)
+    queries = list(inst.workload)
+    phase1 = Workload(
+        "p1", queries[3:9] + [q.with_frequency(1.5) for q in queries[9:12]]
+    )
+    designer = CoraddDesigner(
+        inst.flat_tables,
+        Workload("p0", queries[:9]),
+        inst.primary_keys,
+        inst.fk_attrs,
+        config=DesignerConfig(t0=1, alphas=(0.0, 0.25, 0.5), use_feedback=False),
+    )
+    simulated = count_calls(monkeypatch, TableStatistics, "_simulate_scan")
+    counted = count_calls(monkeypatch, distinct, "_frequency_of_frequencies")
+    clustered = count_calls(monkeypatch, grouping, "kmeans")
+    monkeypatch.setattr(clustering, "kmeans", grouping.kmeans)
+    designer.enumerate()
+    designer.update(phase1, int(inst.total_base_bytes() * 0.6))
+    assert (len(simulated), len(clustered), len(counted)) == (480, 100, 552)
 
 
 class TestGrouping:

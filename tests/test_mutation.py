@@ -63,6 +63,18 @@ def _logical_rows(db, fact, query):
     return set(base.source_rowids[mask].tolist())
 
 
+def _answers(inst, db):
+    """(plan, cost, result mask) of every workload query on ``db``."""
+    return {
+        q.name: (
+            db.run(q).plan,
+            db.run(q).result.cost,
+            db.run(q).result.mask.tobytes(),
+        )
+        for q in inst.workload
+    }
+
+
 def _apply_stream(inst, db, session, **kwargs):
     executor = RefreshExecutor(db, pool_pages=2_048, session=session, **kwargs)
     total = 0.0
@@ -75,24 +87,28 @@ def _apply_stream(inst, db, session, **kwargs):
 # ------------------------------------------------------------------ heap file
 
 
+def _small_file(nrows=500, seed=0):
+    from repro.relational.schema import Column, TableSchema
+    from repro.relational.table import Table
+    from repro.relational.types import INT32
+
+    rng = np.random.default_rng(seed)
+    schema = TableSchema(
+        "t", [Column("k", INT32), Column("v", INT32)], primary_key=("k",)
+    )
+    table = Table(
+        schema,
+        {
+            "k": rng.permutation(nrows).astype(np.int64),
+            "v": rng.integers(0, 50, nrows),
+        },
+    )
+    return table, HeapFile(table, ("k",), DiskModel(), name="t")
+
+
 class TestHeapFileMutation:
     def _file(self, nrows=500, seed=0):
-        from repro.relational.schema import Column, TableSchema
-        from repro.relational.table import Table
-        from repro.relational.types import INT32
-
-        rng = np.random.default_rng(seed)
-        schema = TableSchema(
-            "t", [Column("k", INT32), Column("v", INT32)], primary_key=("k",)
-        )
-        table = Table(
-            schema,
-            {
-                "k": rng.permutation(nrows).astype(np.int64),
-                "v": rng.integers(0, 50, nrows),
-            },
-        )
-        return table, HeapFile(table, ("k",), DiskModel(), name="t")
+        return _small_file(nrows, seed)
 
     def test_insert_appends_to_tail(self):
         _, hf = self._file()
@@ -157,6 +173,58 @@ class TestHeapFileMutation:
         clone.delete_rows(np.array([0]))
         assert hf.tail_rows == 0 and hf.live is None and hf.version == 0
         assert clone.tail_rows == 1 and clone.live is not None
+        assert hf.lineage == b"" and len(clone.lineage) == 16
+
+    def test_lineage_records_what_was_done_in_order(self):
+        """Same root, same mutations in the same order: same chain.  Any
+        other batch, order or mutation: another chain."""
+        _, hf = self._file()
+        first = {"k": np.array([900, 901]), "v": np.array([1, 2])}
+        second = {"k": np.array([902]), "v": np.array([3])}
+
+        def chain(*steps):
+            clone = hf.mutable_copy()
+            seen = [clone.lineage]
+            for step in steps:
+                step(clone)
+                seen.append(clone.lineage)
+            assert len(set(seen)) == len(seen)  # every mutation moves it
+            return clone
+
+        def insert(batch):
+            return lambda f: f.insert(batch, np.arange(len(batch["k"])) + 5_000)
+
+        def delete(f):
+            f.delete_rows(np.array([3, 4]))
+
+        a = chain(insert(first), delete, insert(second), HeapFile.tail_merge)
+        b = chain(insert(first), delete, insert(second), HeapFile.tail_merge)
+        assert a.lineage == b.lineage
+        for name in ("k", "v"):
+            assert np.array_equal(a.table.column(name), b.table.column(name))
+        assert a.mutable_copy().lineage == a.lineage  # a copy carries it
+        others = [
+            chain(insert(second), delete, insert(first), HeapFile.tail_merge),
+            chain(insert(first), insert(second), delete, HeapFile.tail_merge),
+            chain(insert(first), delete, insert(second), HeapFile.compact),
+            chain(insert(first), delete, insert(second)),
+            chain(
+                insert({**first, "v": np.array([1, 9])}), delete,
+                insert(second), HeapFile.tail_merge,
+            ),
+            chain(
+                insert(first), lambda f: f.delete_rows(np.array([3, 5])),
+                insert(second), HeapFile.tail_merge,
+            ),
+        ]
+        chains = {a.lineage, *(o.lineage for o in others)}
+        assert len(chains) == 1 + len(others)
+        # A no-op (an empty batch, no rows to delete) is not a mutation.
+        before = (a.version, a.lineage)
+        nothing = np.array([], dtype=np.int64)
+        a.insert({"k": nothing, "v": nothing})
+        a.delete_rows(nothing)
+        assert (a.version, a.lineage) == before
 
 
 # ------------------------------------------------------- end-to-end invalidation
@@ -200,24 +268,10 @@ class TestMutationInvalidation:
                 with ctx:
                     _, db = _materialized(inst, session)
                     _apply_stream(inst, db, session)
-                    return {
-                        q.name: (
-                            db.run(q).plan,
-                            db.run(q).result.cost,
-                            db.run(q).result.mask.tobytes(),
-                        )
-                        for q in inst.workload
-                    }
+                    return _answers(inst, db)
             _, db = _materialized(inst, None)
             _apply_stream(inst, db, None)
-            return {
-                q.name: (
-                    db.run(q).plan,
-                    db.run(q).result.cost,
-                    db.run(q).result.mask.tobytes(),
-                )
-                for q in inst.workload
-            }
+            return _answers(inst, db)
 
         assert run(True) == run(False)
 
@@ -246,6 +300,175 @@ class TestMutationInvalidation:
             # private copies.
             assert db_b.object("lineorder").heapfile.nrows == rows_before
             assert db_a.object("lineorder").heapfile.nrows != rows_before
+
+
+# ----------------------------------------------------------- lineage keys
+
+
+def _count_content_keys(monkeypatch) -> list:
+    calls = []
+    original = EvalSession._content_key_for
+
+    def counting(self, heapfile):
+        calls.append(heapfile.name)
+        return original(self, heapfile)
+
+    monkeypatch.setattr(EvalSession, "_content_key_for", counting)
+    return calls
+
+
+class TestLineageKeys:
+    """A mutated file is keyed by what was done to it, not by re-reading
+    it: equal keys imply equal content, and twins keep sharing."""
+
+    BATCHES = [
+        {"k": np.array([900, 901]), "v": np.array([1, 2])},
+        {"k": np.array([902]), "v": np.array([3])},
+    ]
+
+    def _adopted_copies(self, session, n, seed=0):
+        _, hf = _small_file(seed=seed)
+        copies = [hf.mutable_copy() for _ in range(n)]
+        keys = {session.adopt_heapfile(copy) for copy in copies}
+        assert len(keys) == 1  # unmutated copies of one file: one content key
+        return copies
+
+    def test_twins_share_a_key_and_a_cm_build(self, monkeypatch):
+        session = EvalSession()
+        a, b, other_batch, other_order = self._adopted_copies(session, 4)
+        (other_root,) = self._adopted_copies(session, 1, seed=1)
+        digested = _count_content_keys(monkeypatch)
+        for hf in (a, b, other_root):
+            for batch in self.BATCHES:
+                hf.insert(batch)
+            hf.delete_rows(np.array([0, 1]))
+            hf.tail_merge()
+        other_batch.insert(self.BATCHES[0])
+        other_batch.insert({"k": np.array([903]), "v": np.array([3])})
+        for batch in reversed(self.BATCHES):
+            other_order.insert(batch)
+        for hf in (other_batch, other_order):
+            hf.delete_rows(np.array([0, 1]))
+            hf.tail_merge()
+        key = session.heapfile_key(a)
+        assert key[0] == "hf-lineage" and key == session.heapfile_key(b)
+        assert key == session.adopt_heapfile(b)  # re-adoption re-keys too
+        distinct = {
+            session.heapfile_key(hf)
+            for hf in (a, other_batch, other_order, other_root)
+        }
+        assert len(distinct) == 4
+        assert not digested  # nothing was read to tell them apart
+        with use_session(session):
+            cm_a = session.correlation_map(a, ("v",), (1,), 1)
+            assert session.correlation_map(b, ("v",), (1,), 1) is cm_a
+            assert session.stats["cm_build_misses"] == 1
+            assert session.stats["cm_build_hits"] == 1
+            for hf in (other_batch, other_order, other_root):
+                assert session.correlation_map(hf, ("v",), (1,), 1) is not cm_a
+            assert session.stats["cm_build_misses"] == 4
+        # Keys move with every further mutation, for each twin alike.
+        a.insert(self.BATCHES[0])
+        assert session.heapfile_key(a) != key == session.heapfile_key(b)
+        b.insert(self.BATCHES[0])
+        assert session.heapfile_key(a) == session.heapfile_key(b)
+
+    def test_session_built_file_mutated_in_place(self):
+        session = EvalSession()
+        table, _ = _small_file()
+        hf = session.heapfile(table, None, ("k",), DiskModel(), "t")
+        built_key = session.heapfile_key(hf)
+        hf.insert(self.BATCHES[0])
+        assert session.heapfile_key(hf) == (
+            "hf-lineage", built_key, b"", hf.lineage
+        )
+        # The mutated object no longer answers for its build inputs.
+        rebuilt = session.heapfile(table, None, ("k",), DiskModel(), "t")
+        assert rebuilt is not hf and rebuilt.nrows == table.nrows
+
+    def test_file_first_seen_mutated_is_read_once(self, monkeypatch):
+        digested = _count_content_keys(monkeypatch)
+        session = EvalSession()
+        _, hf = _small_file()
+        hf.insert(self.BATCHES[0])
+        seen_at = hf.lineage
+        adopted = session.adopt_heapfile(hf)
+        assert adopted[0] == "hf-content" and digested == ["t"]
+        hf.insert(self.BATCHES[1])
+        assert session.heapfile_key(hf) == (
+            "hf-lineage", adopted, seen_at, hf.lineage
+        )
+        assert digested == ["t"]
+
+    def test_refresh_stream_reads_each_file_once_and_pins_nothing(
+        self, inst, monkeypatch
+    ):
+        digested = _count_content_keys(monkeypatch)
+        session = EvalSession()
+        with use_session(session):
+            _, db = _materialized(inst, session)
+            executor = RefreshExecutor(db, pool_pages=512, session=session)
+            batches = inst.refresh.batches()
+            executor.apply(batches[0])  # privatizes: each file digested once
+            objects = db.objects_for_fact("lineorder")
+            assert sorted(digested) == sorted(obj.name for obj in objects)
+            pinned = len(session._pinned)
+            keys = {session.heapfile_key(obj.heapfile) for obj in objects}
+            for batch in batches[1:]:
+                executor.apply(batch)
+            assert len(session._pinned) == pinned
+            assert len(digested) == len(objects)
+            moved = {session.heapfile_key(obj.heapfile) for obj in objects}
+            assert len(moved) == len(objects) and not moved & keys
+
+    def test_twin_databases_share_caches_and_answer_as_without(
+        self, inst, monkeypatch
+    ):
+        """Two materializations of one design take the same stream on one
+        session (the shape of ``experiments/refresh_design.py``): each
+        privatized file is read once however many batches land, the second
+        database's CM builds and scans are hits under the twins' shared
+        lineage keys, and every answer equals the sessionless one."""
+        from repro.cm.designer import CMDesigner
+
+        def design_cms(design, db, session, budget_bytes):
+            designer = CMDesigner(budget_bytes=budget_bytes)
+            for spec in design.object_specs():
+                obj, queries = db.object(spec.name), design.spec_queries(spec)
+                if spec.cluster_key and queries:
+                    obj.cms = (
+                        session.design_cms(designer, obj.heapfile, queries)
+                        if session is not None
+                        else designer.design(obj.heapfile, queries)
+                    )
+            db.invalidate_plans()
+
+        digested = _count_content_keys(monkeypatch)
+        session = EvalSession()
+        with use_session(session):
+            design, db_a = _materialized(inst, session)
+            db_b = design.materialize(session)
+            for db in (db_a, db_b):
+                _apply_stream(inst, db, session, compaction="tail-merge")
+            assert len(digested) == len(db_a.objects) + len(db_b.objects)
+            budget = design.cm_budget_bytes
+            design_cms(design, db_a, session, budget)
+            built = session.stats["cm_build_misses"]
+            reused = session.stats["cm_build_hits"]
+            # Another designer knob: the whole-object and per-query CM
+            # tiers miss, the builds underneath must not.
+            design_cms(design, db_b, session, budget + 1)
+            assert session.stats["cm_build_misses"] == built > 0
+            assert session.stats["cm_build_hits"] > reused
+            first = _answers(inst, db_a)
+            hits = session.stats["scan_hits"]
+            assert _answers(inst, db_b) == first
+            assert session.stats["scan_hits"] > hits
+            assert len(digested) == len(db_a.objects) + len(db_b.objects)
+        design, bare = _materialized(inst, None)
+        _apply_stream(inst, bare, None, compaction="tail-merge")
+        design_cms(design, bare, None, budget)
+        assert _answers(inst, bare) == first
 
 
 # --------------------------------------------------------------- CM refresh

@@ -11,6 +11,7 @@ that shared its heap files.
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -130,10 +131,8 @@ class TestEnumerationFanout:
             config=CONFIG,
         )
 
-    @needs_fork
-    def test_parallel_enumeration_is_bit_identical(self):
-        serial = list(self._designer().enumerate())
-        parallel = list(self._designer().enumerate(workers=2))
+    @staticmethod
+    def _assert_same_pool(serial, parallel):
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a.cand_id == b.cand_id
@@ -141,6 +140,35 @@ class TestEnumerationFanout:
             assert a.size_bytes == b.size_bytes
             assert a.runtimes == b.runtimes
             assert a.btree_keys == b.btree_keys
+
+    @needs_fork
+    def test_parallel_enumeration_is_bit_identical(self):
+        warmed = self._designer()
+        serial = list(warmed.enumerate())
+        self._assert_same_pool(
+            serial, list(self._designer().enumerate(workers=2))
+        )
+        # Again from the designer the serial pass has warmed: its
+        # enumerators now carry priced cost models, split memos and ranked
+        # groups into the workers, and the pool must not notice.
+        assert all(e.cost_model._prices for e in warmed.enumerators)
+        warmed.state.candidates = None
+        warmed.state.archive.clear()
+        self._assert_same_pool(serial, list(warmed.enumerate(workers=2)))
+
+    def test_warmed_enumerator_pickles(self):
+        """What the fan-out ships — queries with their derived views, the
+        cost model with its price memo, the grouping memo — survives a
+        pickle round trip and enumerates the same pool."""
+        designer = self._designer()
+        enumerator = designer.enumerators[0]
+        pool = list(enumerator.enumerate())
+        shipped = pickle.loads(pickle.dumps(enumerator))
+        assert shipped.cost_model._prices == enumerator.cost_model._prices
+        assert shipped.grouping_memo.splits.keys() == (
+            enumerator.grouping_memo.splits.keys()
+        )
+        self._assert_same_pool(pool, list(shipped.enumerate()))
 
     def test_single_fact_workload_skips_fanout(self, tpch_designs):
         inst = make("tpch", scale=0.05, seed=3)

@@ -1,5 +1,7 @@
 """Unit tests for predicates, queries, workloads."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.relational.query import (
     RangePredicate,
     Workload,
 )
+from repro.workloads.registry import available, make
 from tests.test_table import make_table
 
 
@@ -122,6 +125,67 @@ class TestQuery:
         q = Query("q", "f", [EqPredicate("a", 1)], [Aggregate("median", ("m",))])
         with pytest.raises(ValueError, match="unknown aggregate"):
             q.answer(t)
+
+
+def _recomputed_views(q: Query) -> dict:
+    """What a query's accessors answer, derived afresh from its public
+    fields the way each accessor used to on every call."""
+    predicate_attrs = tuple(p.attr for p in q.predicates)
+    target_attrs = tuple(dict.fromkeys(
+        [a for agg in q.aggregates for a in agg.attrs]
+        + list(q.group_by) + list(q.order_by)
+    ))
+    attributes = tuple(dict.fromkeys(predicate_attrs + target_attrs))
+    return {
+        "predicate_attrs": predicate_attrs,
+        "target_attrs": target_attrs,
+        "attributes": attributes,
+        "fingerprint": (q.fact_table, tuple(q.predicates), attributes),
+        "predicate_on": {
+            a: next((p for p in q.predicates if p.attr == a), None)
+            for a in attributes + ("no_such_attr",)
+        },
+        "predicate_keys": frozenset((p.attr, str(p)) for p in q.predicates),
+        "prefix_keys": [
+            frozenset(
+                (p.attr, str(p)) for p in q.predicates if p.attr in attributes[:n]
+            )
+            for n in range(len(attributes) + 1)
+        ],
+    }
+
+
+def _derived_views(q: Query) -> dict:
+    attributes = q.attributes()
+    return {
+        "predicate_attrs": q.predicate_attrs(),
+        "target_attrs": q.target_attrs(),
+        "attributes": attributes,
+        "fingerprint": q.fingerprint(),
+        "predicate_on": {
+            a: q.predicate_on(a) for a in attributes + ("no_such_attr",)
+        },
+        "predicate_keys": q.predicate_keys(),
+        "prefix_keys": [
+            q.predicate_keys(attributes[:n]) for n in range(len(attributes) + 1)
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", available())
+def test_derived_views_equal_recomputed_ones(name):
+    """Every registry workload: the views a query derives once at
+    construction are the ones its fields spell out, and they come through
+    ``with_frequency`` and a pickle round trip intact."""
+    for q in make(name, scale=0.02).workload:
+        want = _recomputed_views(q)
+        assert _derived_views(q) == want
+        reweighted = q.with_frequency(q.frequency * 3.0)
+        assert reweighted.frequency == q.frequency * 3.0
+        assert _derived_views(reweighted) == want
+        shipped = pickle.loads(pickle.dumps(q))
+        assert (shipped.name, shipped.frequency) == (q.name, q.frequency)
+        assert _derived_views(shipped) == want
 
 
 class TestWorkload:

@@ -1,8 +1,10 @@
 """The fast kernels equal their reference implementations bit for bit: the
 memoised layout simulation of ``TableStatistics.estimate_layout``, the
-CSR-packed ``CorrelationMap`` and the strength-caching Selectivity
-Propagation against ``tests/reference_kernels.py``."""
+CSR-packed ``CorrelationMap``, the strength-caching Selectivity Propagation
+and the cost model's scalar pricing core against
+``tests/reference_kernels.py``."""
 
+import functools
 import pickle
 
 import numpy as np
@@ -10,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cm.bucketing import bucket_codes
 from repro.cm.correlation_map import CorrelationMap
+from repro.costmodel.base import ObjectGeometry
+from repro.costmodel.correlation_aware import CorrelationAwareCostModel
 from repro.design.selectivity import (
     build_selectivity_vectors,
     propagate_selectivities,
@@ -20,9 +25,11 @@ from repro.relational.query import EqPredicate, InPredicate, Query, RangePredica
 from repro.stats.collector import TableStatistics
 from repro.storage.disk import DiskModel
 from repro.storage.layout import HeapFile
+from repro.workloads.registry import make
 from tests.reference_kernels import (
     ReferenceCorrelationMap,
     reference_estimate_layout,
+    reference_explain,
     reference_propagate_selectivities,
 )
 from tests.test_table import make_table
@@ -157,6 +164,12 @@ def _assert_cm_equals_reference(cm, ref, queries) -> None:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _assert_cluster_buckets_sorted(hf: HeapFile, depth: int, width: int) -> None:
+    """What lets ``CorrelationMap._csr`` sort a build by entry alone."""
+    buckets = bucket_codes(hf.prefix_ranks(depth), width)
+    assert (buckets[1:] >= buckets[:-1]).all()
+
+
 def _churn(hf: HeapFile, rng: np.random.Generator, recent: bool) -> None:
     """Insert a batch (above every sorted lead value when ``recent``, so the
     merge boundary stays high) and tombstone a few rows."""
@@ -206,9 +219,11 @@ def test_correlation_map_equals_reference(
     ref = ReferenceCorrelationMap(hf, key_attrs, key_widths, depth, cluster_width)
     queries = [Query(f"q{i}", "t", preds) for i, preds in enumerate(queries)]
     _assert_cm_equals_reference(cm, ref, queries)
+    _assert_cluster_buckets_sorted(hf, depth, cluster_width)
     for recent, bloat_limit in rounds:
         _churn(hf, rng, recent)
         merged_from = hf.tail_merge().merged_from_row
+        _assert_cluster_buckets_sorted(hf, depth, cluster_width)
         outcome = cm.refresh_merged(
             merged_from_row=merged_from, bloat_limit=bloat_limit
         )
@@ -298,3 +313,53 @@ def test_propagate_selectivities_equals_reference(
         want, stats, max_steps=max_steps
     )
     assert got.vectors == want.vectors
+
+
+# --------------------------------------------------------------- plan pricing
+
+
+@functools.lru_cache(maxsize=None)
+def _pricing_instance(name: str):
+    inst = make(name, scale=0.1)
+    ((_, table),) = inst.flat_tables.items()
+    return table, tuple(inst.workload)
+
+
+@functools.lru_cache(maxsize=None)
+def _pricing_stats(name: str, synopsis_rows: int) -> TableStatistics:
+    return TableStatistics(_pricing_instance(name)[0], synopsis_rows=synopsis_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["ssb", "tpch"]),
+    synopsis_rows=st.sampled_from([48, 512, 4096]),
+    use_cm=st.booleans(),
+    data=st.data(),
+)
+def test_pricing_core_equals_reference(name, synopsis_rows, use_cm, data):
+    """Every registry query on a random object — a random attribute set
+    that covers it (now and then one that does not), a random key drawn
+    from that set — prices as the per-pair ``PlanEstimate`` chain did:
+    every field of ``explain``, and ``query_seconds`` as a memo miss and as
+    a hit.  The smallest synopsis leaves most predicate sets under the
+    match floor, which is the AE fallback."""
+    table, queries = _pricing_instance(name)
+    stats = _pricing_stats(name, synopsis_rows)
+    model = CorrelationAwareCostModel(stats, DISK, use_cm=use_cm)
+    for query in queries:
+        needed = query.attributes()
+        spare = [a for a in table.column_names if a not in needed]
+        attrs = needed + tuple(
+            data.draw(st.lists(st.sampled_from(spare), unique=True, max_size=3))
+        )
+        if data.draw(st.integers(0, 9)) == 0:
+            attrs = attrs[1:]  # the first attribute is always a needed one
+        key = tuple(
+            data.draw(st.lists(st.sampled_from(attrs), unique=True, max_size=4))
+        )
+        geometry = ObjectGeometry.from_attrs(stats, DISK, attrs, key)
+        want = reference_explain(model, geometry, query)
+        assert model.explain(geometry, query) == want, (query.name, attrs, key)
+        for _ in range(2):
+            assert model.query_seconds(geometry, query) == want.seconds

@@ -141,6 +141,38 @@ class TestDistinctEstimators:
         sample = np.repeat(np.arange(10), 3)
         assert adaptive_estimator(sample, 1000) == 10
 
+    def test_ae_blends_its_parts_from_one_count(self, monkeypatch):
+        """AE counts its sample once and still equals, to the last bit, the
+        blend of the two public estimators (each of which counts for
+        itself)."""
+        from repro.stats import distinct
+
+        rng = np.random.default_rng(5)
+        population = rng.integers(0, 1000, 100_000)
+        fixtures = [
+            (rng.choice(population, 5_000, replace=False), len(population)),
+            (np.array([1, 2, 3]), 10),
+            (np.array([1, 2, 3, 4, 5, 5, 6, 6, 7, 7, 7]), 1_000),
+        ]
+        for sample, n_total in fixtures:
+            d, f = distinct._frequency_of_frequencies(sample)
+            skew = int(f[0]) / d
+            blend = (1.0 - skew) * chao_estimator(sample) + skew * gee_estimator(
+                sample, n_total
+            )
+            counts = []
+            original = distinct._frequency_of_frequencies
+            monkeypatch.setattr(
+                distinct,
+                "_frequency_of_frequencies",
+                lambda s: counts.append(len(s)) or original(s),
+            )
+            assert adaptive_estimator(sample, n_total) == float(
+                min(max(blend, d), n_total)
+            )
+            assert counts == [len(sample)]
+            monkeypatch.undo()
+
     def test_errors(self):
         with pytest.raises(ValueError):
             gee_estimator(np.arange(10), 5)
