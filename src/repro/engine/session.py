@@ -26,14 +26,18 @@ the executor recomputation gap:
   sort;
 * a **CM-fragment cache** keyed by (heap file content, prefix depth, rank
   codes content): the coalesced page fragments a CM-guided scan reads.
-  Different CM candidates frequently resolve to identical rank-code sets,
-  so this collapses duplicated range/merge work even within one sweep;
+  Different CMs — and one CM probed by different queries — frequently
+  resolve to identical rank-code sets, so this collapses duplicated
+  range/merge work even within one sweep;
 * a **bucket-expansion cache** for CM cluster-bucket -> rank-code expansion
   (same duplication argument);
 * a **scan-result cache** keyed by (heap file content, CM content, query
   fingerprint): the executed plan name and simulated cost of a ``cm_scan``,
-  shared between the CM Designer's probe phase and the executor, and across
-  every database of a sweep.
+  left there by the CM Designer for each winner it prices (it builds no
+  other candidate) and by the executor for every scan it runs, and shared
+  across every database of a sweep;
+* a **distinct-count memo** keyed by (heap file content, key attributes):
+  what the CM Designer sizes a candidate's bucket-width ladder from.
 
 All second-tier caches are exportable: :mod:`repro.engine.snapshot` turns
 them (plus masks and CM designs) into a picklable snapshot that can be
@@ -127,6 +131,9 @@ class EvalSession:
         self._cm_keys: dict[int, tuple] = {}
         # (heapfile key, query fingerprint, knobs) -> (CM | None, seconds).
         self._cm_choices: dict[tuple, tuple] = {}
+        # (heapfile key, key attrs) -> distinct joint values in the file:
+        # what the CM Designer sizes a candidate's width ladder from.
+        self._cm_distincts: dict[tuple, int] = {}
         # (cluster key, key-column digests) -> stable sort permutation.
         self._orderings: dict[tuple, np.ndarray] = {}
         # (heapfile key, depth, rank-codes bytes) -> page fragments tuple.
@@ -151,6 +158,8 @@ class EvalSession:
             "cm_build_bytes": 0,
             "cm_choice_hits": 0,
             "cm_choice_misses": 0,
+            "cm_distinct_hits": 0,
+            "cm_distinct_misses": 0,
             "ordering_hits": 0,
             "ordering_misses": 0,
             "ordering_bytes": 0,
@@ -436,6 +445,25 @@ class EvalSession:
             self.stats["cm_build_hits"] += 1
         return cm
 
+    def distinct_count(
+        self, heapfile: "HeapFile", key_attrs: tuple[str, ...]
+    ) -> int:
+        """``heapfile.table.distinct_count(key_attrs)`` — an ``np.unique``
+        over the whole file that no query enters — counted once per (file
+        content, key) instead of once per query probing the file."""
+        hf_key = self.heapfile_key(heapfile)
+        if hf_key is None:
+            return heapfile.table.distinct_count(key_attrs)
+        key = (hf_key, tuple(key_attrs))
+        ndistinct = self._cm_distincts.get(key)
+        if ndistinct is None:
+            self.stats["cm_distinct_misses"] += 1
+            ndistinct = heapfile.table.distinct_count(key_attrs)
+            self._cm_distincts[key] = ndistinct
+        else:
+            self.stats["cm_distinct_hits"] += 1
+        return ndistinct
+
     def best_cm_for_query(
         self,
         designer: "CMDesigner",
@@ -615,6 +643,7 @@ class EvalSession:
             "cms": frozenset(self._cms),
             "cm_builds": frozenset(self._cm_builds),
             "cm_choices": frozenset(self._cm_choices),
+            "cm_distincts": frozenset(self._cm_distincts),
             "cm_fragments": frozenset(self._cm_fragments),
             "expansions": frozenset(self._expansions),
             "scan_results": frozenset(self._scan_results),

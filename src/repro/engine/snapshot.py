@@ -21,8 +21,9 @@ the portable form of that state — a plain picklable mapping of cache name ->
 
 What is exported: predicate/conjunction masks, sort orderings, CM builds /
 designs / per-query choices (Correlation Maps travel *detached* — without
-their heap-file back-reference — which keeps snapshots small), CM page
-fragments, bucket expansions, and executed scan costs.  Heap files themselves
+their heap-file back-reference — which keeps snapshots small), the CM
+Designer's distinct counts, CM page fragments, bucket expansions, and
+executed scan costs.  Heap files themselves
 are deliberately **not** exported: they are cheap to rebuild once their sort
 permutation is known, and shipping sorted copies of the data would dwarf
 everything else.
@@ -75,6 +76,7 @@ _CACHE_ATTRS = {
     "cms": "_cms",
     "cm_builds": "_cm_builds",
     "cm_choices": "_cm_choices",
+    "cm_distincts": "_cm_distincts",
     "cm_fragments": "_cm_fragments",
     "expansions": "_expansions",
     "scan_results": "_scan_results",

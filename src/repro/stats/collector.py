@@ -18,7 +18,7 @@ layout simulation per (cluster key, predicate set) (``_scan_memo``, see
 ``(attribute, predicate text)`` keys the :class:`~repro.relational.query.
 Query` derives once at construction.  The caches are sound because the
 synopsis is immutable today; the change that folds refresh samples into it
-(ROADMAP 3(c), stale statistics) must clear all four — and, one layer up,
+(ROADMAP 1(c), stale statistics) must clear all four — and, one layer up,
 the price memo of every :class:`~repro.costmodel.correlation_aware.
 CorrelationAwareCostModel` bound to these statistics, which stores what the
 layout estimates added up to.

@@ -129,6 +129,23 @@ def _tail_read_cost(
     return SimulatedCost(heapfile.disk.scan_seconds(pages, 1), pages, 1, 1)
 
 
+def guided_scan_cost(
+    heapfile: HeapFile, fragments: list[tuple[int, int]]
+) -> SimulatedCost:
+    """Cost of an index-guided scan: its sorted-region ``fragments``, one
+    descent each, plus the insert tail read wholesale — tail rows are
+    outside the clustered order (and every CM's rank-code space) until
+    compaction."""
+    return _heap_access_cost(heapfile, fragments) + _tail_read_cost(
+        heapfile, fragments
+    )
+
+
+def cm_scan_plan(cm: SecondaryStructure) -> str:
+    """Plan name of a :func:`cm_scan` through ``cm``."""
+    return f"cm_scan[{cm.name}]"
+
+
 def full_scan(
     heapfile: HeapFile, query: Query, ctx: EvalContext | None = None
 ) -> AccessResult:
@@ -188,9 +205,7 @@ def clustered_scan(
         assert pred is not None
         prefix_preds.append(pred)
     fragments = ctx.sorted_region_fragments(tuple(prefix_preds))
-    cost = _heap_access_cost(heapfile, fragments) + _tail_read_cost(
-        heapfile, fragments
-    )
+    cost = guided_scan_cost(heapfile, fragments)
     plan = f"clustered_scan[{','.join(heapfile.cluster_key[:depth])}]"
     if session is not None:
         session.store_scan_cost(heapfile, ("clustered",), query, plan, cost)
@@ -264,8 +279,9 @@ def cm_scan(
 
     With an active :class:`~repro.engine.EvalSession` the executed (plan,
     cost) pair is memoized per (heap-file content, CM content, query
-    fingerprint) — the CM Designer's probe of a winning candidate is the
-    same scan the executor later runs at every budget — and on a miss the
+    fingerprint) — the CM Designer leaves each winner's pair there, priced
+    from the file's columns, for the executor to find at every budget — and
+    on a miss the
     rank-codes -> page-fragments resolution is shared content-wise across
     CMs and queries.  The result mask always comes from the (cached) query
     mask, so memoized and fresh results are bit-identical.
@@ -284,12 +300,8 @@ def cm_scan(
         fragments = session.cm_page_fragments(heapfile, cm.depth, codes)
     else:
         fragments = heapfile.page_fragments_for_prefix_codes(cm.depth, codes)
-    # Tail rows are outside the rank-code space until compaction: a
-    # CM-guided scan reads the whole tail on top of its fragments.
-    cost = _heap_access_cost(heapfile, fragments) + _tail_read_cost(
-        heapfile, fragments
-    )
-    plan = f"cm_scan[{cm.name}]"
+    cost = guided_scan_cost(heapfile, fragments)
+    plan = cm_scan_plan(cm)
     if session is not None:
         session.store_scan_cost(heapfile, cm, query, plan, cost)
     context = _context(heapfile, query, ctx)

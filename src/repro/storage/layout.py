@@ -496,18 +496,44 @@ class HeapFile:
         row_ranges = self.prefix_value_ranges(depth, wanted_codes)
         if not row_ranges:
             return []
-        # Page ranges of the (sorted, disjoint) rowid ranges; coalesce runs
-        # that touch or fall within the readahead gap.  The rowid ranges are
-        # non-decreasing, so first/last page arrays are too and the merge is
-        # a vectorized segmented max over gap-break groups.
         ranges = np.asarray(row_ranges, dtype=np.int64)
-        firsts = ranges[:, 0] // self.rows_per_page
-        lasts = (ranges[:, 1] - 1) // self.rows_per_page
+        return self.page_fragments_for_row_ranges(ranges[:, 0], ranges[:, 1])
+
+    def page_fragments_for_prefix_buckets(
+        self, depth: int, width: int, buckets: np.ndarray
+    ) -> list[tuple[int, int]]:
+        """:meth:`page_fragments_for_prefix_codes` for every rank code inside
+        the given cluster buckets — bucket ``b`` holds the ``width``
+        consecutive ranks from ``b * width`` — without expanding them:
+        ranks are non-decreasing in heap order, so a bucket is one rowid
+        range between two binary searches.  ``buckets`` must be strictly
+        increasing, which the distinct buckets of any row subset taken in
+        heap order are."""
+        codes = self._prefix_code(depth)
+        starts = np.searchsorted(codes, buckets * width, side="left")
+        ends = np.searchsorted(codes, (buckets + 1) * width, side="left")
+        present = ends > starts
+        return self.page_fragments_for_row_ranges(starts[present], ends[present])
+
+    def page_fragments_for_row_ranges(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> list[tuple[int, int]]:
+        """Coalesced page fragments [(first, last), ...] covering the rowid
+        ranges ``[starts[i], ends[i])`` — sorted, disjoint and non-empty;
+        ranges that touch land in one fragment like any others within the
+        readahead gap."""
+        if len(starts) == 0:
+            return []
+        # The rowid ranges are non-decreasing, so first/last page arrays are
+        # too and the merge is a vectorized segmented max over gap-break
+        # groups.
+        firsts = starts // self.rows_per_page
+        lasts = (ends - 1) // self.rows_per_page
         gap = self.disk.fragment_gap_pages
         running_last = np.maximum.accumulate(lasts)
-        starts = np.ones(len(firsts), dtype=bool)
-        starts[1:] = firsts[1:] > running_last[:-1] + gap + 1
-        start_idx = np.nonzero(starts)[0]
+        opens = np.ones(len(firsts), dtype=bool)
+        opens[1:] = firsts[1:] > running_last[:-1] + gap + 1
+        start_idx = np.nonzero(opens)[0]
         merged_last = np.maximum.reduceat(lasts, start_idx)
         return list(zip(firsts[start_idx].tolist(), merged_last.tolist()))
 

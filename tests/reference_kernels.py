@@ -3,7 +3,8 @@
 These are the forms the production code used before it was made faster (one
 sorted pass instead of a loop of ``np.unique``; one strength lookup per
 attribute pair instead of one per query and step; one scalar pricing core
-instead of a ``PlanEstimate`` per plan family), moved here verbatim: they
+instead of a ``PlanEstimate`` per plan family; CM candidates priced from the
+file's columns instead of each built and scanned), moved here verbatim: they
 exist *only* as test oracles (``test_reference_kernels.py``) and share no
 state with the code under test — no cache, no memo, no packed array.
 """
@@ -12,15 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cm.bucketing import bucket_codes, entries_match
+from repro.cm.bucketing import bucket_codes, candidate_widths, entries_match
+from repro.cm.correlation_map import CorrelationMap
+from repro.cm.designer import CMDesigner
 from repro.costmodel.base import ObjectGeometry, PlanEstimate
 from repro.costmodel.correlation_aware import (
     CorrelationAwareCostModel,
     expected_runs,
 )
 from repro.design.selectivity import SelectivityVectors, VectorKey
+from repro.engine import EvalContext, get_session
 from repro.relational.query import KIND_EQ, Query
 from repro.stats.collector import TableStatistics
+from repro.storage.access import clustered_scan, cm_scan, full_scan
 from repro.storage.layout import HeapFile
 
 _CLUSTER_ID_BYTES = 4
@@ -226,6 +231,43 @@ class ReferenceCorrelationMap:
             return np.empty(0, dtype=np.int64)
         matched = [p for p, m in zip(self.postings, mask) if m]
         return np.unique(np.concatenate(matched))
+
+
+def reference_best_cm_for_query(
+    designer: CMDesigner, heapfile: HeapFile, query: Query
+) -> tuple[CorrelationMap | None, float]:
+    """The CM Designer's per-query choice by building every (key, width)
+    candidate and executing a scan through each one that fits the budget."""
+    ctx = EvalContext(heapfile, query)
+    baseline = full_scan(heapfile, query, ctx).seconds
+    cscan = clustered_scan(heapfile, query, ctx)
+    if cscan is not None:
+        baseline = min(baseline, cscan.seconds)
+    best_cm: CorrelationMap | None = None
+    best_seconds = baseline
+    session = get_session()
+    for key in designer.candidate_keys(heapfile, query):
+        ndistinct = heapfile.table.distinct_count(key)
+        for width in candidate_widths(ndistinct, designer.max_widths):
+            widths = (width,) + tuple(1 for _ in key[1:])
+            if session is not None:
+                cm = session.correlation_map(
+                    heapfile, key, widths, designer.cluster_width
+                )
+            else:
+                cm = CorrelationMap(
+                    heapfile,
+                    key,
+                    key_widths=widths,
+                    cluster_width=designer.cluster_width,
+                )
+            if cm.size_bytes > designer.budget_bytes:
+                continue
+            result = cm_scan(heapfile, query, cm, ctx)
+            if result is not None and result.seconds < best_seconds:
+                best_seconds = result.seconds
+                best_cm = cm
+    return best_cm, best_seconds
 
 
 # ------------------------------------------------------------ plan pricing

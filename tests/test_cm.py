@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.cm.bucketing import bucket_codes, candidate_widths, entries_match
 from repro.cm.correlation_map import CorrelationMap
-from repro.cm.designer import CMDesigner
+from repro.cm.designer import CandidatePricer, CMDesigner, design_cms_for_object
+from repro.obs.metrics import use_metrics
 from repro.relational.query import (
     Aggregate,
     EqPredicate,
@@ -20,6 +21,7 @@ from repro.storage.btree import secondary_index_bytes
 from repro.storage.disk import DiskModel
 from repro.storage.layout import HeapFile
 from tests.conftest import make_people
+from tests.test_table import make_table
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +213,73 @@ class TestCMDesigner:
         names = [cm.name for cm in cms]
         assert len(names) == len(set(names))
         assert len(cms) <= 2
+
+    def test_unclustered_file_gets_no_cm(self, disk):
+        """Regression: the candidate loop used to raise ``ValueError: CM
+        requires a clustered heap file`` instead of answering that no CM
+        helps."""
+        hf = HeapFile(make_people(1_000), (), disk)
+        q = Query("q", "people", [EqPredicate("city", 400)])
+        designer = CMDesigner()
+        assert designer.candidate_keys(hf, q) == []
+        assert designer.best_cm_for_query(hf, q) == (None, full_scan(hf, q).seconds)
+        assert designer.design(hf, [q]) == []
+        assert design_cms_for_object(hf, [q]) == []
+
+    @pytest.fixture(scope="class")
+    def by_pair(self, disk):
+        """Clustered by g = 20x + y: x alone narrows to a twentieth of the
+        file, y alone to nothing contiguous, the pair to one g."""
+        rng = np.random.default_rng(4)
+        x, y = rng.integers(0, 20, 40_000), rng.integers(0, 20, 40_000)
+        return HeapFile(make_table(g=x * 20 + y, x=x, x2=x, y=y), ("g",), disk)
+
+    def test_composite_key_wins(self, by_pair):
+        q = Query("q", "t", [EqPredicate("x", 3), EqPredicate("y", 4)])
+        cm, seconds = CMDesigner().best_cm_for_query(by_pair, q)
+        assert cm.key_attrs == ("x", "y") and cm.key_widths == (1, 1)
+        pricer = CandidatePricer(by_pair, q, cm.cluster_width)
+        assert seconds == cm_scan(by_pair, q, cm).seconds
+        assert seconds < pricer.cost(("x",), (1,)).seconds < full_scan(by_pair, q).seconds
+
+    def test_wider_key_buckets_win_when_exact_ones_do_not_fit(self, by_state):
+        q = Query("q", "people", [EqPredicate("city", 400)])
+        exact, coarse = (
+            CorrelationMap(by_state, ("city",), (w,), cluster_width=4).size_bytes
+            for w in (1, 4)
+        )
+        assert coarse < exact
+        cm, seconds = CMDesigner(budget_bytes=coarse).best_cm_for_query(by_state, q)
+        assert cm.key_widths == (4,) and cm.size_bytes == coarse
+        assert seconds < full_scan(by_state, q).seconds
+
+    def test_improving_candidate_over_budget_is_skipped(self, disk):
+        """The best-priced candidates do not fit; a later, worse one that
+        does fit and still beats the baseline wins."""
+        hf = HeapFile(make_people(n=200_000), ("state",), disk)
+        q = Query("q", "people", [EqPredicate("city", 400), EqPredicate("region", 2)])
+        designer = CMDesigner(budget_bytes=2_000, max_widths=1)
+        with use_metrics() as metrics:
+            cm, seconds = designer.best_cm_for_query(hf, q)
+        assert cm.key_attrs == ("region",) and cm.size_bytes <= 2_000
+        pricer = CandidatePricer(hf, q, designer.cluster_width)
+        for key in (("city",), ("city", "region")):
+            assert pricer.cost(key, (1,) * len(key)).seconds < seconds
+        assert seconds < full_scan(hf, q).seconds
+        assert metrics.counter("cm.designer.candidates_priced") == 3
+        assert metrics.counter("cm.designer.candidates_built") == 3
+        assert metrics.counter("cm.designer.over_budget") == 2
+
+    def test_tie_keeps_the_earlier_candidate(self, by_pair):
+        """x2 is a copy of x: (x2,) and (x, x2) price exactly as (x,) does,
+        and only a strict improvement replaces — or builds — a candidate."""
+        q = Query("q", "t", [EqPredicate("x", 3), EqPredicate("x2", 3)])
+        designer = CMDesigner()
+        with use_metrics() as metrics:
+            cm, seconds = designer.best_cm_for_query(by_pair, q)
+        assert cm.name == "cm[x|w=1|cw=4]"
+        pricer = CandidatePricer(by_pair, q, designer.cluster_width)
+        assert pricer.cost(("x2",), (1,)).seconds == seconds
+        assert pricer.cost(("x", "x2"), (1, 1)).seconds == seconds
+        assert metrics.counter("cm.designer.candidates_priced") > 3
+        assert metrics.counter("cm.designer.candidates_built") == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cm.correlation_map import CorrelationMap
 from repro.costmodel.correlation_aware import CorrelationAwareCostModel
 from repro.design import clustering, grouping
 from repro.design.clustering import ClusteredIndexDesigner, order_preserving_merges
@@ -26,6 +27,9 @@ from repro.design.mv import (
     ordered_mv_attrs,
 )
 from repro.design.selectivity import build_selectivity_vectors
+from repro.engine import EvalSession
+from repro.experiments.harness import evaluate_designs
+from repro.obs.metrics import use_metrics
 from repro.relational.query import (
     Aggregate,
     EqPredicate,
@@ -325,6 +329,32 @@ def test_design_work_is_bounded(monkeypatch):
     designer.enumerate()
     designer.update(phase1, int(inst.total_base_bytes() * 0.6))
     assert (len(simulated), len(clustered), len(counted)) == (480, 100, 552)
+
+
+def test_cm_design_work_is_bounded(monkeypatch):
+    """Materializing and evaluating a four-budget ladder on the same SSB
+    fixture under one session, as exact counts (they repeat): CM candidates
+    priced from columns, candidates that beat the best so far, Correlation
+    Maps built.  Only an improving candidate may cost a build, and the
+    session's build cache may spare even that."""
+    inst = make("ssb", lineorder_rows=12_000, seed=3)
+    designer = CoraddDesigner(
+        inst.flat_tables,
+        inst.workload,
+        inst.primary_keys,
+        inst.fk_attrs,
+        config=DesignerConfig(t0=1, alphas=(0.0, 0.25, 0.5), use_feedback=False),
+    )
+    base = inst.total_base_bytes()
+    designs = designer.design_ladder([int(base * f) for f in (0.25, 0.5, 1.0, 2.0)])
+    built = count_calls(monkeypatch, CorrelationMap, "_build")
+    session = EvalSession()
+    with use_metrics() as metrics:
+        evaluate_designs(designs, session=session)
+    priced = metrics.counter("cm.designer.candidates_priced")
+    improved = metrics.counter("cm.designer.candidates_built")
+    assert (priced, improved, len(built)) == (448, 11, 6)
+    assert len(built) == session.stats["cm_build_misses"] <= improved
 
 
 class TestGrouping:

@@ -552,6 +552,43 @@ class TestLayerMetricsSmoke:
 
         assert "refresh.insert" in names(obs.tracer.spans)
 
+    def test_cm_designer_counts_its_decisions(self):
+        """Candidates priced from columns, the improving ones built, the
+        built ones that did not fit — and the width ladder's distinct
+        counts through the session's ``*_hits`` / ``*_misses`` stats."""
+        from repro.cm.designer import CMDesigner
+
+        # TPC-H at the module fixture's scale is too small for any CM to
+        # beat a scan; this SSB instance builds some.
+        inst = make("ssb", lineorder_rows=12_000, seed=3)
+        design = _fresh_designer(inst).design(inst.total_base_bytes())
+        session = EvalSession()
+        with use_metrics() as registry, use_session(session):
+            db = design.materialize(session)
+            session.publish_metrics()
+        priced = registry.counter("cm.designer.candidates_priced")
+        built = registry.counter("cm.designer.candidates_built")
+        assert priced > built > 0
+        assert registry.counter("cm.designer.over_budget") == 0
+        assert sum(len(obj.cms) for obj in db.objects.values()) <= built
+        ladders = registry.counter("engine.cache.cm_distinct_misses")
+        assert 0 < ladders == session.stats["cm_distinct_misses"]
+        assert ladders + registry.counter("engine.cache.cm_distinct_hits") <= priced
+        # Under a budget nothing fits, every improving candidate is built,
+        # found too large and dropped.
+        spec = next(s for s in design.object_specs() if s.cluster_key)
+        tight = CMDesigner(budget_bytes=8)
+        with use_metrics() as registry:
+            chosen = tight.design(
+                db.object(spec.name).heapfile, design.spec_queries(spec)
+            )
+        assert chosen == []
+        assert (
+            registry.counter("cm.designer.over_budget")
+            == registry.counter("cm.designer.candidates_built")
+            > 0
+        )
+
     def test_ilp_solver_annotates_and_counts(self):
         from repro.ilp.model import MILPModel
         from repro.ilp.solver import solve

@@ -1,8 +1,8 @@
 """The fast kernels equal their reference implementations bit for bit: the
 memoised layout simulation of ``TableStatistics.estimate_layout``, the
-CSR-packed ``CorrelationMap``, the strength-caching Selectivity Propagation
-and the cost model's scalar pricing core against
-``tests/reference_kernels.py``."""
+CSR-packed ``CorrelationMap``, the CM Designer pricing candidates from
+columns, the strength-caching Selectivity Propagation and the cost model's
+scalar pricing core against ``tests/reference_kernels.py``."""
 
 import functools
 import pickle
@@ -12,22 +12,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cm.bucketing import bucket_codes
+from repro.cm.bucketing import bucket_codes, candidate_widths
 from repro.cm.correlation_map import CorrelationMap
+from repro.cm.designer import CandidatePricer, CMDesigner
 from repro.costmodel.base import ObjectGeometry
 from repro.costmodel.correlation_aware import CorrelationAwareCostModel
 from repro.design.selectivity import (
     build_selectivity_vectors,
     propagate_selectivities,
 )
+from repro.engine import EvalSession, use_session
 from repro.engine.shm import SHARE_MIN_BYTES, ShmArena
 from repro.relational.query import EqPredicate, InPredicate, Query, RangePredicate
 from repro.stats.collector import TableStatistics
+from repro.storage.access import cm_scan
 from repro.storage.disk import DiskModel
+from repro.storage.executor import PhysicalDatabase, PhysicalObject
 from repro.storage.layout import HeapFile
 from repro.workloads.registry import make
 from tests.reference_kernels import (
     ReferenceCorrelationMap,
+    reference_best_cm_for_query,
     reference_estimate_layout,
     reference_explain,
     reference_propagate_selectivities,
@@ -284,6 +289,146 @@ def test_empty_sorted_region_builds_an_empty_map():
     assert cm.refresh_merged(merged_from_row=merged_from) == "rebuild"
     ref = ReferenceCorrelationMap(hf, ("m", "c"), (1, 1), 1, 4)
     _assert_cm_equals_reference(cm, ref, [probe])
+
+
+# ---------------------------------------------------------------- CM Designer
+
+
+@st.composite
+def probe_predicates(draw):
+    """One to three predicated attributes — equality, range (non-integer
+    bounds included) or IN — the shapes a CM candidate is probed with."""
+    domains = draw(
+        st.lists(
+            st.sampled_from([("a", 11), ("b", 47), ("c", 29), ("m", 199)]),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    preds = []
+    for attr, hi in domains:
+        kind = draw(st.sampled_from(["eq", "range", "in"]))
+        if kind == "eq":
+            preds.append(EqPredicate(attr, draw(st.integers(0, hi))))
+        elif kind == "range":
+            lo = draw(st.floats(-3.0, hi, allow_nan=False))
+            preds.append(
+                RangePredicate(attr, lo, lo + draw(st.floats(0.0, hi, allow_nan=False)))
+            )
+        else:
+            vals = draw(st.sets(st.integers(0, hi), min_size=1, max_size=5))
+            preds.append(InPredicate(attr, tuple(vals)))
+    return preds
+
+
+FILE_STATES = ["pristine", "tail", "tombstones", "tail+tombstones", "merged"]
+# Pages of a few rows and cheap seeks, so that a few hundred rows span
+# enough pages for CM scans to win, lose and tie against each other.
+PROBE_DISKS = [
+    DISK,
+    DiskModel(page_size=128, seek_cost_s=2e-5, fragment_gap_pages=1),
+    DiskModel(page_size=64, seek_cost_s=4e-6, fragment_gap_pages=0),
+]
+
+
+def _file_in_state(seed: int, n: int, cluster_key, state: str, disk) -> HeapFile:
+    rng = np.random.default_rng(seed)
+    hf = HeapFile(_random_table(rng, n), cluster_key, disk)
+    if state == "tail":
+        _churn(hf, rng, recent=True)
+    elif state == "tombstones":
+        hf.delete_rows(rng.choice(hf.nrows, size=min(3, hf.nrows), replace=False))
+    elif state != "pristine":
+        _churn(hf, rng, recent=False)
+        if state == "merged":
+            hf.tail_merge()
+    return hf
+
+
+def _run_cost(hf: HeapFile, cm: CorrelationMap | None, query: Query):
+    db = PhysicalDatabase([PhysicalObject(hf, cms=[] if cm is None else [cm])])
+    return db.run(query).result.cost
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 600),
+    cluster_key=st.sampled_from(CLUSTER_KEYS),
+    state=st.sampled_from(FILE_STATES),
+    disk=st.sampled_from(PROBE_DISKS),
+    cluster_width=st.sampled_from([1, 4]),
+    budget=st.sampled_from([0, 256, 1024, 4096, 1 << 20]),
+    with_session=st.booleans(),
+    conjunctions=st.lists(probe_predicates(), min_size=1, max_size=3),
+)
+def test_best_cm_for_query_equals_reference(
+    seed, n, cluster_key, state, disk, cluster_width, budget, with_session,
+    conjunctions,
+):
+    """Pricing candidates from columns and building only the improving ones
+    picks what building and scanning every candidate picks — same winner,
+    same size, seconds equal with ``==`` — under budgets no, some and all
+    candidates fit, and the executor then charges the same cost (with a
+    session, from the (plan, cost) the designer left it)."""
+    hf = _file_in_state(seed, n, cluster_key, state, disk)
+    designer = CMDesigner(budget_bytes=budget, cluster_width=cluster_width)
+    session = EvalSession() if with_session else None
+    if session is not None:
+        session.adopt_heapfile(hf)
+    for i, preds in enumerate(conjunctions):
+        query = Query(f"q{i}", "t", preds)
+        want_cm, want_seconds = reference_best_cm_for_query(designer, hf, query)
+        want_cost = _run_cost(hf, want_cm, query)
+        if session is None:
+            got_cm, got_seconds = designer.best_cm_for_query(hf, query)
+            got_cost = _run_cost(hf, got_cm, query)
+        else:
+            with use_session(session):
+                got_cm, got_seconds = session.best_cm_for_query(designer, hf, query)
+                if got_cm is not None:
+                    _, memo_cost = session.scan_cost(hf, got_cm, query)
+                    assert memo_cost == cm_scan(hf, query, want_cm).cost
+                got_cost = _run_cost(hf, got_cm, query)
+        assert got_seconds == want_seconds
+        assert (got_cm is None) == (want_cm is None)
+        if got_cm is not None:
+            assert got_cm.name == want_cm.name
+            assert got_cm.size_bytes == want_cm.size_bytes <= budget
+        assert got_cost == want_cost
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 600),
+    cluster_key=st.sampled_from(CLUSTER_KEYS),
+    state=st.sampled_from(FILE_STATES),
+    disk=st.sampled_from(PROBE_DISKS),
+    cluster_width=st.sampled_from([1, 4]),
+    preds=probe_predicates(),
+)
+def test_candidate_pricer_equals_built_candidates(
+    seed, n, cluster_key, state, disk, cluster_width, preds
+):
+    """For every candidate the designer enumerates, the buckets read off the
+    columns are the reference CM's lookup, and the price is the cost of a
+    ``cm_scan`` through the built CM."""
+    hf = _file_in_state(seed, n, cluster_key, state, disk)
+    query = Query("q", "t", preds)
+    designer = CMDesigner(cluster_width=cluster_width)
+    pricer = CandidatePricer(hf, query, cluster_width)
+    for key in designer.candidate_keys(hf, query):
+        ndistinct = hf.table.distinct_count(key)
+        for width in candidate_widths(ndistinct, designer.max_widths):
+            widths = (width,) + (1,) * (len(key) - 1)
+            ref = ReferenceCorrelationMap(
+                hf, key, widths, len(cluster_key), cluster_width
+            )
+            got = pricer.buckets(key, widths)
+            want = ref.lookup_buckets(query)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            cm = CorrelationMap(hf, key, widths, cluster_width=cluster_width)
+            assert pricer.cost(key, widths) == cm_scan(hf, query, cm).cost
 
 
 # ----------------------------------------------------- selectivity propagation
