@@ -332,7 +332,7 @@ class CorrelationMap:
         if not mask.any():
             return np.empty(0, dtype=np.int64)
         posting_mask = np.repeat(mask, np.diff(self._offsets))
-        buckets = np.unique(self._packed[posting_mask])
+        buckets = sorted_unique(self._packed[posting_mask])
         session = get_session()
         if session is not None and self.cluster_width > 1:
             # Different CMs (and the same CM probed by different queries)

@@ -14,11 +14,25 @@ sketches termination in at most |A| steps — every update strictly lowers a
 value along acyclic update paths).  Composite keys predicated by a query
 (e.g. (year, weeknum) in SSB Q1.3) participate as propagation sources, as
 Table 2 of the paper shows.
+
+Propagation runs as an array program over all queries at once
+(:func:`propagate_selectivities`).  That is exact, not approximate, for two
+reasons.  A step reads a *snapshot*: a query's sources are the keys below 1
+when the step starts, at the values they had then, and each attribute is
+written once, after all its sources were seen — so nothing computed inside
+a step feeds anything else inside it, across queries or within one.  And
+the one order-sensitive operation, the epsilon-thresholded running minimum,
+meets each query's sources in the order that query's own vector lists them
+— the order the scalar loop walks its dict in — so every (query, attribute,
+source) performs the same division, clamp and comparison on the same
+doubles in the same sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.relational.query import Query
 from repro.stats.collector import TableStatistics
@@ -115,40 +129,98 @@ def propagate_selectivities(
     over all sources (single attributes and composites) of
     ``selectivity(source) / strength(attr -> source)``; values only
     decrease, so the fixpoint arrives within |A| steps (Appendix A-4).
+
+    All queries advance together, on arrays: pass ``j`` of a step handles
+    every query's ``j``-th source — in the order its own vector lists them —
+    against a snapshot of the step's start.  The module docstring says why
+    that is the scalar loop's result bit for bit
+    (``tests/reference_kernels.py`` keeps the loop).
     """
     attrs = vectors.attrs
     limit = max_steps if max_steps is not None else max(1, len(attrs))
-    # strength(attr -> source) depends on neither the query nor the step.
-    strengths: dict[tuple[str, tuple[str, ...]], float] = {}
+    vecs = list(vectors.vectors.values())
+    nattrs = len(attrs)
+    # Key ids: attribute ``j`` of the universe is column ``j``, every other
+    # key of any vector follows, and one padding key closes the table.
+    key_ids: dict[VectorKey, int] = {attr: j for j, attr in enumerate(attrs)}
+    for vec in vecs:
+        for key in vec:
+            key_ids.setdefault(key, len(key_ids))
+    keys = list(key_ids)
+    pad = len(keys)
+    # values[q, k]: query q's selectivity on key k — 1.0 where its vector
+    # has no such key, which is what the scalar loop reads for a missing
+    # attribute.  listing[q]: q's key ids in the order its vector lists
+    # them, padded; an attribute missing from the vector joins the end of
+    # it when first set, as it joins the dict.
+    values = np.ones((len(vecs), pad + 1), dtype=np.float64)
+    ends = np.array([len(vec) for vec in vecs], dtype=np.intp)
+    listing = np.full(
+        (len(vecs), int(ends.max(initial=0)) + nattrs), pad, dtype=np.intp
+    )
+    for q, vec in enumerate(vecs):
+        ids = [key_ids[key] for key in vec]
+        listing[q, : len(ids)] = ids
+        values[q, ids] = list(vec.values())
+    listed = np.zeros((len(vecs), pad + 1), dtype=bool)
+    np.put_along_axis(listed, listing, True, axis=1)
+    listed = listed[:, :nattrs]
+    # strengths[k, a] = strength(attr a -> key k), a row filled when key k
+    # first acts as a source; ``usable`` is False where the scalar loop
+    # skips the pair (the attribute is part of the key, or the strength is
+    # not positive), and the strength then reads 1.0 so nothing divides by 0.
+    strengths = np.ones((pad + 1, nattrs), dtype=np.float64)
+    usable = np.zeros((pad + 1, nattrs), dtype=bool)
+    filled = np.zeros(pad + 1, dtype=bool)
+    rows = np.arange(len(vecs))[:, None]
+    current = values[:, :nattrs]
+    touched = np.zeros(current.shape, dtype=bool)
     steps = 0
     for _ in range(limit):
-        changed = False
-        for qname, vec in vectors.vectors.items():
-            sources: list[tuple[VectorKey, float]] = [
-                (key, sel) for key, sel in vec.items() if sel < 1.0 - _EPSILON
-            ]
-            for attr in attrs:
-                current = vec.get(attr, 1.0)
-                best = current
-                for source, source_sel in sources:
-                    if source == attr:
-                        continue
-                    source_key = source if isinstance(source, tuple) else (source,)
-                    if attr in source_key:
-                        continue
-                    s = strengths.get((attr, source_key))
-                    if s is None:
-                        s = stats.strength((attr,), source_key)
-                        strengths[(attr, source_key)] = s
-                    if s <= 0.0:
-                        continue
-                    candidate = min(1.0, source_sel / s)
-                    if candidate < best - _EPSILON:
-                        best = candidate
-                if best < current - _EPSILON:
-                    vec[attr] = best
-                    changed = True
+        # This step's sources, per query in its vector's order: a stable
+        # sort of "is not a source" moves them to the front.
+        in_order = values[rows, listing]
+        is_source = in_order < 1.0 - _EPSILON
+        front = np.argsort(~is_source, axis=1, kind="stable")
+        front = front[:, : int(is_source.sum(axis=1).max(initial=0))]
+        source_ids = listing[rows, front]
+        source_sel = in_order[rows, front]
+        is_source = is_source[rows, front]
+        active = np.zeros(pad + 1, dtype=bool)
+        active[source_ids[is_source]] = True
+        for k in np.flatnonzero(active & ~filled):
+            source_key = keys[k] if isinstance(keys[k], tuple) else (keys[k],)
+            for a, attr in enumerate(attrs):
+                if attr not in source_key:
+                    s = stats.strength((attr,), source_key)
+                    if s > 0.0:
+                        strengths[k, a] = s
+                        usable[k, a] = True
+            filled[k] = True
+        best = current.copy()
+        for j in range(source_ids.shape[1]):
+            k = source_ids[:, j]
+            candidate = np.minimum(1.0, source_sel[:, j, None] / strengths[k])
+            lower = candidate < best - _EPSILON
+            lower &= usable[k]
+            lower &= is_source[:, j, None]
+            np.copyto(best, candidate, where=lower)
+        changed = best < current - _EPSILON
         steps += 1
-        if not changed:
+        if not changed.any():
             break
+        np.copyto(current, best, where=changed)
+        touched |= changed
+        # np.nonzero is row-major: a query's new attributes in universe order.
+        for q, a in zip(*np.nonzero(changed & ~listed)):
+            listing[q, ends[q]] = a
+            ends[q] += 1
+        listed |= changed
+    if touched.any():
+        # Written in listing order, so an attribute new to a vector joins
+        # its dict where the scalar loop would have put it.
+        ids = listing[:, : int(ends.max())]
+        moved = (ids < nattrs) & touched[rows, np.minimum(ids, nattrs - 1)]
+        for q, a in zip(np.nonzero(moved)[0].tolist(), ids[moved].tolist()):
+            vecs[q][attrs[a]] = float(current[q, a])
     return steps

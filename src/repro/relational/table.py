@@ -99,7 +99,8 @@ class Table:
             return 1
         if self.nrows == 0:
             return 0
-        return len(np.unique(self._key_codes(tuple(names))))
+        codes = np.sort(self._key_codes(tuple(names)))
+        return 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
 
     def distinct_rows(self, names: tuple[str, ...] | list[str]) -> "Table":
         """One representative row per distinct joint value of ``names``."""
@@ -115,10 +116,14 @@ class Table:
         return self.select(np.sort(idx))
 
     def _key_codes(self, names: tuple[str, ...]) -> np.ndarray:
-        """Collapse a joint key into a single int64 code array (row-wise)."""
+        """Collapse a joint key into a single integer code array (row-wise):
+        two rows share a code iff their key values compare equal."""
         if len(names) == 1:
             arr = self._columns[names[0]]
-            return arr if arr.dtype.kind in "iu" else arr.view(np.int64)
+            if arr.dtype.kind in "iu":
+                return arr
+            # By value, not by bit pattern: -0.0 and 0.0 are one key.
+            return np.unique(arr, return_inverse=True)[1]
         # Mixed-radix packing: offset each column to be non-negative, then
         # combine. Falls back to structured-array uniqueness if it would
         # overflow 63 bits.

@@ -11,17 +11,21 @@ columns + reachable dimension columns) because that is the attribute
 universe MV candidates draw from.
 
 Everything derived from the synopsis is memoised on the object, keyed by
-content: sort orders per cluster key (``_layout_cache``), masks per predicate
-and per predicate *set* (``_pred_mask_cache``, ``_conj_mask_cache``), and the
-layout simulation per (cluster key, predicate set) (``_scan_memo``, see
-:meth:`TableStatistics.estimate_layout`).  A predicate set is named by the
-``(attribute, predicate text)`` keys the :class:`~repro.relational.query.
-Query` derives once at construction.  The caches are sound because the
-synopsis is immutable today; the change that folds refresh samples into it
-(ROADMAP 1(c), stale statistics) must clear all four — and, one layer up,
-the price memo of every :class:`~repro.costmodel.correlation_aware.
-CorrelationAwareCostModel` bound to these statistics, which stores what the
-layout estimates added up to.
+content: the order and group counts of every key asked for, refined from its
+parent prefix's over columns dense-coded once (``corr.index``, the
+:class:`~repro.stats.keyindex.KeyIndex` shared with the strengths), masks per
+predicate and per predicate *set* (``_pred_mask_cache``,
+``_conj_mask_cache``), and the layout simulation per (cluster key, predicate
+set) (``_scan_memo``, see :meth:`TableStatistics.estimate_layout`).  A
+predicate set is named by the ``(attribute, predicate text)`` keys the
+:class:`~repro.relational.query.Query` derives once at construction.  The
+caches are sound because the synopsis is immutable today; the change that
+folds refresh samples into it (ROADMAP 1(c), stale statistics) must replace
+the key index (with it the correlation model's distinct counts and
+strengths) and clear the other three — and, one layer up, the price memo of
+every :class:`~repro.costmodel.correlation_aware.CorrelationAwareCostModel`
+bound to these statistics, which stores what the layout estimates added up
+to.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from repro.relational.query import Query
 from repro.relational.table import Table
 from repro.stats.correlation import CorrelationModel
-from repro.stats.distinct import scale_distinct
+from repro.stats.distinct import scale_counts
 from repro.stats.histogram import EquiWidthHistogram
 from repro.stats.sampling import reservoir_sample_indices
 
@@ -57,17 +61,17 @@ class TableStatistics:
         self.synopsis = table.select(idx, new_name=f"{table.schema.name}_synopsis")
         # Strengths and cardinalities come from the synopsis with estimator
         # scale-up — the paper's sampling-based discovery — except when the
-        # table is small enough that the synopsis *is* the table.
+        # table is small enough that the synopsis *is* the table (sample
+        # indices are sorted, so it then holds the table's rows in order).
         sample_is_table = self.synopsis.nrows >= table.nrows
         self.corr = CorrelationModel(
-            self.synopsis if not sample_is_table else table,
+            self.synopsis,
             n_total=table.nrows,
             estimator="exact" if sample_is_table else estimator,
         )
         self._histograms: dict[str, EquiWidthHistogram] = {}
         self._query_sel: dict[str, float] = {}
         self._pred_sel: dict[tuple[str, str], float] = {}
-        self._layout_cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._pred_mask_cache: dict[PredKey, np.ndarray] = {}
         self._conj_mask_cache: dict[frozenset[PredKey], np.ndarray] = {}
         self._scan_memo: dict[
@@ -151,46 +155,27 @@ class TableStatistics:
             self._conj_mask_cache[pred_keys] = mask
         return mask
 
-    def _sorted_synopsis_codes(
-        self, cluster_key: tuple[str, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(sort permutation, dense group codes) of the synopsis under
-        ``cluster_key`` — the sample-scale mirror of a heap file's layout.
-        Cached per cluster key because clustered-index design evaluates many
-        queries against the same key."""
-        hit = self._layout_cache.get(cluster_key)
-        if hit is not None:
-            return hit
-        perm = self.synopsis.sort_permutation(cluster_key)
-        changed = np.zeros(self.synopsis.nrows, dtype=bool)
-        if self.synopsis.nrows:
-            for attr in cluster_key:
-                arr = self.synopsis.column(attr)[perm]
-                changed[1:] |= arr[1:] != arr[:-1]
-        codes = np.cumsum(changed).astype(np.int64)
-        self._layout_cache[cluster_key] = (perm, codes)
-        return perm, codes
-
     def _simulate_scan(
         self, cluster_key: tuple[str, ...], mask: np.ndarray
     ) -> tuple[int, float, np.ndarray]:
         """(matching rows, scanned fraction, sorted gaps) of a group-expanded
         scan for the synopsis rows in ``mask``: every row of a cluster-key
-        group that holds a match is read.  One scatter/gather over the dense
-        group codes.  Only gaps of two or more rows between consecutive
-        scanned positions are kept — a readahead gap is at least one sample
-        row, so adjacent rows never split a fragment — and they fit the
-        smallest unsigned type that holds the synopsis size."""
-        perm, codes = self._sorted_synopsis_codes(cluster_key)
-        hit_groups = np.zeros(int(codes[-1]) + 1, dtype=bool)
-        hit_groups[codes[mask[perm]]] = True
-        scanned = hit_groups[codes]
-        gaps = np.diff(np.flatnonzero(scanned))
-        gap_type = np.uint16 if len(codes) <= 1 << 16 else np.uint32
+        group that holds a match is read.  A group is a run of the sorted
+        synopsis, so the scan is read off the hit groups' bounds alone and
+        positions can only jump between two hit groups.  Only gaps of two or
+        more rows between consecutive scanned positions are kept — a
+        readahead gap is at least one sample row, so adjacent rows never
+        split a fragment — in the key index's narrow unsigned type."""
+        order = self.corr.index.order(cluster_key)
+        hit_groups = np.zeros(order.ngroups, dtype=bool)
+        hit_groups[order.row_codes[mask]] = True
+        hit = np.flatnonzero(hit_groups)
+        first, end = order.bounds[hit], order.bounds[hit + 1]
+        gaps = first[1:] - end[:-1] + 1
         return (
             int(np.count_nonzero(mask)),
-            float(scanned.mean()),
-            np.sort(gaps[gaps > 1]).astype(gap_type),
+            int((end - first).sum()) / len(mask),
+            np.sort(gaps[gaps > 1]),
         )
 
     def estimate_layout(
@@ -250,7 +235,7 @@ class TableStatistics:
             floor = min(int(sample_gap), sample_rows - 1)
             wider = len(gaps) - int(gaps.searchsorted(gaps.dtype.type(floor), "right"))
             return 1.0 + float(wider), fraction
-        perm, _ = self._sorted_synopsis_codes(cluster_key)
+        perm = self.corr.index.order(cluster_key).perm
         mask = self._conjunction_mask(query, pred_keys)[perm]
         n_match = int(mask.sum())
         if n_match < min_sample_matches:
@@ -310,12 +295,13 @@ class TableStatistics:
         population rows, so the distinct estimator applies with the matching
         population size as ``n_total``.
         """
-        sub = self.synopsis._key_codes(tuple(attrs))[mask]
-        if len(sub) == 0:
+        matched = int(np.count_nonzero(mask))
+        if matched == 0:
             return 0.0
-        matched_fraction = len(sub) / max(1, self.synopsis.nrows)
-        n_matching = max(len(sub), int(round(matched_fraction * self.nrows)))
-        est = scale_distinct(sub, n_matching, self.estimator)
+        d, f = self.corr.index.counts(tuple(attrs), mask)
+        matched_fraction = matched / max(1, self.synopsis.nrows)
+        n_matching = max(matched, int(round(matched_fraction * self.nrows)))
+        est = scale_counts(d, f, matched, n_matching, self.estimator)
         # Never more groups than the key has distinct values overall.
         return float(min(est, self.distinct(attrs)))
 

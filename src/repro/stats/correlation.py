@@ -11,13 +11,17 @@ more C2 values.  Strengths feed selectivity propagation (Section 4.1.1) and
 the fragments term of the cost model.
 
 :class:`CorrelationModel` caches pairwise and composite strengths computed
-over a table or synopsis, optionally scaled with a distinct estimator.
+over a table or synopsis, optionally scaled with a distinct estimator.  Its
+distinct counts are read off a :class:`~repro.stats.keyindex.KeyIndex` — the
+table's columns dense-coded once — and, being a property of the attribute
+*set*, are shared by every ordering of a joint key.
 """
 
 from __future__ import annotations
 
 from repro.relational.table import Table
-from repro.stats.distinct import scale_distinct
+from repro.stats.distinct import scale_counts
+from repro.stats.keyindex import KeyIndex
 
 
 def strength(
@@ -34,18 +38,10 @@ def strength(
     """
     if not determinant:
         raise ValueError("determinant must be non-empty")
-    joint = tuple(dict.fromkeys(determinant + dependent))
-    if estimator == "exact":
-        d_det = table.distinct_count(determinant)
-        d_joint = table.distinct_count(joint)
-    else:
-        if n_total is None:
-            raise ValueError("n_total required for sample-scaled strength")
-        d_det = scale_distinct(table._key_codes(tuple(determinant)), n_total, estimator)
-        d_joint = scale_distinct(table._key_codes(joint), n_total, estimator)
-    if d_joint <= 0:
-        return 1.0
-    return min(1.0, d_det / d_joint)
+    if estimator != "exact" and n_total is None:
+        raise ValueError("n_total required for sample-scaled strength")
+    model = CorrelationModel(table, n_total=n_total, estimator=estimator)
+    return model.strength(tuple(determinant), tuple(dependent))
 
 
 class CorrelationModel:
@@ -67,19 +63,18 @@ class CorrelationModel:
         self.attrs = tuple(attrs) if attrs is not None else tuple(table.column_names)
         self.n_total = n_total if n_total is not None else table.nrows
         self.estimator = estimator
+        self.index = KeyIndex(table)
         self._strengths: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
-        self._distincts: dict[tuple[str, ...], float] = {}
+        self._distincts: dict[frozenset[str], float] = {}
 
     def distinct(self, names: tuple[str, ...]) -> float:
         """(Estimated) distinct count of a joint key."""
-        key = tuple(names)
+        key = frozenset(names)
         cached = self._distincts.get(key)
         if cached is not None:
             return cached
-        if self.estimator == "exact":
-            value = float(self.table.distinct_count(key))
-        else:
-            value = scale_distinct(self.table._key_codes(key), self.n_total, self.estimator)
+        d, f = self.index.counts(tuple(names))
+        value = scale_counts(d, f, self.table.nrows, self.n_total, self.estimator)
         self._distincts[key] = value
         return value
 

@@ -23,13 +23,6 @@ import math
 import numpy as np
 
 
-def exact_distinct(values: np.ndarray) -> int:
-    """Exact distinct count of a (code) array."""
-    if len(values) == 0:
-        return 0
-    return len(np.unique(values))
-
-
 def _frequency_of_frequencies(sample: np.ndarray) -> tuple[int, np.ndarray]:
     """(d, f) where d = distinct in sample and f[j] = number of values seen
     exactly j+1 times."""
@@ -39,6 +32,11 @@ def _frequency_of_frequencies(sample: np.ndarray) -> tuple[int, np.ndarray]:
     d = len(counts)
     f = np.bincount(counts)[1:]  # f[0] -> values seen once
     return d, f.astype(np.int64)
+
+
+def exact_distinct(values: np.ndarray) -> int:
+    """Exact distinct count of a (code) array."""
+    return _frequency_of_frequencies(values)[0]
 
 
 def _gee(d: int, f: np.ndarray, r: int, n_total: int) -> float:
@@ -60,12 +58,7 @@ def _chao(d: int, f: np.ndarray) -> float:
 def gee_estimator(sample: np.ndarray, n_total: int) -> float:
     """Guaranteed-Error Estimator of Charikar et al.:
     ``sqrt(n/r) * f1 + sum_{j>=2} f_j``."""
-    r = len(sample)
-    if r == 0:
-        return 0.0
-    if n_total < r:
-        raise ValueError("n_total must be >= sample size")
-    return _gee(*_frequency_of_frequencies(sample), r, n_total)
+    return scale_distinct(sample, n_total, "gee")
 
 
 def chao_estimator(sample: np.ndarray) -> float:
@@ -88,15 +81,11 @@ def adaptive_estimator(sample: np.ndarray, n_total: int) -> float:
     estimators, clamped to the feasible range [d, n_total].  The sample is
     counted once; both estimators read the same ``(d, f)``.
     """
-    r = len(sample)
-    if r == 0:
-        return 0.0
-    if n_total < r:
-        raise ValueError("n_total must be >= sample size")
-    d, f = _frequency_of_frequencies(sample)
+    return scale_distinct(sample, n_total, "ae")
+
+
+def _adaptive(d: int, f: np.ndarray, r: int, n_total: int) -> float:
     f1 = int(f[0]) if len(f) >= 1 else 0
-    if d == 0:
-        return 0.0
     if f1 == 0:
         # Every value repeated: the sample has very likely seen everything.
         return float(d)
@@ -107,21 +96,39 @@ def adaptive_estimator(sample: np.ndarray, n_total: int) -> float:
     return float(min(max(est, d), n_total))
 
 
+def scale_counts(
+    d: int, f: np.ndarray, r: int, n_total: int, estimator: str = "ae"
+) -> float:
+    """:func:`scale_distinct` for a sample already counted: ``r`` rows
+    holding ``d`` distinct values, ``f[j]`` of them seen ``j + 1`` times
+    (what :meth:`repro.stats.keyindex.KeyIndex.counts` returns).  Integers
+    in, so an estimate does not depend on how the sample was counted."""
+    if estimator == "exact":
+        return float(d)
+    if estimator == "chao":
+        return _chao(d, f)
+    if estimator == "gee":
+        scale = _gee
+    elif estimator == "ae":
+        scale = _adaptive
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if r == 0:
+        return 0.0
+    if n_total < r:
+        raise ValueError("n_total must be >= sample size")
+    return scale(d, f, r, n_total)
+
+
 def scale_distinct(
     sample: np.ndarray, n_total: int, estimator: str = "ae"
 ) -> float:
     """Estimate the distinct count of a population of ``n_total`` rows from
     a uniform sample, by estimator name ('exact' treats the sample as the
     population)."""
-    if estimator == "exact":
-        return float(exact_distinct(sample))
-    if estimator == "gee":
-        return gee_estimator(sample, n_total)
-    if estimator == "chao":
-        return chao_estimator(sample)
-    if estimator == "ae":
-        return adaptive_estimator(sample, n_total)
-    raise ValueError(f"unknown estimator {estimator!r}")
+    return scale_counts(
+        *_frequency_of_frequencies(sample), len(sample), n_total, estimator
+    )
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

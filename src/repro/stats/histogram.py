@@ -17,6 +17,7 @@ from repro.relational.query import (
     Predicate,
     RangePredicate,
 )
+from repro.stats.distinct import exact_distinct
 
 
 class EquiWidthHistogram:
@@ -39,7 +40,7 @@ class EquiWidthHistogram:
         self.width = span / nbuckets if span > 0 else 1.0
         idx = np.clip(((values - self.lo) / self.width).astype(np.int64), 0, nbuckets - 1)
         self.counts = np.bincount(idx, minlength=nbuckets).astype(np.int64)
-        self.ndistinct = len(np.unique(values))
+        self.ndistinct = exact_distinct(values)
 
     def _bucket_of(self, v: float) -> int:
         return int(np.clip((v - self.lo) / self.width, 0, len(self.counts) - 1))

@@ -32,6 +32,7 @@ import numpy as np
 from repro.relational.table import Table
 from repro.storage.btree import btree_height, clustered_overhead_bytes
 from repro.storage.disk import DiskModel
+from repro.storage.fragments import pages_for_rowids, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,6 @@ class CompactionStats:
     pages_read: int = 0
     pages_written: int = 0
     merged_from_row: int = 0
-
-
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)``, skipped when ``values`` is already strictly
-    increasing — what a Correlation Map lookup hands the range and bucket
-    expansions, though other callers may pass anything."""
-    if len(values) < 2 or (values[1:] > values[:-1]).all():
-        return values
-    return np.unique(values)
 
 
 class HeapFile:
@@ -425,9 +417,7 @@ class HeapFile:
         return np.nonzero(mask)[0]
 
     def pages_for_rowids(self, rowids: np.ndarray) -> np.ndarray:
-        if len(rowids) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.asarray(rowids, dtype=np.int64) // self.rows_per_page)
+        return pages_for_rowids(rowids, self.rows_per_page)
 
     def _prefix_code(self, depth: int) -> np.ndarray:
         """Dense rank codes (0..D-1) of the leading ``depth`` cluster-key
@@ -547,7 +537,7 @@ class HeapFile:
         order; tail rows, which have no rank, are ignored).  Used to ask:
         which clustered-key groups does a predicate co-occur with?"""
         codes = self._prefix_code(depth)
-        return np.unique(codes[mask[: len(codes)]])
+        return sorted_unique(codes[mask[: len(codes)]])
 
     def prefix_distinct_count(self, depth: int) -> int:
         codes = self._prefix_code(depth)

@@ -2,11 +2,15 @@
 
 These are the forms the production code used before it was made faster (one
 sorted pass instead of a loop of ``np.unique``; one strength lookup per
-attribute pair instead of one per query and step; one scalar pricing core
-instead of a ``PlanEstimate`` per plan family; CM candidates priced from the
-file's columns instead of each built and scanned), moved here verbatim: they
-exist *only* as test oracles (``test_reference_kernels.py``) and share no
-state with the code under test — no cache, no memo, no packed array.
+attribute pair instead of one per query and step, then all queries at once
+on arrays instead of a scalar triple loop; one scalar pricing core instead
+of a ``PlanEstimate`` per plan family; CM candidates priced from the file's
+columns instead of each built and scanned; a synopsis key ordered by
+refining its parent prefix and counted from its group sizes instead of one
+``lexsort`` and one min/max re-pack + ``np.unique`` per key), moved here
+verbatim: they exist *only* as test oracles (``test_reference_kernels.py``)
+and share no state with the code under test — no cache, no memo, no packed
+array.
 """
 
 from __future__ import annotations
@@ -24,12 +28,68 @@ from repro.costmodel.correlation_aware import (
 from repro.design.selectivity import SelectivityVectors, VectorKey
 from repro.engine import EvalContext, get_session
 from repro.relational.query import KIND_EQ, Query
+from repro.relational.table import Table
 from repro.stats.collector import TableStatistics
+from repro.stats.distinct import _frequency_of_frequencies, scale_distinct
 from repro.storage.access import clustered_scan, cm_scan, full_scan
 from repro.storage.layout import HeapFile
 
 _CLUSTER_ID_BYTES = 4
 _EPSILON = 1e-9  # repro.design.selectivity's change threshold
+
+
+def reference_sorted_synopsis_codes(
+    synopsis: Table, cluster_key: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sort permutation, dense group code of every sorted position) of a
+    table under a key: one ``np.lexsort`` from scratch, one change flag per
+    attribute."""
+    perm = synopsis.sort_permutation(tuple(cluster_key))
+    changed = np.zeros(synopsis.nrows, dtype=bool)
+    if synopsis.nrows:
+        for attr in cluster_key:
+            arr = synopsis.column(attr)[perm]
+            changed[1:] |= arr[1:] != arr[:-1]
+    return perm, np.cumsum(changed).astype(np.int64)
+
+
+def reference_key_counts(
+    table: Table, key: tuple[str, ...], mask: np.ndarray | None = None
+) -> tuple[int, np.ndarray]:
+    """``(d, f)`` of a joint key over the rows in ``mask``: the key re-packed
+    into one code per row (a min/max scan per column), then ``np.unique``."""
+    codes = table._key_codes(tuple(key))
+    return _frequency_of_frequencies(codes if mask is None else codes[mask])
+
+
+def reference_distinct(stats: TableStatistics, key: tuple[str, ...]) -> float:
+    """``TableStatistics.distinct`` from the re-packed key codes."""
+    return scale_distinct(
+        stats.synopsis._key_codes(tuple(key)), stats.nrows, stats.corr.estimator
+    )
+
+
+def reference_strength(
+    stats: TableStatistics, determinant: tuple[str, ...], dependent: tuple[str, ...]
+) -> float:
+    d_det = reference_distinct(stats, determinant)
+    d_joint = reference_distinct(
+        stats, tuple(dict.fromkeys(tuple(determinant) + tuple(dependent)))
+    )
+    return 1.0 if d_joint <= 0 else min(1.0, d_det / d_joint)
+
+
+def reference_distinct_among(
+    stats: TableStatistics, mask: np.ndarray, attrs: tuple[str, ...]
+) -> float:
+    """``TableStatistics.distinct_among`` from the re-packed key codes."""
+    sub = stats.synopsis._key_codes(tuple(attrs))[mask]
+    if len(sub) == 0:
+        return 0.0
+    matched_fraction = len(sub) / max(1, stats.synopsis.nrows)
+    n_matching = max(len(sub), int(round(matched_fraction * stats.nrows)))
+    est = scale_distinct(sub, n_matching, stats.estimator)
+    return float(min(est, reference_distinct(stats, attrs)))
 
 
 def reference_estimate_layout(
@@ -45,12 +105,7 @@ def reference_estimate_layout(
     synopsis = stats.synopsis
     if not cluster_key or synopsis.nrows == 0:
         return None
-    perm = synopsis.sort_permutation(tuple(cluster_key))
-    changed = np.zeros(synopsis.nrows, dtype=bool)
-    for attr in cluster_key:
-        arr = synopsis.column(attr)[perm]
-        changed[1:] |= arr[1:] != arr[:-1]
-    codes = np.cumsum(changed).astype(np.int64)
+    perm, codes = reference_sorted_synopsis_codes(synopsis, cluster_key)
     attrs = query.predicate_attrs() if pred_attrs is None else pred_attrs
     mask = np.ones(synopsis.nrows, dtype=bool)
     for attr in attrs:
@@ -76,8 +131,8 @@ def reference_propagate_selectivities(
     stats: TableStatistics,
     max_steps: int | None = None,
 ) -> int:
-    """Selectivity Propagation asking ``stats.strength`` afresh for every
-    (query, attribute, source) of every step."""
+    """Selectivity Propagation as a scalar loop over (query, attribute,
+    source), asking ``stats.strength`` afresh for each of every step."""
     attrs = vectors.attrs
     limit = max_steps if max_steps is not None else max(1, len(attrs))
     steps = 0

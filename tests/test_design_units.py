@@ -1,5 +1,7 @@
 """Design-layer units: grouping, clustering designer, MV sizing, domination."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,8 +40,8 @@ from repro.relational.query import (
     RangePredicate,
     Workload,
 )
-from repro.stats import distinct
 from repro.stats.collector import TableStatistics
+from repro.stats.keyindex import KeyIndex
 from repro.storage.disk import DiskModel
 from repro.workloads.registry import make
 from tests.conftest import make_people
@@ -118,6 +120,33 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+#: Modules whose kernels sort instead of calling plain ``np.unique(x)``,
+#: which hashes from NumPy 2.3 on and is several times slower than a sort.
+SORTING_MODULES = (
+    "repro.stats",
+    "repro.relational.table",
+    "repro.cm.correlation_map",
+    "repro.storage.layout",
+    "repro.storage.fragments",
+)
+
+
+def plain_unique_callers(monkeypatch) -> list[str]:
+    """Record the module of every ``np.unique(x)`` call made without flags
+    from one of :data:`SORTING_MODULES`, from now on."""
+    callers: list[str] = []
+    original = np.unique
+
+    def watching(*args, **kwargs):
+        module = sys._getframe(1).f_globals.get("__name__", "")
+        if len(args) + len(kwargs) == 1 and module.startswith(SORTING_MODULES):
+            callers.append(module)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", watching)
+    return callers
 
 
 def count_score_key_calls(monkeypatch) -> list:
@@ -306,10 +335,14 @@ class TestClusteredIndexDesigner:
 def test_design_work_is_bounded(monkeypatch):
     """The kernel work of ``enumerate()`` plus one ``update()`` on the small
     drift fixture of ``tests/test_incremental.py``, as exact call counts
-    (they repeat): layout simulations, k-means runs, sample counts.  A
-    change that drops a memo — prices on the cost model, splits on the
-    grouping memo, one count per AE estimate — fails here instead of
-    slowing a benchmark."""
+    (they repeat): layout simulations, k-means runs, synopsis key orders
+    built (one refinement each, prefixes and single columns included) and
+    ``(d, f)`` counts taken.  A change that drops a memo — prices on the
+    cost model, splits on the grouping memo, orders on the key index,
+    distinct counts per attribute set — fails here instead of slowing a
+    benchmark.  No heap file is built on the way, so nothing may
+    ``lexsort``, and no statistics kernel may fall back to the hashing
+    ``np.unique``."""
     inst = make("ssb", lineorder_rows=12_000, seed=3)
     queries = list(inst.workload)
     phase1 = Workload(
@@ -323,12 +356,17 @@ def test_design_work_is_bounded(monkeypatch):
         config=DesignerConfig(t0=1, alphas=(0.0, 0.25, 0.5), use_feedback=False),
     )
     simulated = count_calls(monkeypatch, TableStatistics, "_simulate_scan")
-    counted = count_calls(monkeypatch, distinct, "_frequency_of_frequencies")
+    ordered = count_calls(monkeypatch, KeyIndex, "_build")
+    counted = count_calls(monkeypatch, KeyIndex, "counts")
     clustered = count_calls(monkeypatch, grouping, "kmeans")
     monkeypatch.setattr(clustering, "kmeans", grouping.kmeans)
+    lexsorted = count_calls(monkeypatch, np, "lexsort")
+    hashed = plain_unique_callers(monkeypatch)
     designer.enumerate()
     designer.update(phase1, int(inst.total_base_bytes() * 0.6))
-    assert (len(simulated), len(clustered), len(counted)) == (480, 100, 552)
+    assert (len(simulated), len(clustered)) == (480, 100)
+    assert (len(ordered), len(counted)) == (113, 467)
+    assert not lexsorted and not hashed
 
 
 def test_cm_design_work_is_bounded(monkeypatch):
@@ -336,7 +374,9 @@ def test_cm_design_work_is_bounded(monkeypatch):
     fixture under one session, as exact counts (they repeat): CM candidates
     priced from columns, candidates that beat the best so far, Correlation
     Maps built.  Only an improving candidate may cost a build, and the
-    session's build cache may spare even that."""
+    session's build cache may spare even that.  Heap files are built here
+    (so ``lexsort`` is legitimate), but nothing hashes through a plain
+    ``np.unique``."""
     inst = make("ssb", lineorder_rows=12_000, seed=3)
     designer = CoraddDesigner(
         inst.flat_tables,
@@ -348,6 +388,7 @@ def test_cm_design_work_is_bounded(monkeypatch):
     base = inst.total_base_bytes()
     designs = designer.design_ladder([int(base * f) for f in (0.25, 0.5, 1.0, 2.0)])
     built = count_calls(monkeypatch, CorrelationMap, "_build")
+    hashed = plain_unique_callers(monkeypatch)
     session = EvalSession()
     with use_metrics() as metrics:
         evaluate_designs(designs, session=session)
@@ -355,6 +396,7 @@ def test_cm_design_work_is_bounded(monkeypatch):
     improved = metrics.counter("cm.designer.candidates_built")
     assert (priced, improved, len(built)) == (448, 11, 6)
     assert len(built) == session.stats["cm_build_misses"] <= improved
+    assert not hashed
 
 
 class TestGrouping:

@@ -1,8 +1,9 @@
 """The fast kernels equal their reference implementations bit for bit: the
-memoised layout simulation of ``TableStatistics.estimate_layout``, the
-CSR-packed ``CorrelationMap``, the CM Designer pricing candidates from
-columns, the strength-caching Selectivity Propagation and the cost model's
-scalar pricing core against ``tests/reference_kernels.py``."""
+memoised layout simulation of ``TableStatistics.estimate_layout``, the key
+index's refined orders and group counts, the CSR-packed ``CorrelationMap``,
+the CM Designer pricing candidates from columns, Selectivity Propagation as
+an array program and the cost model's scalar pricing core against
+``tests/reference_kernels.py``."""
 
 import functools
 import pickle
@@ -18,6 +19,7 @@ from repro.cm.designer import CandidatePricer, CMDesigner
 from repro.costmodel.base import ObjectGeometry
 from repro.costmodel.correlation_aware import CorrelationAwareCostModel
 from repro.design.selectivity import (
+    SelectivityVectors,
     build_selectivity_vectors,
     propagate_selectivities,
 )
@@ -25,17 +27,23 @@ from repro.engine import EvalSession, use_session
 from repro.engine.shm import SHARE_MIN_BYTES, ShmArena
 from repro.relational.query import EqPredicate, InPredicate, Query, RangePredicate
 from repro.stats.collector import TableStatistics
+from repro.stats.keyindex import KeyIndex
 from repro.storage.access import cm_scan
 from repro.storage.disk import DiskModel
 from repro.storage.executor import PhysicalDatabase, PhysicalObject
-from repro.storage.layout import HeapFile
+from repro.storage.layout import HeapFile, sorted_unique
 from repro.workloads.registry import make
 from tests.reference_kernels import (
     ReferenceCorrelationMap,
     reference_best_cm_for_query,
+    reference_distinct,
+    reference_distinct_among,
     reference_estimate_layout,
     reference_explain,
+    reference_key_counts,
     reference_propagate_selectivities,
+    reference_sorted_synopsis_codes,
+    reference_strength,
 )
 from tests.test_table import make_table
 
@@ -140,6 +148,193 @@ def test_synopsis_masks_are_cached_and_read_only():
     for cached in (mask, everything):
         with pytest.raises(ValueError):
             cached[0] = False
+
+
+# ------------------------------------------------------------------ key index
+
+
+def _wide_table(rng: np.random.Generator, n: int):
+    """Negative and wide-range integers, low- and high-cardinality columns,
+    and one float column holding both zeros."""
+    return make_table(
+        lo=rng.integers(0, 3, n),
+        neg=rng.integers(-5, 5, n),
+        mid=rng.integers(0, 40, n),
+        wide=rng.integers(-(2**62), 2**62, n),
+        wide_lo=rng.integers(-(2**62), 2**62, 4)[rng.integers(0, 4, n)],
+        hi=rng.integers(0, 10 * n + 1, n),
+        x=rng.choice(np.array([-0.0, 0.0, 0.5, -1.25, 3.0]), n),
+    )
+
+
+WIDE_ATTRS = ["lo", "neg", "mid", "wide", "wide_lo", "hi", "x"]
+key_lists = st.lists(
+    st.lists(st.sampled_from(WIDE_ATTRS), min_size=1, max_size=6, unique=True),
+    min_size=1, max_size=6,
+)
+
+
+def _mask(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    if kind == "random":
+        return rng.random(n) < rng.random()
+    return np.full(n, kind == "full")
+
+
+def _assert_counts_equal(got, want) -> None:
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    assert got[1].dtype == want[1].dtype
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 400),
+    keys=key_lists,
+    cache_prefixes=st.booleans(),
+    mask_kinds=st.lists(
+        st.sampled_from(["empty", "full", "random"]), min_size=1, max_size=3
+    ),
+    data=st.data(),
+)
+def test_key_index_equals_reference(seed, n, keys, cache_prefixes, mask_kinds, data):
+    """Keys that share prefixes, asked for in random order and every prefix
+    of theirs in a random order too — so a key meets its parent cached and
+    not, counted before it is ordered and after: the permutation and group
+    codes are ``lexsort``'s element for element, ``(d, f)`` are those of the
+    re-packed key under ``np.unique``, with and without a mask."""
+    rng = np.random.default_rng(seed)
+    table = _wide_table(rng, n)
+    index = KeyIndex(table)
+    wanted = [tuple(key) for key in keys]
+    if cache_prefixes:
+        wanted += [key[:depth] for key in wanted for depth in range(1, len(key))]
+        wanted = data.draw(st.permutations(wanted))
+    for key in wanted:
+        if data.draw(st.booleans()):
+            _assert_counts_equal(index.counts(key), reference_key_counts(table, key))
+        order = index.order(key)
+        perm, codes = reference_sorted_synopsis_codes(table, key)
+        assert np.array_equal(order.perm, perm)
+        assert np.array_equal(order.row_codes[order.perm], codes)
+        assert np.array_equal(np.diff(order.bounds), np.bincount(codes))
+        _assert_counts_equal(index.counts(key), reference_key_counts(table, key))
+        for kind in mask_kinds:
+            mask = _mask(rng, n, kind)
+            _assert_counts_equal(
+                index.counts(key, mask), reference_key_counts(table, key, mask)
+            )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 400),
+    synopsis_rows=st.sampled_from([16, 64, 4096]),
+    estimator=st.sampled_from(["ae", "ae", "gee", "chao"]),
+    keys=key_lists,
+    mask_kinds=st.lists(
+        st.sampled_from(["empty", "full", "random"]), min_size=1, max_size=3
+    ),
+)
+def test_statistics_distincts_equal_reference(
+    seed, n, synopsis_rows, estimator, keys, mask_kinds
+):
+    """``distinct``, ``strength`` and ``distinct_among`` off the key index
+    equal the estimates over re-packed key codes with ``==`` — on a synopsis
+    that thins the table and on one that is the table (the exact path)."""
+    rng = np.random.default_rng(seed)
+    table = _wide_table(rng, n)
+    stats = TableStatistics(
+        table, synopsis_rows=synopsis_rows, seed=seed, estimator=estimator
+    )
+    keys = [tuple(key) for key in keys]
+    for key, other in zip(keys, keys[1:] + keys[:1]):
+        assert stats.distinct(key) == reference_distinct(stats, key)
+        assert stats.distinct(key[::-1]) == reference_distinct(stats, key)
+        assert stats.strength(key, other) == reference_strength(stats, key, other)
+        for kind in mask_kinds:
+            mask = _mask(rng, stats.synopsis.nrows, kind)
+            assert stats.distinct_among(mask, key) == (
+                reference_distinct_among(stats, mask, key)
+            )
+
+
+def test_key_index_above_65536_rows_uses_32_bit_codes():
+    rng = np.random.default_rng(2)
+    n = 70_000
+    table = make_table(
+        a=rng.integers(0, 9, n), b=rng.integers(-300, 300, n), c=rng.integers(0, n, n)
+    )
+    index = KeyIndex(table)
+    mask = rng.random(n) < 0.3
+    for key in [("a", "b", "c"), ("b", "a"), ("c",), ("c", "a")]:
+        _assert_counts_equal(index.counts(key), reference_key_counts(table, key))
+        order = index.order(key)
+        assert order.row_codes.dtype == order.perm.dtype == np.uint32
+        perm, codes = reference_sorted_synopsis_codes(table, key)
+        assert np.array_equal(order.perm, perm)
+        assert np.array_equal(order.row_codes[order.perm], codes)
+        _assert_counts_equal(
+            index.counts(key, mask), reference_key_counts(table, key, mask)
+        )
+    assert index.order(("a",)).row_codes.max() == 8
+    assert KeyIndex(table.select(np.arange(65_535))).order(("c",)).perm.dtype == np.uint16
+
+
+def test_key_index_on_an_empty_table():
+    table = make_table(a=np.empty(0, dtype=np.int64), x=np.empty(0))
+    index = KeyIndex(table)
+    nobody = np.zeros(0, dtype=bool)
+    for key in [(), ("a",), ("x", "a")]:
+        order = index.order(key)
+        assert len(order.perm) == len(order.row_codes) == order.ngroups == 0
+        for mask in (None, nobody):
+            d, f = index.counts(key, mask)
+            assert d == 0 and len(f) == 0
+    stats = TableStatistics(table)
+    assert stats.distinct(("a", "x")) == 0.0
+    assert stats.strength(("a",), ("x",)) == 1.0
+    assert stats.distinct_among(nobody, ("a",)) == 0.0
+    assert stats.estimate_layout(("a",), Query("q", "t", []), 10) is None
+
+
+def test_key_index_packs_only_what_fits_64_bits():
+    """Six columns of ~2^11 values each overflow a 64-bit mixed-radix code:
+    the key is counted from its refined order instead, same integers."""
+    rng = np.random.default_rng(4)
+    n = 2_100
+    table = make_table(**{f"c{i}": rng.permutation(n) for i in range(6)})
+    key = tuple(f"c{i}" for i in range(6))
+    index = KeyIndex(table)
+    for width, ordered in ((5, False), (6, True)):
+        _assert_counts_equal(
+            index.counts(key[:width]), reference_key_counts(table, key[:width])
+        )
+        assert (key[:width] in index._orders) is ordered
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.integers(-(2**40), 2**40), max_size=40),
+        st.lists(st.integers(0, 6), max_size=40),
+        st.lists(st.floats(-4.0, 4.0).map(lambda v: round(v * 2) / 2 + 0.0), max_size=40),
+    ),
+    dtype=st.sampled_from([np.int64, np.uint16, np.float64]),
+    presort=st.booleans(),
+)
+def test_sorted_unique_equals_np_unique(values, dtype, presort):
+    """Values and dtype of ``np.unique`` on integer, float, empty, sorted
+    (strictly or with duplicates) and unsorted input; the input is left as
+    it was."""
+    if np.dtype(dtype).kind == "u":
+        values = [abs(v) % 1000 for v in values]
+    arr = np.array(sorted(values) if presort else values, dtype=dtype)
+    before = arr.copy()
+    got = sorted_unique(arr)
+    want = np.unique(arr)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(arr, before)
 
 
 # ------------------------------------------------------------- CorrelationMap
@@ -458,6 +653,98 @@ def test_propagate_selectivities_equals_reference(
         want, stats, max_steps=max_steps
     )
     assert got.vectors == want.vectors
+
+
+class _StrengthTable:
+    """Stands in for ``TableStatistics`` where a test dictates strengths
+    (propagation asks for nothing else); unlisted pairs are uncorrelated."""
+
+    def __init__(self, strengths: dict) -> None:
+        self.strengths = strengths
+
+    def strength(self, determinant, dependent) -> float:
+        return self.strengths.get((determinant, dependent), 0.05)
+
+
+def _assert_propagates_like_reference(attrs, vectors, strengths, max_steps=None):
+    """Same step count, same values, and every vector's keys in the same
+    order (a missing attribute joins the end of its dict when first set)."""
+    stats = _StrengthTable(strengths)
+    got = SelectivityVectors(attrs, {q: dict(vec) for q, vec in vectors.items()})
+    want = SelectivityVectors(attrs, {q: dict(vec) for q, vec in vectors.items()})
+    steps = propagate_selectivities(got, stats, max_steps=max_steps)
+    assert steps == reference_propagate_selectivities(want, stats, max_steps=max_steps)
+    for q, vec in want.vectors.items():
+        assert list(got.vectors[q].items()) == list(vec.items()), q
+    return got
+
+
+def test_propagate_selectivities_on_hand_built_vectors():
+    """What ``build_selectivity_vectors`` never produces but the function
+    accepts: an attribute of the universe absent from a vector, a
+    single-attribute key outside the universe, two queries listing the same
+    keys in opposite orders (the running minimum keeps the first of two
+    candidates closer than epsilon, so the answers differ), a source exactly
+    at the ``1 - 1e-9`` threshold, and a strength of 0."""
+    attrs = ("a", "b", "c")
+    near = 0.5 - 5e-10
+    strengths = {
+        (("a",), ("p",)): 1.0,
+        (("a",), ("q",)): 1.0,
+        (("b",), ("p",)): 0.0,  # skipped, not divided by
+        (("b",), ("q",)): 0.8,
+        (("c",), ("a",)): 0.9,
+        (("c",), ("b", "a")): 0.7,
+        (("b",), ("edge",)): 1.0,
+        (("a",), ("edge",)): 1.0,
+    }
+    vectors = {
+        "forward": {"a": 1.0, "b": 1.0, "p": 0.5, "q": near},
+        "backward": {"q": near, "p": 0.5, "b": 1.0, "a": 1.0},
+        "absent": {"p": 0.25, ("b", "a"): 0.125, "b": 0.9},
+        # Only a value above 1 can tell a source at the threshold from none.
+        "threshold": {"a": 1.0, "b": 2.0, "c": 1.0, "edge": 1.0 - 1e-9},
+        "below": {"a": 1.0, "b": 2.0, "c": 1.0, "edge": 1.0 - 2e-9},
+        "empty": {},
+    }
+    got = _assert_propagates_like_reference(attrs, vectors, strengths)
+    assert got.vectors["forward"]["a"] == 0.5
+    assert got.vectors["backward"]["a"] == near
+    assert list(got.vectors["absent"]) == ["p", ("b", "a"), "b", "a", "c"]
+    assert got.vectors["threshold"] == vectors["threshold"]
+    assert got.vectors["below"]["b"] == 1.0 - 2e-9
+    assert list(got.vectors["forward"]) == ["a", "b", "p", "q", "c"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    nqueries=st.integers(0, 5),
+    max_steps=st.sampled_from([None, 0, 1, 2, 7]),
+)
+def test_propagate_selectivities_equals_reference_on_any_vectors(
+    data, nqueries, max_steps
+):
+    """Random hand-built vectors over dictated strengths: keys drawn from
+    the universe, outside it and composites, in a random order per query,
+    with selectivities and strengths from small sets that make candidates
+    tie within epsilon, sit on the source threshold, clamp at 1 and meet a
+    strength of 0."""
+    attrs = ("a", "b", "c", "d")
+    pool = [*attrs, "p", "q", ("a", "b"), ("c", "p"), ("d",), ("b", "c", "q")]
+    sels = [1.5, 1.0, 1.0 - 1e-9, 1.0 - 2e-9, 0.5, 0.5 - 5e-10, 0.5 + 5e-10, 0.25, 0.01]
+    strengths = {}
+    for attr in attrs:
+        for key in pool:
+            source = key if isinstance(key, tuple) else (key,)
+            strengths[(attr,), source] = data.draw(
+                st.sampled_from([0.0, 0.004, 0.5, 0.5 + 1e-10, 0.9, 1.0])
+            )
+    vectors = {}
+    for i in range(nqueries):
+        keys = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=8))
+        vectors[f"q{i}"] = {key: data.draw(st.sampled_from(sels)) for key in keys}
+    _assert_propagates_like_reference(attrs, vectors, strengths, max_steps)
 
 
 # --------------------------------------------------------------- plan pricing

@@ -256,3 +256,30 @@ class TestCorrelation:
         sample = people.sample(4_000, seed=0)
         s = strength(sample, ("city",), ("state",), n_total=people.nrows, estimator="ae")
         assert s == pytest.approx(1.0, abs=0.15)
+
+
+def test_both_zeros_are_one_key_value():
+    """Regression: a single float column was keyed by its bit pattern, so
+    ``-0.0`` and ``0.0`` counted as two values in ``distinct`` /
+    ``distinct_among`` / ``Table.distinct_count`` while the sorted layout and
+    every multi-column key held them as one group — and strengths read off
+    the two disagreed with the truth."""
+    from repro.stats.collector import TableStatistics
+    from tests.test_table import make_table
+
+    n = 10_000
+    table = make_table(
+        x=np.where(np.arange(n) % 2 == 0, 0.0, -0.0), y=np.arange(n) % 5
+    )
+    for synopsis_rows in (4096, n):  # a sample, and the table itself
+        stats = TableStatistics(table, synopsis_rows=synopsis_rows)
+        everything = np.ones(stats.synopsis.nrows, dtype=bool)
+        assert stats.distinct(("x",)) == 1.0
+        assert stats.distinct_among(everything, ("x",)) == 1.0
+        assert stats.distinct(("x", "y")) == 5.0
+        assert stats.strength(("x",), ("y",)) == pytest.approx(0.2)
+        assert stats.corr.index.order(("x",)).ngroups == 1
+    assert table.distinct_count(("x",)) == 1
+    assert table.distinct_count(("x", "y")) == 5
+    assert strength(table, ("x",), ("y",)) == pytest.approx(0.2)
+    assert len(np.unique(table._key_codes(("x",)))) == 1
