@@ -13,8 +13,7 @@ Entries are stored in CSR form and in no other: ``_packed`` holds every
 entry's sorted-unique clustered buckets back to back and ``_offsets`` (one
 more element than there are entries) says where each entry's run starts, so
 entry ``e`` owns ``_packed[_offsets[e]:_offsets[e + 1]]``.  Build, merge and
-lookup are each one vectorised pass over those two arrays, and shipping a CM
-through shared memory registers them as they are.
+lookup are each one vectorised pass over those two arrays.
 """
 
 from __future__ import annotations
@@ -274,47 +273,6 @@ class CorrelationMap:
         # CMs pickle detached: the heap file is reconstructible session
         # state, not part of the CM's own identity.
         return {**self.__dict__, "heapfile": None}
-
-    # -------------------------------------------------------- shared memory
-
-    def share(self, arena) -> "CorrelationMap":
-        """A detached clone whose entry-key, packed-postings and offsets
-        arrays live in ``arena`` shared memory, each replaced by its
-        :class:`~repro.engine.shm.ShmRef` token.  The clone is inert until
-        :meth:`resolve_shared` re-attaches the views — the snapshot
-        installer calls it on the receiving side.  CMs too small to be
-        worth a page-granular attach stay by-value."""
-        from repro.engine.shm import SHARE_MIN_BYTES
-
-        clone = self.detached()
-        if self._size_bytes >= SHARE_MIN_BYTES:
-            clone._entry_keys = {
-                attr: arena.register(arr) for attr, arr in self._entry_keys.items()
-            }
-            clone._packed = arena.register(self._packed)
-            clone._offsets = arena.register(self._offsets)
-        return clone
-
-    def resolve_shared(self) -> None:
-        """Re-attach a :meth:`share`-exported clone's arrays as read-only
-        zero-copy views.  Idempotent; a no-op for plainly detached CMs."""
-        if isinstance(self._packed, np.ndarray):
-            return
-        from repro.engine.shm import attach_ref
-
-        self._entry_keys = {
-            attr: attach_ref(ref) for attr, ref in self._entry_keys.items()
-        }
-        self._packed = attach_ref(self._packed)
-        self._offsets = attach_ref(self._offsets)
-
-    def shared_nbytes(self) -> int:
-        """Bytes this (share-exported, unresolved) CM references through
-        shared memory; zero for by-value CMs."""
-        if isinstance(self._packed, np.ndarray):
-            return 0
-        refs = (*self._entry_keys.values(), self._packed, self._offsets)
-        return sum(ref.nbytes for ref in refs)
 
     # --------------------------------------------------------------- lookup
 

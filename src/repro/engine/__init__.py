@@ -20,18 +20,16 @@ Parallel sweeps (see :mod:`repro.engine.parallel`)::
 There is one parallel path — supervised work stealing — and one session:
 neither takes a switch that selects an older behaviour.
 
-Snapshots (see :mod:`repro.engine.snapshot`) make session caches portable
-across processes: ``export_snapshot(session)`` -> ship -> ``.install()`` ->
-``merge_snapshots(*deltas)``.  On platforms with a shared-memory mount
-(:func:`repro.engine.shm.shm_available`) the sweep moves column arrays and
-large snapshot payloads through a :class:`~repro.engine.shm.ShmArena`, so
-workers attach zero-copy views instead of unpickling copies; elsewhere, and
-after a failed attach, the same snapshots cross as pickles.
+Forked workers inherit the session they evaluate under — ``fork`` is the
+only parent -> worker transport.  What they add to it comes home by value
+(see :mod:`repro.engine.snapshot`): ``export_snapshot(session,
+exclude=baseline)`` per item -> ``merge_snapshots(*deltas)`` ->
+``.install(session)`` in the parent, once.
 
 Fault tolerance (see :mod:`repro.engine.faults`): every forked sweep
 supervises its workers (crash/hang detection, requeue, respawn, in-parent
 fallback), and a contextvar-ambient :class:`~repro.engine.faults.FaultPlan`
-injects deterministic crashes/hangs/corruption for chaos tests::
+injects deterministic crashes/hangs/exceptions for chaos tests::
 
     from repro.engine import FaultPlan, FaultSpec, use_faults
 
@@ -48,26 +46,17 @@ from repro.engine.faults import (
     plan_from_env,
     use_faults,
 )
-from repro.engine.parallel import ParallelSweep, WarmupProbe, fork_available
+from repro.engine.parallel import ParallelSweep, fork_available
 from repro.engine.session import (
     EvalSession,
     ambient_scope,
     get_session,
     use_session,
 )
-from repro.engine.shm import (
-    ShmArena,
-    ShmAttachError,
-    ShmRef,
-    shm_available,
-    sweep_orphan_segments,
-)
 from repro.engine.snapshot import (
     SessionSnapshot,
     export_snapshot,
     merge_snapshots,
-    snapshot_nbytes,
-    snapshot_shared_nbytes,
 )
 
 __all__ = [
@@ -78,10 +67,6 @@ __all__ = [
     "InjectedFault",
     "ParallelSweep",
     "SessionSnapshot",
-    "ShmArena",
-    "ShmAttachError",
-    "ShmRef",
-    "WarmupProbe",
     "ambient_scope",
     "export_snapshot",
     "fork_available",
@@ -89,10 +74,6 @@ __all__ = [
     "get_session",
     "merge_snapshots",
     "plan_from_env",
-    "shm_available",
-    "snapshot_nbytes",
-    "snapshot_shared_nbytes",
-    "sweep_orphan_segments",
     "use_faults",
     "use_session",
 ]

@@ -14,9 +14,7 @@ Instrumented sites (``key`` passed by the caller):
 =================  ==========================  ================================
 site               key                         fired by
 =================  ==========================  ================================
-``sweep.task``     item index                  steal-pool worker, per task
-``sweep.probe``    probe-task index            steal-pool worker, per probe
-``shm.attach``     segment name                :func:`repro.engine.shm.attach_ref`
+``sweep.task``     item index                  steal-pool worker, per item
 ``ilp.solve``      ``None``                    :func:`repro.ilp.solver.solve`
 ``migration.step`` step boundary index         :func:`repro.design.migration.execute_transition`
 =================  ==========================  ================================
@@ -28,8 +26,8 @@ Fault kinds:
 * ``"hang"`` — sleep for ``delay_s`` seconds, then continue normally.
 * ``"raise"`` — raise :class:`InjectedFault`.
 * ``"corrupt"`` / ``"timeout"`` — *advisory*: :func:`fire` returns the matched
-  spec and the site interprets it (shm attach raises ``ShmAttachError``, the
-  ILP facade skips straight to its degraded path).
+  spec and the site interprets it (the ILP facade skips straight to its
+  degraded path; no site reads ``"corrupt"`` today).
 
 Plans can also come from the environment: ``REPRO_FAULTS="site:kind[@key]"``
 (``;``-separated) is parsed by :func:`plan_from_env`, so a chaos run can be
@@ -169,7 +167,7 @@ def plan_from_env(text: str | None = None) -> FaultPlan | None:
 
     Grammar: ``site:kind`` or ``site:kind@key``, ``;``-separated; numeric keys
     are parsed as ints (sweep/migration sites key on indices), anything else
-    stays a string (shm keys on segment names).  Example::
+    stays a string.  Example::
 
         REPRO_FAULTS="sweep.task:crash@2;ilp.solve:timeout"
     """

@@ -17,13 +17,12 @@ plan, the same flattened fact table re-sorted at every budget point.  An
   designer knobs), reusing Correlation Maps when the same object serves the
   same queries at another budget.
 
-A second tier of caches makes the cached state *serializable* and closes
-the executor recomputation gap:
+A second tier of caches closes the executor recomputation gap:
 
 * a **sort-ordering cache** keyed by (cluster key, key-column content): the
-  stable lexsort permutation of a materialization, so rebuilding the same
-  heap file — in another process, or after importing a snapshot — skips the
-  sort;
+  stable lexsort permutation of a materialization, so two objects of one
+  session that sort the same data by the same key — another projection,
+  another budget — sort once;
 * a **CM-fragment cache** keyed by (heap file content, prefix depth, rank
   codes content): the coalesced page fragments a CM-guided scan reads.
   Different CMs — and one CM probed by different queries — frequently
@@ -40,9 +39,10 @@ the executor recomputation gap:
   what the CM Designer sizes a candidate's bucket-width ladder from.
 
 All second-tier caches are exportable: :mod:`repro.engine.snapshot` turns
-them (plus masks and CM designs) into a picklable snapshot that can be
-shipped to worker processes and merged back — the backbone of
-:class:`repro.engine.parallel.ParallelSweep`.
+the entries a session gained since a baseline (masks and CM designs too)
+into a picklable delta, which is how the forked workers of a
+:class:`repro.engine.parallel.ParallelSweep` — who inherit the session
+itself — send home what they added to it.
 
 All keys are *content*-derived (array bytes are digested, predicates and
 disk models are value-hashable dataclasses), which makes the caches safe to
@@ -356,9 +356,9 @@ class EvalSession:
         """The stable lexsort permutation of ``source`` by ``cluster_key``,
         cached by key-column *content* — so two materializations that sort
         the same data by the same key (different projections, different
-        budgets, different processes via a snapshot) sort once.  Stored as
-        the narrowest index dtype that fits, which halves snapshot payload
-        for every realistic table."""
+        budgets) sort once.  Stored as the narrowest index dtype that fits,
+        which halves what a worker's delta carries home for every
+        realistic table."""
         key = (
             tuple(cluster_key),
             tuple(self.array_key(source.column(a)) for a in cluster_key),
@@ -585,28 +585,6 @@ class EvalSession:
                 return None
         return (hf_key, struct_key, query.fingerprint())
 
-    # --------------------------------------------------------- shared memory
-
-    def share_heapfiles(self, arena) -> int:
-        """Rebind every session-cached heap file's columns to read-only
-        views of ``arena`` shared-memory segments (see
-        :meth:`repro.storage.layout.HeapFile.share_columns`); returns the
-        bytes moved.  Content — and therefore every content key — is
-        unchanged, so the caches keep working untouched; what changes is
-        that forked workers of a :class:`~repro.engine.parallel.
-        ParallelSweep` read the parent's physical pages instead of
-        copy-on-write duplicates."""
-        moved = 0
-        for hf in self._heapfiles.values():
-            moved += hf.share_columns(arena)
-        # Adopted (pinned) files — e.g. the per-shard heap files of a
-        # ShardedHeapFile — cross to workers zero-copy too.
-        for obj in self._pinned_objects:
-            share = getattr(obj, "share_columns", None)
-            if share is not None:
-                moved += share(arena)
-        return moved
-
     # --------------------------------------------------------------- metrics
 
     def publish_metrics(self, registry=None) -> None:
@@ -629,6 +607,12 @@ class EvalSession:
             if delta:
                 registry.inc(f"engine.cache.{key}", delta)
             self._published_stats[key] = value
+
+    def mark_metrics_published(self) -> None:
+        """Take the counters as they stand for published.  A forked sweep
+        worker starts here: the counts it inherited are the parent's to
+        publish, so what the worker publishes is its own growth only."""
+        self._published_stats = dict(self.stats)
 
     # ------------------------------------------------------------- snapshots
 

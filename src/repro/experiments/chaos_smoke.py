@@ -1,4 +1,4 @@
-"""Chaos smoke: fault-injected sweep + interrupted migration, leak-checked.
+"""Chaos smoke: fault-injected sweep + interrupted migration.
 
 CI runs this module to prove the fault-tolerance machinery stays wired
 end-to-end (see :mod:`repro.engine.faults`):
@@ -7,19 +7,17 @@ end-to-end (see :mod:`repro.engine.faults`):
   (``FaultSpec("sweep.task", "crash", key=2)`` — the worker holding item 2
   dies with ``os._exit`` on every attempt): the supervisor must detect the
   deaths, requeue, respawn, degrade the poisoned item to the parent, and
-  still produce results bit-identical to a serial sweep of the same ladder
-  with ``/dev/shm`` exactly as it was (no orphaned segments, even from
-  killed workers);
+  still produce results bit-identical to a serial sweep of the same
+  ladder;
 * a migration is **interrupted at a step boundary** (injected
   ``migration.step`` raise), then resumed through its
   :class:`~repro.design.migration.MigrationJournal` — the finished database
   must be bit-identical to an uninterrupted :meth:`DesignDiff.apply`;
-* the orphan backstop is exercised for real: a ``repro-shm-*`` segment
-  attributed to a dead pid is planted and
-  :func:`~repro.engine.shm.sweep_orphan_segments` must reclaim it;
 * the trace artifact records the recovery: positive
   ``sweep.faults.worker_deaths`` / ``sweep.faults.requeues`` /
-  ``sweep.faults.parent_runs`` and ``migration.journal.resumes`` /
+  ``sweep.faults.respawns`` / ``sweep.faults.parent_runs``, every
+  dispatched item under ``sweep.steal.dispatched``, and
+  ``migration.journal.resumes`` /
   ``migration.journal.commits`` counters (supervision asserts are skipped
   on platforms without ``fork``, where the sweep runs serially).
 """
@@ -28,10 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-
-import multiprocessing as mp
 
 import numpy as np
 
@@ -43,20 +38,13 @@ from repro.engine import (
     FaultSpec,
     InjectedFault,
     ParallelSweep,
-    sweep_orphan_segments,
     use_faults,
     use_session,
 )
-from repro.experiments.harness import CM_PROBE, evaluate_design
+from repro.experiments.harness import evaluate_design
 from repro.obs import observed
 from repro.storage.executor import PhysicalDatabase
 from repro.workloads.registry import make
-
-
-def _shm_entries() -> set[str]:
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return set(os.listdir("/dev/shm"))
 
 
 def _assert_identical(a, b) -> None:
@@ -78,20 +66,6 @@ def _assert_same_db(a: PhysicalDatabase, b: PhysicalDatabase, workload) -> None:
         assert np.array_equal(x.result.mask, y.result.mask), q.name
 
 
-def _plant_orphan_segment() -> str:
-    """Create a ``repro-shm-*`` segment attributed to a pid that is already
-    dead — exactly what a SIGKILLed sweep parent leaves behind."""
-    child = mp.get_context("fork").Process(target=lambda: None)
-    child.start()
-    child.join()
-    name = f"repro-shm-{child.pid}-0-deadbeef"
-    seg = shared_memory.SharedMemory(name=name, create=True, size=64)
-    seg.close()
-    # The sweep (not this process's exit handler) owns reclamation here.
-    resource_tracker.unregister(seg._name, "shared_memory")
-    return name
-
-
 def run_chaos_smoke(path: str | Path = "TRACE_chaos_smoke.json") -> dict:
     """Run the crash-injected sweep and interrupted migration, write the
     trace artifact, verify its counters from disk."""
@@ -106,19 +80,13 @@ def run_chaos_smoke(path: str | Path = "TRACE_chaos_smoke.json") -> dict:
     with use_session(EvalSession()):
         serial = [evaluate_design(d) for d in designs]
 
-    orphan = _plant_orphan_segment()
-    before = _shm_entries() - {orphan}
-
     with observed("chaos-smoke") as obs:
-        swept = sweep_orphan_segments()
-        assert orphan in swept, (orphan, swept)
-
         # --- crash-injected sweep -------------------------------------
         sweep = ParallelSweep(workers=2)
         plan = FaultPlan(FaultSpec("sweep.task", "crash", key=2))
         with use_faults(plan):
             parallel = sweep.map(
-                evaluate_design, designs, session=EvalSession(), probe=CM_PROBE
+                evaluate_design, designs, session=EvalSession()
             )
         for a, b in zip(serial, parallel):
             _assert_identical(a, b)
@@ -152,13 +120,9 @@ def run_chaos_smoke(path: str | Path = "TRACE_chaos_smoke.json") -> dict:
             assert journal.state == "committed"
             _assert_same_db(ref, report.final_db, d1.workload)
 
-    leaked = _shm_entries() - before
-    assert not leaked, f"chaos run leaked shared-memory segments: {sorted(leaked)}"
-
     written = obs.write(path)
     trace = json.loads(written.read_text())
     counters = trace["metrics"]["counters"]
-    assert counters.get("engine.shm.orphans_swept", 0) >= 1, counters
     assert counters.get("migration.journal.resumes", 0) >= 1, counters
     assert counters.get("migration.journal.commits", 0) >= 1, counters
     assert counters.get("migration.journal.steps", 0) >= 1, counters
@@ -166,7 +130,9 @@ def run_chaos_smoke(path: str | Path = "TRACE_chaos_smoke.json") -> dict:
     if sweep.parallel:
         assert counters.get("sweep.faults.worker_deaths", 0) > 0, counters
         assert counters.get("sweep.faults.requeues", 0) > 0, counters
+        assert counters.get("sweep.faults.respawns", 0) > 0, counters
         assert counters.get("sweep.faults.parent_runs", 0) >= 1, counters
+        assert counters.get("sweep.steal.dispatched", 0) == len(designs) - 1
     return trace
 
 
@@ -174,14 +140,12 @@ if __name__ == "__main__":
     trace = run_chaos_smoke()
     counters = trace["metrics"]["counters"]
     print(
-        "chaos smoke OK: no leaked segments, "
+        "chaos smoke OK: "
         f"{counters.get('sweep.faults.worker_deaths', 0):.0f} worker deaths "
         "recovered, "
         f"{counters.get('sweep.faults.parent_runs', 0):.0f} parent fallbacks, "
         f"{counters.get('migration.journal.resumes', 0):.0f} migration "
-        "resume(s), "
-        f"{counters.get('engine.shm.orphans_swept', 0):.0f} orphan segment(s) "
-        "swept"
+        "resume(s)"
     )
     if os.environ.get("REPRO_KEEP_TRACE", "0") != "1":
         Path("TRACE_chaos_smoke.json").unlink()

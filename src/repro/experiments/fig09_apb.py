@@ -68,8 +68,8 @@ def run_fig09(
     # Serial design phase (feedback grows the pool budget-by-budget), then
     # one engine session for the whole evaluation sweep: masks, sorted heap
     # files and CMs are shared across budgets and both designers — and,
-    # with ``workers > 1``, across the work-stealing pool's processes via
-    # zero-copy shared-memory snapshots.
+    # with ``workers > 1``, inherited by the work-stealing pool's forked
+    # workers.
     budgets = budget_ladder(base_bytes, fractions)
     designs = [(coradd.design(b), commercial.design(b)) for b in budgets]
 

@@ -70,8 +70,8 @@ def run_fig11(
     # Serial design phase (feedback state flows down the ladder), then one
     # evaluation-engine session across the whole ladder and all three
     # designers.  With ``workers > 1`` evaluate_ladder fans out on the
-    # work-stealing pool: CM probes shard across workers, columns and
-    # cache arrays cross by shared memory, budgets go to whoever is idle.
+    # work-stealing pool: forked workers inherit the session, budgets go
+    # to whoever is idle.
     budgets = budget_ladder(base_bytes, fractions)
     designs = [
         (coradd.design(b), naive.design(b), commercial.design(b))

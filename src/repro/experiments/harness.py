@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.cm.designer import CMDesigner
 from repro.costmodel.base import ObjectGeometry
 from repro.costmodel.oblivious import ObliviousCostModel
 from repro.design.designer import Design
 from repro.engine import (
     EvalSession,
     ParallelSweep,
-    WarmupProbe,
     ambient_scope,
     get_session,
 )
@@ -105,68 +103,6 @@ def _observe_evaluation(evaluated: EvaluatedDesign) -> None:
         monitor.observe_design(evaluated)
 
 
-def _cm_probe_tasks(design_tuple) -> list[tuple]:
-    """Parent-side half of the warmup probe: the independent per-query CM
-    choices of one ladder item — a tuple of designs, or one bare design —
-    as (design, spec, query) units.  Building the heap files here — under
-    the ambient session, before the snapshot export — warms the
-    sort-ordering cache every worker rebuild reuses, and puts the files on
-    the table for zero-copy column sharing.  Probes already answered by
-    the session's ``cm_choices`` cache are skipped."""
-    session = get_session()
-    if session is None:
-        return []
-    if isinstance(design_tuple, Design):
-        design_tuple = (design_tuple,)
-    tasks: list[tuple] = []
-    seen: set[tuple] = set()
-    for design in design_tuple:
-        if not design.use_cms:
-            continue
-        designer = CMDesigner(budget_bytes=design.cm_budget_bytes)
-        knobs = EvalSession._designer_knobs(designer)
-        for spec in design.object_specs():
-            queries = design.spec_queries(spec)
-            if not (spec.cluster_key and queries):
-                continue
-            hf = design._heapfile(
-                session, design.flat_tables[spec.fact],
-                spec.attrs, spec.cluster_key, spec.name,
-            )
-            hf_key = session.heapfile_key(hf)
-            for query in queries:
-                key = (hf_key, query.fingerprint(), knobs)
-                if key in seen or key in session._cm_choices:
-                    continue
-                seen.add(key)
-                tasks.append((design, spec, query))
-    return tasks
-
-
-def _cm_probe_run(task: tuple) -> None:
-    """Worker-side half: answer one (design, spec, query) CM choice under
-    the worker session.  The heap file is rebuilt through the *same*
-    session path materialization uses, so the cached choice lands under
-    the exact key ``design_cms`` will look up — the result itself is
-    discarded, only the cache delta ships home."""
-    design, spec, query = task
-    session = get_session()
-    if session is None:
-        return
-    hf = design._heapfile(
-        session, design.flat_tables[spec.fact],
-        spec.attrs, spec.cluster_key, spec.name,
-    )
-    designer = CMDesigner(budget_bytes=design.cm_budget_bytes)
-    session.best_cm_for_query(designer, hf, query)
-
-
-#: The ladder-sweep warmup probe: shards the first budget's CM probe phase
-#: (one unit per (object, query)) across the worker pool before the item
-#: itself runs in the parent — the PR 3 "warmup runs serially" leftover.
-CM_PROBE = WarmupProbe(tasks=_cm_probe_tasks, run=_cm_probe_run)
-
-
 def evaluate_ladder(
     design_tuples: list[tuple[Design, ...]],
     evaluate_fn,
@@ -180,12 +116,10 @@ def evaluate_ladder(
     matching tuple of :meth:`EvaluatedDesign.without_design` results —
     stripped so workers do not ship whole base tables back through pickle.
     The parent reattaches each design positionally.  The parallel path
-    runs through :class:`~repro.engine.ParallelSweep` with the
-    work-stealing scheduler: the first budget's CM probe phase is sharded
-    across the pool (:data:`CM_PROBE`), the item itself then warms the
-    session cache-hot in the parent, and the remaining budgets are handed
-    out one at a time to idle workers against a zero-copy snapshot of that
-    cache.  Results are in ladder order and bit-identical to a serial
+    runs through :class:`~repro.engine.ParallelSweep`: the first budget
+    warms the session in the parent, and the remaining budgets are handed
+    out one at a time to idle forked workers, which inherit that session.
+    Results are in ladder order and bit-identical to a serial
     sweep; with ``workers=1`` this *is* a serial sweep.  With
     ``session=None`` a throwaway session drives the sweep and worker
     deltas are not shipped back; pass a session to get it back sweep-warm.
@@ -195,7 +129,6 @@ def evaluate_ladder(
         evaluate_fn,
         design_tuples,
         session=session if session is not None else EvalSession(),
-        probe=CM_PROBE,
     )
     for designs, evs in zip(design_tuples, evaluated):
         for design, ev in zip(designs, evs):

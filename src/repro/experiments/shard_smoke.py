@@ -9,8 +9,7 @@ the module asserts that
   reference heap file — same selected source rows, same aggregate inputs —
   while shard pruning avoids a positive number of pages across the suite;
 * a 2-worker shard-parallel sweep returns exactly the serial plan choices
-  (plan strings, cost dataclasses and masks compare equal, not approx) and
-  leaks nothing into ``/dev/shm``;
+  (plan strings, cost dataclasses and masks compare equal, not approx);
 * the trace artifact records the new machinery at work: ``shard.prune``
   spans plus positive ``engine.shard.shards_pruned`` and
   ``engine.shard.shard_parallel_tasks`` counters.
@@ -36,12 +35,6 @@ from repro.storage.sharded import (
 from repro.workloads.registry import make
 
 FACT = "lineorder"
-
-
-def _shm_entries() -> set[str]:
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return set(os.listdir("/dev/shm"))
 
 
 def _span_names(spans: list[dict]) -> set[str]:
@@ -83,11 +76,10 @@ def run_shard_smoke(path: str | Path = "TRACE_shard_smoke.json") -> dict:
         pages_avoided += res.pages_avoided
     assert pages_avoided > 0, "no query pruned any shard"
 
-    # Shard-parallel sweep: bit-identical to serial, no shm orphans.  The
-    # serial arm must execute under the session, not replay the plans the
-    # loop above memoized.
+    # Shard-parallel sweep: bit-identical to serial.  The serial arm must
+    # execute under the session, not replay the plans the loop above
+    # memoized.
     db.invalidate_plans()
-    before = _shm_entries()
     with observed("shard-smoke") as obs:
         with use_session(EvalSession()) as session:
             serial = {q.name: db.run(q) for q in inst.workload}
@@ -95,8 +87,6 @@ def run_shard_smoke(path: str | Path = "TRACE_shard_smoke.json") -> dict:
             parallel = run_workload_shard_parallel(
                 db, inst.workload, sweep, session=session
             )
-    leaked = _shm_entries() - before
-    assert not leaked, f"sweep leaked shared-memory segments: {sorted(leaked)}"
     for name, s in serial.items():
         p = parallel[name]
         assert p.object_name == s.object_name and p.plan == s.plan

@@ -113,8 +113,8 @@ def run_tpch(
 
     # Evaluation phase: one engine session across the whole ladder (sorted
     # heap files, CM designs and predicate masks shared sweep-wide),
-    # sharded across the work-stealing pool when asked — CM probes fan out
-    # first, arrays cross by shared memory, results are bit-identical.
+    # sharded across the work-stealing pool when asked — forked workers
+    # inherit the session, results are bit-identical.
     evaluated = evaluate_ladder(designs, _evaluate, workers=workers)
     for frac, budget, (cd, md) in zip(fractions, budgets, evaluated):
         result.add_row(

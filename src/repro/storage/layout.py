@@ -114,9 +114,6 @@ class HeapFile:
         # Set by EvalSession.heapfile(): a session-cached file may back
         # several databases, so mutators must work on a private copy.
         self.shared = False
-        # Set by share_columns(): this file's column arrays are read-only
-        # views into a shared-memory arena (zero-copy across fork).
-        self.shm_shared = False
 
     # --------------------------------------------------------------- sizing
 
@@ -166,29 +163,6 @@ class HeapFile:
         clone.shared = False
         return clone
 
-    def share_columns(self, arena) -> int:
-        """Rebind this file's column arrays (and row provenance) to
-        read-only views of ``arena`` shared-memory segments; returns the
-        bytes moved.  Content is bit-identical, so session content keys do
-        not change and ``version`` does not bump.  Safe because the sorted
-        region is never written in place — every mutator rebinds whole
-        arrays, and a rebound array is a fresh private one.  Forked workers
-        inherit the views' mappings, so parent and children read the same
-        physical pages instead of duplicating them.  Idempotent."""
-        if self.shm_shared:
-            return 0
-        moved = 0
-        cols: dict[str, np.ndarray] = {}
-        for name in self.table.column_names:
-            arr = self.table.column(name)
-            cols[name] = arena.register_view(arr)
-            moved += arr.nbytes
-        self.table = Table(self.table.schema, cols, self.table.decoders)
-        moved += self.source_rowids.nbytes
-        self.source_rowids = arena.register_view(self.source_rowids)
-        self.shm_shared = True
-        return moved
-
     def _refresh_geometry(self, mutation: str, *given: np.ndarray) -> None:
         """Every mutator ends here: geometry follows the new row count, and
         ``version`` and ``lineage`` record the mutation (its name and the
@@ -208,9 +182,6 @@ class HeapFile:
             link.update(f"|{arr.dtype.str}{arr.shape}".encode())
             link.update(arr)
         self.lineage = link.digest()
-        # Mutators rebind arrays, so the file may no longer be fully
-        # arena-backed; allow a later share_columns() to re-share it.
-        self.shm_shared = False
 
     def insert(
         self,

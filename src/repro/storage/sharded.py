@@ -376,10 +376,6 @@ class ShardedHeapFile:
         return sum(s.size_bytes for s in self.shards)
 
     @property
-    def shm_shared(self) -> bool:
-        return all(s.shm_shared for s in self.shards)
-
-    @property
     def source_rowids(self) -> np.ndarray:
         return np.concatenate([s.source_rowids for s in self.shards])
 
@@ -417,11 +413,6 @@ class ShardedHeapFile:
         clone._view = None
         clone._view_version = -1
         return clone
-
-    def share_columns(self, arena) -> int:
-        """Ship every shard's columns into the shared-memory arena
-        (idempotent per shard, like :meth:`HeapFile.share_columns`)."""
-        return sum(s.share_columns(arena) for s in self.shards)
 
     # ------------------------------------------------------------- pruning
 
@@ -582,8 +573,7 @@ def shard_best_plan(
     session = get_session()
     if session is not None:
         # Pin the shard into the session's content-keyed caches: each shard
-        # caches independently (per-shard cache keys), and share_heapfiles()
-        # later ships pinned shard columns zero-copy to workers.
+        # caches independently (per-shard cache keys).
         session.adopt_heapfile(hf)
     ctx = EvalContext(hf, query)
     best = full_scan(hf, query, ctx)

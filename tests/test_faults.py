@@ -1,18 +1,15 @@
 """Fault injection, sweep supervision, and crash-safe migrations.
 
 The robustness contract: under *any* deterministic fault schedule —
-worker crashes, hangs, per-item exceptions, shared-memory corruption,
-solver timeouts, mid-migration death — the system degrades instead of
-deadlocking or corrupting, and every recovered result is bit-identical
-to the fault-free serial run.  Covers:
+worker crashes, hangs, per-item exceptions, solver timeouts, mid-migration
+death — the system degrades instead of deadlocking or corrupting, and
+every recovered result is bit-identical to the fault-free serial run.
+Covers:
 
 * :class:`~repro.engine.faults.FaultPlan` semantics (matching, ``at`` /
   ``times`` windows, env grammar, seeded random schedules);
 * the supervised steal pool: crash/hang/raise recovery, requeue,
   respawn, pool collapse to in-parent serial execution, pipe hygiene;
-* typed :class:`~repro.engine.shm.ShmAttachError` on missing / truncated /
-  digest-mismatched / fault-corrupted segments, and the orphan-segment
-  backstop sweep;
 * :class:`~repro.design.migration.MigrationJournal`: resume *and*
   rollback after death at **every** step boundary, refresh batches
   consumed exactly once across an interrupt;
@@ -22,10 +19,7 @@ to the fault-free serial run.  Covers:
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing as mp
-import os
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 import pytest
@@ -42,17 +36,12 @@ from repro.engine import (
     FaultSpec,
     InjectedFault,
     ParallelSweep,
-    ShmArena,
-    ShmAttachError,
     fork_available,
     get_faults,
     plan_from_env,
-    shm_available,
-    sweep_orphan_segments,
     use_faults,
     use_session,
 )
-from repro.engine.shm import attach_ref
 from repro.engine.parallel import _StealPool
 from repro.ilp.model import MILPModel
 from repro.ilp.solver import solve
@@ -64,9 +53,6 @@ from repro.workloads.registry import make
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform cannot fork worker processes"
-)
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="no usable shared-memory mount"
 )
 
 
@@ -210,6 +196,55 @@ class TestSupervisedSweep:
         results, _ = self._run(plan, workers=3)
         assert results == EXPECTED
 
+    @pytest.mark.parametrize(
+        "spec, sweep_kwargs",
+        [
+            (FaultSpec("sweep.task", "crash", key=3), {}),
+            (FaultSpec("sweep.task", "raise", key=5, times=1), {}),
+            (FaultSpec("sweep.task", "hang", key=2, delay_s=30.0),
+             {"item_timeout_s": 0.5}),
+            (FaultSpec("sweep.task", "crash"),
+             {"max_respawns": 0, "max_item_retries": 0}),
+        ],
+        ids=["crash", "raise", "hang", "collapse"],
+    )
+    def test_recovery_counters_equal_the_supervision_record(
+        self, spec, sweep_kwargs
+    ):
+        """Every recovery event is counted once under ``sweep.faults.*``:
+        the registry a trace is written from agrees with ``last_stats``."""
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            results, sup = self._run(FaultPlan(spec), **sweep_kwargs)
+        assert results == EXPECTED
+        counted = {
+            "deaths": "worker_deaths",
+            "hung_kills": "hung_kills",
+            "item_errors": "item_errors",
+            "requeues": "requeues",
+            "respawns": "respawns",
+            "parent_runs": "parent_runs",
+            "pool_collapsed": "pool_collapses",
+        }
+        for key, counter in counted.items():
+            assert registry.counter(f"sweep.faults.{counter}") == sup[key], key
+        assert any(sup.values())  # the schedule did fire
+
+    def test_unshippable_result_is_fatal_to_the_worker_not_the_sweep(self):
+        """A result that cannot cross the pipe kills its worker with a
+        ``fatal`` report; the item ends up in the parent, where nothing has
+        to be pickled."""
+        registry = MetricsRegistry()
+        sweep = ParallelSweep(workers=2)
+        with use_metrics(registry):
+            results = sweep.map(
+                lambda x: (lambda: x) if x == 4 else x, ITEMS
+            )
+        assert results[4]() == 4
+        assert results[:4] + results[5:] == ITEMS[:4] + ITEMS[5:]
+        assert registry.counter("sweep.faults.worker_fatal") >= 1
+        assert sweep.last_stats["supervision"]["parent_runs"] == 1
+
     def test_randomized_hangs_stay_exact(self):
         plan = FaultPlan.random(
             11, n_items=len(ITEMS), kinds=("hang",), rate=0.2, delay_s=30.0
@@ -223,15 +258,13 @@ class TestSupervisedSweep:
 @needs_fork
 class TestPipeHygiene:
     def _payload(self):
-        return (_square, ITEMS, None, [], None, False, None)
+        return (_square, ITEMS, None, False, None)
 
     def test_shutdown_closes_every_pipe_end(self):
         pool = _StealPool(mp.get_context("fork"), 2, self._payload())
         handles = list(pool.workers.values())
         results: dict[int, int] = {}
-        pool.run_round(
-            "task", range(len(ITEMS)), lambda k, i, r: results.__setitem__(i, r)
-        )
+        pool.run_round(range(len(ITEMS)), results.__setitem__)
         pool.shutdown()
         assert [results[i] for i in range(len(ITEMS))] == EXPECTED
         assert not pool.workers
@@ -287,92 +320,6 @@ class TestFaultySweepIdentity:
         for a, b in zip(serial, parallel):
             _assert_identical(a, b)
         assert sweep.last_stats["supervision"]["deaths"] >= 1
-
-    @needs_shm
-    def test_poisoned_shm_falls_back_to_pickled_payloads(self, tpch_designs):
-        from repro.experiments.harness import evaluate_design
-
-        with use_session(EvalSession()):
-            serial = [evaluate_design(d) for d in tpch_designs]
-        sweep = ParallelSweep(workers=2)
-        # Every attach in every worker fails: the pool must poison shared
-        # memory once and respawn onto by-value payloads, not collapse.
-        with use_faults(FaultPlan(FaultSpec("shm.attach", "corrupt"))):
-            parallel = sweep.map(
-                evaluate_design, tpch_designs, session=EvalSession()
-            )
-        for a, b in zip(serial, parallel):
-            _assert_identical(a, b)
-        assert sweep.last_stats["supervision"]["shm_fallback"]
-
-
-# ------------------------------------------------------------ shm hardening
-
-
-@needs_shm
-class TestShmAttachErrors:
-    def _registered_ref(self):
-        arena = ShmArena()
-        ref = arena.register(np.arange(4096, dtype=np.int64))
-        return arena, ref
-
-    def test_missing_segment_is_typed(self):
-        arena, ref = self._registered_ref()
-        arena.dispose()
-        with pytest.raises(ShmAttachError, match="segment unavailable"):
-            attach_ref(ref)
-
-    def test_digest_mismatch_is_typed(self):
-        arena, ref = self._registered_ref()
-        try:
-            bad = dataclasses.replace(ref, digest="00" * 16)
-            with pytest.raises(ShmAttachError, match="digest mismatch"):
-                attach_ref(bad)
-            assert attach_ref(ref).shape == ref.shape  # original still fine
-        finally:
-            arena.dispose()
-
-    def test_truncated_segment_is_typed(self):
-        arena, ref = self._registered_ref()
-        try:
-            bad = dataclasses.replace(ref, offset=ref.offset + (1 << 30))
-            with pytest.raises(ShmAttachError, match="truncated"):
-                attach_ref(bad)
-        finally:
-            arena.dispose()
-
-    def test_injected_corruption_is_typed_and_counted(self):
-        arena, ref = self._registered_ref()
-        registry = MetricsRegistry()
-        try:
-            plan = FaultPlan(FaultSpec("shm.attach", "corrupt", key=ref.segment))
-            with use_faults(plan), use_metrics(registry):
-                with pytest.raises(ShmAttachError, match="injected"):
-                    attach_ref(ref)
-        finally:
-            arena.dispose()
-        assert registry.counters["engine.shm.attach_errors"] == 1
-
-    def test_orphan_sweep_reclaims_only_dead_owners(self):
-        child = mp.get_context("fork").Process(target=lambda: None)
-        child.start()
-        child.join()
-        dead = shared_memory.SharedMemory(
-            name=f"repro-shm-{child.pid}-0-deadbeef", create=True, size=64
-        )
-        dead.close()
-        resource_tracker.unregister(dead._name, "shared_memory")
-        live = shared_memory.SharedMemory(
-            name=f"repro-shm-{os.getpid()}-0-cafecafe", create=True, size=64
-        )
-        try:
-            swept = sweep_orphan_segments()
-            assert dead.name in swept
-            assert live.name not in swept
-            assert os.path.exists(f"/dev/shm/{live.name}")
-        finally:
-            live.close()
-            live.unlink()
 
 
 # ------------------------------------------------------- crash-safe migration

@@ -2,10 +2,9 @@
 
 The parallel layer must be invisible everywhere caching is: plan choices,
 simulated costs and result masks from a multiprocess sweep equal the serial
-ones exactly — over shared memory and over pickled snapshots.  These tests
-also cover the serial fallback, the harness loop, per-fact enumeration
-fan-out, the ``last_stats`` contract, and a session outliving the sweep
-that shared its heap files.
+ones exactly.  These tests also cover the serial fallback, the harness
+loop, per-fact enumeration fan-out, the ``last_stats`` contract, what
+forked workers inherit from the session, and what a sweep leaves of it.
 """
 
 from __future__ import annotations
@@ -24,14 +23,11 @@ from repro.engine import (
     EvalSession,
     ParallelSweep,
     fork_available,
-    shm_available,
+    get_session,
     use_session,
 )
-from repro.experiments.harness import (
-    CM_PROBE,
-    evaluate_design,
-    evaluate_designs,
-)
+from repro.experiments.harness import evaluate_design, evaluate_designs
+from repro.obs.metrics import use_metrics
 from repro.workloads.registry import make
 
 CONFIG = DesignerConfig(t0=1, alphas=(0.0, 0.5), use_feedback=False)
@@ -84,6 +80,17 @@ class TestSerialFallback:
         )
         assert len(result) == 1
         assert result[0].real_seconds
+
+    def test_one_item_left_after_the_warmup_never_forks(self, tpch_designs):
+        """With a session item 0 warms it in the parent; a pool of one
+        worker for the single item left would only add a fork and a pipe
+        to the serial loop."""
+        sweep = ParallelSweep(workers=4)
+        pids = sweep.map(
+            lambda design: os.getpid(), tpch_designs[:2], session=EvalSession()
+        )
+        assert pids == [os.getpid()] * 2
+        assert sweep.last_stats == {}
 
 
 @needs_fork
@@ -240,44 +247,20 @@ class TestWorkStealing:
         for cache in serial_keys:
             assert serial_keys[cache] == sweep_keys[cache], cache
 
-    def test_shared_memory_off_is_identical(self, tpch_designs, monkeypatch):
-        """Without a usable shm mount — what the sweep selects on — the
-        same snapshots cross as pickles and nothing else changes."""
-        with use_session(EvalSession()):
-            serial = [evaluate_design(d) for d in tpch_designs]
-        monkeypatch.setattr("repro.engine.shm.shm_available", lambda: False)
-        sweep = ParallelSweep(workers=2)
-        parallel = sweep.map(
-            evaluate_design, tpch_designs, session=EvalSession()
-        )
-        for a, b in zip(serial, parallel):
-            _assert_identical(a, b)
-        assert sweep.last_stats["shm_bytes"] == 0
-
-    @pytest.mark.skipif(not shm_available(), reason="no POSIX shm mount")
-    def test_shared_memory_on_ships_arrays_by_reference(self, tpch_designs):
-        sweep = ParallelSweep(workers=2)
-        sweep.map(evaluate_design, tpch_designs, session=EvalSession())
-        stats = sweep.last_stats
-        assert stats["shm_bytes"] > 0
-        assert stats["shm_segments"] >= 1
-        # The bytes that crossed by reference dwarf what stayed inline.
-        assert stats["snapshot_shared_bytes"] > stats["snapshot_array_bytes"]
-
     def test_per_worker_accounting(self, tpch_designs):
         sweep = ParallelSweep(workers=2)
-        sweep.map(evaluate_design, tpch_designs, session=EvalSession())
+        with use_metrics() as registry:
+            sweep.map(evaluate_design, tpch_designs, session=EvalSession())
         stats = sweep.last_stats
         # The documented key set, exactly: benchmarks/e2e reads workers,
         # wall_seconds and worker_busy_seconds from outside the package.
         assert set(stats) == {
             "workers", "wall_seconds", "worker_busy_seconds", "worker_tasks",
-            "tasks", "probe_tasks", "shm_bytes", "shm_segments",
-            "snapshot_array_bytes", "snapshot_shared_bytes", "supervision",
+            "tasks", "supervision",
         }
         assert set(stats["supervision"]) == {
             "deaths", "hung_kills", "item_errors", "requeues", "respawns",
-            "parent_runs", "shm_fallback", "pool_collapsed",
+            "parent_runs", "pool_collapsed",
         }
         assert stats["workers"] == 2 and stats["wall_seconds"] > 0
         # Warmup ran item 0 in the parent; workers handled the rest, and
@@ -285,6 +268,13 @@ class TestWorkStealing:
         assert stats["tasks"] == len(tpch_designs) - 1
         assert len(stats["worker_tasks"]) == len(stats["worker_busy_seconds"])
         assert sum(stats["worker_tasks"]) == stats["tasks"]
+        # The same accounting, as the sweep.steal.* metrics a trace carries.
+        assert registry.counter("sweep.steal.dispatched") == stats["tasks"]
+        assert registry.counter("sweep.steal.tasks") == stats["tasks"]
+        assert (
+            registry.histogram("sweep.steal.task_seconds").count
+            == stats["tasks"]
+        )
         # Non-empty only after a forked run: a serial fallback clears it.
         sweep.map(evaluate_design, tpch_designs[:1], session=EvalSession())
         assert sweep.last_stats == {}
@@ -337,11 +327,10 @@ for key, hf in session._heapfiles.items():
 @needs_fork
 class TestSessionOutlivesSweep:
     def test_heapfile_columns_readable_after_sweep_is_gone(self):
-        """The sweep rebinds the session's heap-file columns to views of
-        its shared-memory arena, and the session outlives both.  Reading a
-        column after the arena was collected used to read unmapped pages —
-        a segfault, so this runs in a child interpreter: a regression must
-        fail this test, not kill the run."""
+        """A session outlives the sweep that forked over it, and its heap
+        files read back what a serial session's do.  Runs in a child
+        interpreter: reading a column whose memory went away with the sweep
+        is a segfault, which must fail this test, not kill the run."""
         import repro
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -359,34 +348,75 @@ class TestSessionOutlivesSweep:
 
 
 @needs_fork
-class TestWarmupProbe:
-    def test_cm_probe_shards_first_item_probes(self, tpch_designs):
-        """The PR 3 leftover: the warmup item's per-query CM probes fan
-        out across the pool, land under the same keys the serial path
-        uses, and leave results bit-identical."""
-        with use_session(EvalSession()):
-            serial = [evaluate_design(d) for d in tpch_designs]
-        session = EvalSession()
-        with use_session(session):
-            expected_tasks = CM_PROBE.tasks((tpch_designs[0],))
-        sweep = ParallelSweep(workers=2)
-        parallel = sweep.map(
-            evaluate_design, tpch_designs, session=session, probe=CM_PROBE
-        )
-        for a, b in zip(serial, parallel):
-            _assert_identical(a, b)
-        if expected_tasks:  # designs with CMs: the probe phase really ran
-            assert sweep.last_stats["probe_tasks"] == len(expected_tasks)
-            assert session._cm_choices
+class TestWorkersInheritTheSession:
+    """Fork is the parent -> worker transport: a worker evaluates under
+    the session object the parent holds, as the parent holds it."""
 
-    def test_probe_tasks_skip_already_cached_choices(self, tpch_designs):
+    def test_workers_hit_the_files_the_parent_built(self, tpch_designs):
+        design = tpch_designs[1]
         session = EvalSession()
-        ParallelSweep(workers=2).map(
-            evaluate_design, tpch_designs, session=session, probe=CM_PROBE
-        )
         with use_session(session):
-            again = CM_PROBE.tasks((tpch_designs[0],))
-        assert again == []
+            evaluate_design(design)
+        built = session.stats["heapfile_misses"]
+        assert built == len(session._heapfiles) > 0
+
+        def evaluate(design):
+            stats = get_session().stats
+            before = stats["heapfile_misses"], stats["heapfile_hits"]
+            evaluate_design(design)
+            return (
+                os.getpid(),
+                stats["heapfile_misses"] - before[0],
+                stats["heapfile_hits"] - before[1],
+            )
+
+        sweep = ParallelSweep(workers=2)
+        with use_metrics() as registry:
+            units = sweep.map(evaluate, [design] * 3, session=session)
+        assert sweep.last_stats
+        for pid, misses, hits in units[1:]:
+            assert pid != os.getpid()
+            assert misses == 0 and hits > 0
+        # Counters a worker inherits are the parent's to publish: each miss
+        # and hit reaches the registry once.
+        assert registry.counter("engine.cache.heapfile_misses") == built
+        worker_hits = sum(hits for _, _, hits in units[1:])
+        assert registry.counter("engine.cache.heapfile_hits") == (
+            session.stats["heapfile_hits"] + worker_hits
+        )
+
+    def test_sweep_leaves_the_session_as_it_found_it(self, tpch_designs):
+        """Apart from merged cache entries: every heap-file array is the
+        object it was, and nothing appears in ``/dev/shm``."""
+
+        def shm_listing():
+            shm = "/dev/shm"
+            return sorted(os.listdir(shm)) if os.path.isdir(shm) else []
+
+        session = EvalSession()
+        with use_session(session):
+            evaluate_design(tpch_designs[0])
+
+        def arrays():
+            return {
+                (key, name): arr
+                for key, hf in session._heapfiles.items()
+                for name, arr in [
+                    *((n, hf.table.column(n)) for n in hf.table.column_names),
+                    ("<source_rowids>", hf.source_rowids),
+                ]
+            }
+
+        before, listing = arrays(), shm_listing()
+        assert before
+        sweep = ParallelSweep(workers=2)
+        sweep.map(evaluate_design, tpch_designs, session=session)
+        assert sweep.last_stats
+        after = arrays()
+        assert after.keys() == before.keys()
+        for key, arr in before.items():
+            assert after[key] is arr, key
+        assert shm_listing() == listing
 
 
 class TestScanCachingFlag:

@@ -24,7 +24,6 @@ from repro.design.selectivity import (
     propagate_selectivities,
 )
 from repro.engine import EvalSession, use_session
-from repro.engine.shm import SHARE_MIN_BYTES, ShmArena
 from repro.relational.query import EqPredicate, InPredicate, Query, RangePredicate
 from repro.stats.collector import TableStatistics
 from repro.stats.keyindex import KeyIndex
@@ -410,7 +409,7 @@ def test_correlation_map_equals_reference(
 ):
     """After the build, after every ``refresh_merged`` that follows a
     ``tail_merge`` (incremental, and rebuild by boundary or by bloat), and
-    after ``share -> pickle -> resolve_shared``."""
+    after the pickle round trip a sweep worker's cache delta takes."""
     rng = np.random.default_rng(seed)
     hf = HeapFile(_random_table(rng, n), cluster_key, DISK)
     key_attrs, key_widths = key
@@ -433,35 +432,9 @@ def test_correlation_map_equals_reference(
         else:
             ref.merge_rows(merged_from)
         _assert_cm_equals_reference(cm, ref, queries)
-    arena = ShmArena()
-    try:
-        shipped = pickle.loads(pickle.dumps(cm.share(arena)))
-        shipped.resolve_shared()
-        shipped.resolve_shared()  # idempotent
-        assert shipped.heapfile is None and shipped.shared_nbytes() == 0
-        _assert_cm_equals_reference(shipped, ref, queries)
-    finally:
-        arena.dispose()
-
-
-def test_shared_correlation_map_ships_three_refs_and_no_arrays():
-    rng = np.random.default_rng(11)
-    hf = HeapFile(_random_table(rng, 4_000), ("c",), DISK)
-    cm = CorrelationMap(hf, ("m",))
-    assert cm.size_bytes >= SHARE_MIN_BYTES
-    arena = ShmArena()
-    try:
-        clone = cm.share(arena)
-        expected = cm._packed.nbytes + cm._offsets.nbytes + cm._entry_keys["m"].nbytes
-        assert clone.shared_nbytes() == expected
-        assert len(pickle.dumps(clone)) < expected / 4
-        # The packed arrays are the CM's own: a second export registers nothing.
-        registered = arena.bytes_registered
-        cm.share(arena)
-        assert arena.bytes_registered == registered
-        assert cm.shared_nbytes() == 0 and isinstance(cm._packed, np.ndarray)
-    finally:
-        arena.dispose()
+    shipped = pickle.loads(pickle.dumps(cm))
+    assert shipped.heapfile is None
+    _assert_cm_equals_reference(shipped, ref, queries)
 
 
 def test_empty_sorted_region_builds_an_empty_map():

@@ -17,12 +17,8 @@ import pytest
 from repro.design.designer import CoraddDesigner, DesignerConfig
 from repro.engine import (
     EvalSession,
-    ShmArena,
     export_snapshot,
     merge_snapshots,
-    shm_available,
-    snapshot_nbytes,
-    snapshot_shared_nbytes,
     use_session,
 )
 from repro.experiments.harness import evaluate_design
@@ -148,73 +144,6 @@ class TestRoundTrip:
         full = export_snapshot(session)
         for name, keys in full.key_sets().items():
             assert keys == baseline[name] | delta.key_sets()[name]
-
-
-@pytest.mark.skipif(not shm_available(), reason="no POSIX shm mount")
-class TestArenaSnapshots:
-    def test_arena_export_reproduces_evaluation(self, instance, designer):
-        """A snapshot whose big arrays crossed as ShmRef tokens installs
-        into the same cache state — evaluation is bit-identical and every
-        tier hits, exactly like the plain pickled round-trip above."""
-        design = _design(instance, designer, 0.75)
-        source = EvalSession()
-        with use_session(source):
-            first = evaluate_design(design)
-        arena = ShmArena()
-        try:
-            snapshot = pickle.loads(
-                pickle.dumps(export_snapshot(source, arena=arena))
-            )
-            fresh = EvalSession()
-            snapshot.install(fresh)
-            with use_session(fresh):
-                second = evaluate_design(design)
-            _assert_identical(first, second)
-            assert fresh.stats["ordering_misses"] == 0
-            assert fresh.stats["cm_choice_misses"] == 0
-            assert fresh.stats["mask_misses"] == 0
-        finally:
-            arena.dispose()
-
-    def test_arena_shrinks_the_pickled_payload(self, instance, designer):
-        design = _design(instance, designer, 0.75)
-        source = EvalSession()
-        with use_session(source):
-            evaluate_design(design)
-        plain = export_snapshot(source)
-        arena = ShmArena()
-        try:
-            shared = export_snapshot(source, arena=arena)
-            # Bytes moved out of the payload are accounted, not lost.
-            assert snapshot_shared_nbytes(shared) > 0
-            assert snapshot_shared_nbytes(plain) == 0
-            assert snapshot_nbytes(shared) < snapshot_nbytes(plain)
-            # The ship-bytes bar: what crosses the process boundary shrinks
-            # by an order of magnitude (34x at this fixture's scale).
-            assert len(pickle.dumps(plain)) >= 10 * len(pickle.dumps(shared))
-        finally:
-            arena.dispose()
-
-    def test_arena_install_is_idempotent(self, instance, designer):
-        """Installing the same shm-backed snapshot twice (the sweep's sync
-        message replays against a session that already has the baseline)
-        must resolve refs at most once and never error."""
-        design = _design(instance, designer, 0.5)
-        source = EvalSession()
-        with use_session(source):
-            first = evaluate_design(design)
-        arena = ShmArena()
-        try:
-            snapshot = pickle.loads(
-                pickle.dumps(export_snapshot(source, arena=arena))
-            )
-            fresh = EvalSession()
-            snapshot.install(fresh)
-            snapshot.install(fresh)
-            with use_session(fresh):
-                _assert_identical(first, evaluate_design(design))
-        finally:
-            arena.dispose()
 
 
 class TestMerge:
