@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.session import get_session
 from repro.relational.query import Query
 from repro.storage.layout import HeapFile, sorted_unique
 from repro.cm.bucketing import bucket_codes, entries_match
@@ -148,8 +147,6 @@ class CorrelationMap:
             self._build()
             return True
         hf = self.heapfile
-        if hf is None:
-            raise ValueError("cannot refresh a detached CorrelationMap")
         # ``sorted_epoch`` counts exactly the events that move the rank
         # space: compactions.  Tail inserts and tombstones leave it alone.
         if (
@@ -189,8 +186,6 @@ class CorrelationMap:
             self._build()
             return "rebuild"
         hf = self.heapfile
-        if hf is None:
-            raise ValueError("cannot refresh a detached CorrelationMap")
         if (
             hf.sorted_epoch == self._built_epoch
             and self._entry_rows_built == hf.sorted_rows
@@ -254,25 +249,8 @@ class CorrelationMap:
     @property
     def size_bytes(self) -> int:
         """Bytes to store all (key, posting-list) entries (computed at build
-        time, so it survives detaching from the heap file)."""
+        time)."""
         return self._size_bytes
-
-    # ------------------------------------------------------------- pickling
-
-    def detached(self) -> "CorrelationMap":
-        """A shallow copy without the heap-file reference.  A detached CM
-        still answers ``lookup`` / ``size_bytes`` (everything the executor
-        and the snapshot machinery need) but no longer drags the backing
-        table along — which is what makes CM cache entries serializable.
-        Entry arrays are shared with the original, not copied."""
-        clone = object.__new__(CorrelationMap)
-        clone.__dict__ = {**self.__dict__, "heapfile": None}
-        return clone
-
-    def __getstate__(self) -> dict:
-        # CMs pickle detached: the heap file is reconstructible session
-        # state, not part of the CM's own identity.
-        return {**self.__dict__, "heapfile": None}
 
     # --------------------------------------------------------------- lookup
 
@@ -291,17 +269,6 @@ class CorrelationMap:
             return np.empty(0, dtype=np.int64)
         posting_mask = np.repeat(mask, np.diff(self._offsets))
         buckets = sorted_unique(self._packed[posting_mask])
-        session = get_session()
-        if session is not None and self.cluster_width > 1:
-            # Different CMs (and the same CM probed by different queries)
-            # often match identical bucket sets; the session expands each
-            # distinct set once.
-            return session.expand_buckets(
-                self.cluster_width,
-                self._nranks,
-                buckets,
-                self._expand_cluster_buckets,
-            )
         return self._expand_cluster_buckets(buckets)
 
     def _expand_cluster_buckets(self, buckets: np.ndarray) -> np.ndarray:

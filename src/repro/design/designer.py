@@ -243,25 +243,20 @@ class Design:
     def spec_queries(self, spec: ObjectSpec) -> list[Query]:
         return [self.workload.query(name) for name in spec.query_names]
 
-    def design_cms_for(
-        self,
-        heapfile: HeapFile,
-        spec: ObjectSpec,
-        session: EvalSession | None,
-    ) -> list:
+    def design_cms_for(self, heapfile: HeapFile, spec: ObjectSpec) -> list:
         """The Correlation Maps ``spec``'s object should carry, given the
-        queries assigned to it.  CMs are built for the base fact whether or
-        not it was re-clustered: the paper budgets CM space separately from
-        the MV knapsack (Section 5.4, "set aside some small amount of space
+        queries assigned to it (designed under the ambient session, when
+        there is one).  CMs are built for the base fact whether or not it
+        was re-clustered: the paper budgets CM space separately from the MV
+        knapsack (Section 5.4, "set aside some small amount of space
         (i.e. 1 MB*|Q|) for secondary indexes"), and the cost model prices
         base-design plans accordingly."""
         queries = self.spec_queries(spec)
         if not (self.use_cms and spec.cluster_key and queries):
             return []
-        cm_designer = CMDesigner(budget_bytes=self.cm_budget_bytes)
-        if session is not None:
-            return list(session.design_cms(cm_designer, heapfile, queries))
-        return list(cm_designer.design(heapfile, queries))
+        return CMDesigner(budget_bytes=self.cm_budget_bytes).design(
+            heapfile, queries
+        )
 
     def build_object(
         self, spec: ObjectSpec, session: EvalSession | None = None
@@ -275,7 +270,7 @@ class Design:
             heapfile, btree_keys=[tuple(k) for k in spec.btree_keys],
             fact=spec.fact,
         )
-        obj.cms = self.design_cms_for(heapfile, spec, session)
+        obj.cms = self.design_cms_for(heapfile, spec)
         return obj
 
     def _materialize(self, session: EvalSession | None) -> PhysicalDatabase:
@@ -416,8 +411,8 @@ class CoraddDesigner:
         candidates = CandidateSet()
         if workers > 1 and len(self.enumerators) > 1:
             # Session-free fan-out: enumerators carry their own statistics,
-            # so the sweep ships no snapshot and the work-stealing scheduler
-            # just hands each enumerator to the next idle worker.
+            # so the work-stealing scheduler just hands each enumerator to
+            # the next idle worker.
             pools = ParallelSweep(workers=workers).map(
                 lambda enumerator: enumerator.enumerate(), self.enumerators
             )

@@ -218,7 +218,7 @@ class DesignDiff:
             for step in plan.cm_refreshes:
                 obj = db.object(step.name)
                 obj.cms = self.new.design_cms_for(
-                    obj.heapfile, self._new_specs[step.name], session
+                    obj.heapfile, self._new_specs[step.name]
                 )
             db.objects = {
                 spec.name: db.objects[spec.name] for spec in self.new.object_specs()
@@ -550,7 +550,7 @@ def execute_transition(
                 obj = db.object(step.name)
                 journal.refreshed_cms.setdefault(step.name, list(obj.cms))
                 obj.cms = diff.new.design_cms_for(
-                    obj.heapfile, diff._new_specs[step.name], session
+                    obj.heapfile, diff._new_specs[step.name]
                 )
                 report.steps.append(
                     TransitionStep("refresh-cms", step.name, 0.0, 0.0, 0.0)

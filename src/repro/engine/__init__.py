@@ -21,10 +21,8 @@ There is one parallel path — supervised work stealing — and one session:
 neither takes a switch that selects an older behaviour.
 
 Forked workers inherit the session they evaluate under — ``fork`` is the
-only parent -> worker transport.  What they add to it comes home by value
-(see :mod:`repro.engine.snapshot`): ``export_snapshot(session,
-exclude=baseline)`` per item -> ``merge_snapshots(*deltas)`` ->
-``.install(session)`` in the parent, once.
+only parent -> worker transport.  What comes home is each item's result and
+its metrics; what a worker adds to its copy of the session stays there.
 
 Fault tolerance (see :mod:`repro.engine.faults`): every forked sweep
 supervises its workers (crash/hang detection, requeue, respawn, in-parent
@@ -53,11 +51,6 @@ from repro.engine.session import (
     get_session,
     use_session,
 )
-from repro.engine.snapshot import (
-    SessionSnapshot,
-    export_snapshot,
-    merge_snapshots,
-)
 
 __all__ = [
     "EvalContext",
@@ -66,13 +59,10 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "ParallelSweep",
-    "SessionSnapshot",
     "ambient_scope",
-    "export_snapshot",
     "fork_available",
     "get_faults",
     "get_session",
-    "merge_snapshots",
     "plan_from_env",
     "use_faults",
     "use_session",

@@ -19,17 +19,18 @@ result).  A :class:`ParallelSweep` exploits that:
    next pending item.  No worker owns a pre-cut chunk, so a straggler item
    (the big-budget ILP+materialize points) delays only itself while idle
    workers drain the rest of the ladder;
-4. each item's result returns with that item's cache **delta** (the entries
-   the worker added since it forked, by value — see
-   :mod:`repro.engine.snapshot`), which the parent merges back
-   commutatively — so a sweep leaves behind the same warm session a serial
-   run would have;
+4. each item's result returns with that item's **metrics** (what the item
+   counted and observed, and what it added to the session's cache
+   counters), which the parent folds into its ambient registry on receipt.
+   Nothing else comes home: what a worker adds to its copy of the session
+   dies with the worker, and the parent's session holds what the warm-up
+   item left in it;
 5. the dispatcher is a **supervisor**: it waits on result pipes *and*
    process sentinels, so dead workers (crash, OOM, kill) and hung workers
    (``item_timeout_s``) are detected, their in-flight items requeued to
    survivors, replacements respawned with backoff, and — if the whole pool
    collapses — remaining items run serially in the parent.  Results stay
-   bit-identical to serial under any fault schedule (deltas and metrics
+   bit-identical to serial under any fault schedule (each item's metrics
    merge exactly once; see :mod:`repro.engine.faults` for injecting
    deterministic chaos).
 
@@ -38,7 +39,7 @@ caller.  With ``workers <= 1``, on platforms without ``fork`` (Windows), or
 when at most one item would be left to hand out after the warm-up, the
 sweep is a plain serial loop under the ambient session — same results, no
 subprocesses.  Workers inherit the parent via fork, so work functions may
-be closures; only task indices, results and delta snapshots cross process
+be closures; only task indices, results and metrics payloads cross process
 boundaries.
 """
 
@@ -53,11 +54,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.engine import faults
 from repro.engine.session import EvalSession, ambient_scope, use_session
-from repro.engine.snapshot import (
-    SessionSnapshot,
-    export_snapshot,
-    merge_snapshots,
-)
 from repro.obs.metrics import MetricsRegistry, count, get_metrics, use_metrics
 from repro.obs.trace import span
 
@@ -89,33 +85,28 @@ def _clear_inherited_ambient() -> None:
 def _steal_worker(worker_id: int, payload, inbox, outbox) -> None:
     """One work-stealing worker: evaluates under the session it inherited
     through fork, pulling item indices until the ``None`` sentinel.  Every
-    finished item is answered with its result and the cache entries the
-    session gained since the previous answer (the first baseline is the
-    session as forked).  The terminal message carries the worker's lifetime
-    metrics (busy seconds, residual session counters) so the parent can
-    account idle time per worker.
+    finished item is answered with its result and its own metrics — what
+    the item recorded, its wall clock, and what it added to the session's
+    cache counters.  The terminal message carries the worker's busy seconds
+    so the parent can account idle time per worker.
 
     Failure protocol, one message per failure so the supervisor can react:
 
     * an exception inside one item (including an injected ``raise`` fault)
-      answers ``("item-error", ...)`` — the worker stays up, the baseline is
-      re-keyed so no partial cache entries of the failed item ever ride a
-      later delta, and the supervisor requeues the item elsewhere;
+      answers ``("item-error", ...)`` — the worker stays up, the failed
+      attempt's metrics are dropped with it (the retry, on whichever host,
+      reports its own), and the supervisor requeues the item elsewhere;
     * anything else answers ``("fatal", ...)`` and exits.
     """
     _clear_inherited_ambient()
-    fn, items, session, collect_deltas, plan = payload
-    lifetime = MetricsRegistry()
-    baseline = None
+    fn, items, session, plan = payload
     busy = 0.0
-    done = 0
     try:
         with faults.use_faults(plan):
             if session is not None:
                 # The inherited counters are the parent's to publish: this
                 # worker reports only what it adds to them.
                 session.mark_metrics_published()
-                baseline = session.cache_keys() if collect_deltas else None
             while True:
                 try:
                     index = inbox.recv()
@@ -130,32 +121,24 @@ def _steal_worker(worker_id: int, payload, inbox, outbox) -> None:
                         faults.fire("sweep.task", key=index)
                         result = fn(items[index])
                 except Exception:
-                    # Partial cache entries from the failed item must never
-                    # ride a later item's delta: re-key the baseline so the
-                    # retry (on another worker) merges its state exactly
-                    # once.  The per-item registry is dropped with the item.
-                    if baseline is not None:
-                        baseline = session.cache_keys()
+                    # The attempt's registry is dropped here, and so are the
+                    # cache counters it ran up: the retry reports its own.
+                    if session is not None:
+                        session.mark_metrics_published()
                     outbox.send(
                         ("item-error", worker_id, index, traceback.format_exc())
                     )
                     continue
                 elapsed = perf_counter() - started
                 busy += elapsed
-                done += 1
+                registry.inc("sweep.steal.tasks")
                 registry.observe("sweep.steal.task_seconds", elapsed)
-                delta = None
-                if baseline is not None:
+                if session is not None:
                     session.publish_metrics(registry)
-                    delta = export_snapshot(
-                        session, exclude=baseline, metrics=registry.export()
-                    )
-                    baseline = session.cache_keys()
-                outbox.send(("result", worker_id, index, result, delta))
-            if session is not None:
-                session.publish_metrics(lifetime)
-            lifetime.inc("sweep.steal.tasks", done)
-            outbox.send(("done", worker_id, lifetime.export(), busy, done))
+                outbox.send(
+                    ("result", worker_id, index, result, registry.export())
+                )
+            outbox.send(("done", worker_id, busy))
     except BaseException:
         try:
             outbox.send(("fatal", worker_id, traceback.format_exc()))
@@ -189,13 +172,12 @@ class _WorkerHandle:
 class _RoundState:
     """Book-keeping for one dispatch round."""
 
-    __slots__ = ("pending", "attempts", "parent_units", "deltas", "on_result")
+    __slots__ = ("pending", "attempts", "parent_units", "on_result")
 
     def __init__(self, indices, on_result) -> None:
         self.pending = deque(indices)
         self.attempts: dict[int, int] = {}
         self.parent_units: list[int] = []
-        self.deltas: list[SessionSnapshot] = []
         self.on_result = on_result
 
 
@@ -212,15 +194,15 @@ class _StealPool:
 
     * a worker that dies (SIGKILL, OOM, injected crash) is detected the
       moment its sentinel fires: its result pipe is drained first — a fully
-      delivered result is merged normally and **not** retried, keeping
-      delta/metric merges exactly-once — then its in-flight unit is requeued
-      to the surviving workers;
+      delivered result is taken normally and **not** retried, so its
+      metrics merge exactly once — then its in-flight unit is requeued to
+      the surviving workers;
     * a worker stuck past ``item_timeout_s`` on one unit is killed and
       treated the same way;
     * lost workers are respawned with exponential backoff up to
       ``max_respawns`` (a respawn forks from the parent as it is then, whose
-      session is the one the survivors forked from: deltas merge into it
-      only after the round);
+      session is the one the survivors forked from: nothing a worker
+      computes is written back to it);
     * a unit that keeps failing (``max_item_retries`` exceeded) — or any
       unit stranded when the whole pool has collapsed — is executed in the
       parent, serially, under the parent session: the sweep *degrades*
@@ -254,7 +236,6 @@ class _StealPool:
         self._round: _RoundState | None = None
         self.worker_busy: dict[int, float] = {}
         self.worker_tasks: dict[int, int] = {}
-        self.done_payloads: list[dict] = []
         self.deaths = 0
         self.hung_kills = 0
         self.item_errors = 0
@@ -321,18 +302,21 @@ class _StealPool:
 
     def _handle_msg(self, w: _WorkerHandle, msg) -> str:
         """Process one worker message; returns ``"dead"`` when the worker
-        announced its own demise and must be reaped.  A ``"done"`` message
-        (the answer to :meth:`shutdown`'s sentinel) retires the worker
-        cleanly, keeping its terminal accounting payload."""
+        announced its own demise and must be reaped.  A ``"result"`` is
+        recorded with its metrics folded into the ambient registry — here
+        and nowhere else, which is what makes that merge exactly-once.  A
+        ``"done"`` message (the answer to :meth:`shutdown`'s sentinel)
+        retires the worker cleanly, keeping its busy seconds."""
         tag = msg[0]
         state = self._round
         if tag == "result":
-            _, _, index, result, delta = msg
+            _, _, index, result, metrics = msg
             w.in_flight = None
             self.worker_tasks[w.wid] = self.worker_tasks.get(w.wid, 0) + 1
             if state is not None:
-                if delta is not None:
-                    state.deltas.append(delta)
+                registry = get_metrics()
+                if registry is not None:
+                    registry.merge(metrics)
                 state.on_result(index, result)
             return "ok"
         if tag == "item-error":
@@ -348,9 +332,8 @@ class _StealPool:
             count("sweep.faults.worker_fatal")
             return "dead"
         if tag == "done":
-            _, _, payload, worker_seconds, _ = msg
+            _, _, worker_seconds = msg
             self.worker_busy[w.wid] = worker_seconds
-            self.done_payloads.append(payload)
             self.workers.pop(w.wid, None)
             w.proc.join()
             w.close()
@@ -358,7 +341,7 @@ class _StealPool:
 
     def _reap(self, w: _WorkerHandle) -> None:
         """A worker is gone (or being put down): drain its fully delivered
-        messages — a complete result is merged normally and not retried —
+        messages — a complete result is taken normally and not retried —
         then join, close its pipes, and requeue whatever it still held."""
         if self.workers.pop(w.wid, None) is None:
             return
@@ -453,9 +436,7 @@ class _StealPool:
                 w.proc.kill()
                 self._reap(w)
 
-    def run_round(
-        self, indices: Iterable[int], on_result
-    ) -> list[SessionSnapshot]:
+    def run_round(self, indices: Iterable[int], on_result) -> None:
         state = _RoundState(indices, on_result)
         self._round = state
         try:
@@ -482,8 +463,8 @@ class _StealPool:
             self._round = None
         for index in state.parent_units:
             # Graceful degradation: poisoned or stranded units run serially
-            # in the parent, under the parent session — cache effects land
-            # directly, so no delta is shipped (or could be double-merged).
+            # in the parent, under the parent session and the parent's own
+            # registry — nothing is shipped, so nothing can merge twice.
             self.parent_runs += 1
             count("sweep.faults.parent_runs")
             if self.parent_run is None:
@@ -492,11 +473,10 @@ class _StealPool:
                     f"fallback:\n{self.last_error or '<no worker error>'}"
                 )
             on_result(index, self.parent_run(index))
-        return state.deltas
 
     def shutdown(self) -> None:
-        """Stop every worker, collecting terminal accounting payloads; a
-        worker dying instead of reporting is reaped without one.  All pipe
+        """Stop every worker, collecting each one's busy seconds; a worker
+        dying instead of reporting is reaped without them.  All pipe
         ends are closed — a drained pool must not pin fds or feeder state."""
         for w in list(self.workers.values()):
             try:
@@ -523,10 +503,9 @@ class ParallelSweep:
     ``workers`` is the pool size (``1`` means serial).  With a session the
     first item runs in the parent before fanning out, warming the session
     every worker then inherits — sweep items share most of their cache
-    footprint.  ``collect_deltas=False`` skips shipping worker cache deltas
-    back to the parent — the right call when the session is a throwaway
-    driving a single sweep, since the deltas' only purpose is leaving a
-    reusable warm session behind.
+    footprint.  What comes home is each item's result and its metrics; the
+    session keeps what the warm-up item left in it and gains nothing from
+    the workers.
 
     Items are handed out one at a time to whichever worker goes idle, and
     the dispatcher supervises its pool (see :class:`_StealPool`): worker
@@ -560,14 +539,12 @@ class ParallelSweep:
     def __init__(
         self,
         workers: int = 1,
-        collect_deltas: bool = True,
         item_timeout_s: float | None = None,
         max_respawns: int | None = None,
         max_item_retries: int = 2,
         respawn_backoff_s: float = 0.05,
     ) -> None:
         self.workers = max(1, int(workers))
-        self.collect_deltas = collect_deltas
         self.item_timeout_s = item_timeout_s
         self.max_respawns = max_respawns
         self.max_item_retries = max_item_retries
@@ -586,10 +563,11 @@ class ParallelSweep:
     ) -> list[Any]:
         """``[fn(item) for item in items]``, sharded across the pool.
 
-        With ``session``, work runs under it ambiently: forked workers
-        inherit it as the parent holds it and their cache deltas are merged
-        back, so after ``map`` returns the session is as warm as a serial
-        sweep would have left it — and otherwise exactly as it was.
+        With ``session``, work runs under it ambiently: item 0 warms it in
+        the parent and forked workers inherit it as the parent then holds
+        it.  Their additions stay in their copies, so after a forked ``map``
+        the session holds what the parent itself ran under it: item 0, and
+        any item that fell back to the parent.
         """
         items = list(items)
         self.last_stats = {}
@@ -618,13 +596,13 @@ class ParallelSweep:
                 results[0] = fn(items[0])
         indices = range(int(warm), len(items))
         workers = min(self.workers, len(indices))
-        payload = (fn, items, session, self.collect_deltas, faults.get_faults())
+        payload = (fn, items, session, faults.get_faults())
 
         def parent_run(index: int):
             # Degraded path: run a stranded item in the parent, under the
-            # parent session — cache effects land directly, no delta ships.
-            # Worker fault sites do not re-fire here; degradation must
-            # terminate even when an item's fault spec matches every retry.
+            # parent session and registry.  Worker fault sites do not
+            # re-fire here; degradation must terminate even when an item's
+            # fault spec matches every retry.
             with ambient_scope(session):
                 return fn(items[index])
 
@@ -638,16 +616,11 @@ class ParallelSweep:
         )
         try:
             with span("sweep.steal", tasks=len(indices)):
-                deltas = pool.run_round(indices, results.__setitem__)
+                pool.run_round(indices, results.__setitem__)
             pool.shutdown()
         except BaseException:
             pool.terminate()
             raise
-        self._merge_back(session, deltas)
-        registry = get_metrics()
-        if registry is not None:
-            for done_payload in pool.done_payloads:
-                registry.merge(done_payload)
         count("sweep.steal.dispatched", len(indices))
         if session is not None:
             session.publish_metrics()
@@ -669,16 +642,3 @@ class ParallelSweep:
             },
         }
         return results
-
-    @staticmethod
-    def _merge_back(
-        session: EvalSession | None, deltas: list[SessionSnapshot]
-    ) -> None:
-        if session is None or not deltas:
-            return
-        merged = merge_snapshots(*deltas)
-        merged.install(session)
-        if merged.metrics:
-            registry = get_metrics()
-            if registry is not None:
-                registry.merge(merged.metrics)

@@ -13,36 +13,27 @@ plan, the same flattened fact table re-sorted at every budget point.  An
 * a **materialization cache** keyed by (source column content, projected
   attrs, cluster key, disk, name), so budget sweeps reuse already-sorted
   heap files across :meth:`~repro.design.designer.Design.materialize` calls;
-* a **CM-design cache** keyed by (cached heap file, query fingerprints,
-  designer knobs), reusing Correlation Maps when the same object serves the
-  same queries at another budget.
-
-A second tier of caches closes the executor recomputation gap:
-
 * a **sort-ordering cache** keyed by (cluster key, key-column content): the
   stable lexsort permutation of a materialization, so two objects of one
   session that sort the same data by the same key — another projection,
   another budget — sort once;
-* a **CM-fragment cache** keyed by (heap file content, prefix depth, rank
-  codes content): the coalesced page fragments a CM-guided scan reads.
-  Different CMs — and one CM probed by different queries — frequently
-  resolve to identical rank-code sets, so this collapses duplicated
-  range/merge work even within one sweep;
-* a **bucket-expansion cache** for CM cluster-bucket -> rank-code expansion
-  (same duplication argument);
-* a **scan-result cache** keyed by (heap file content, CM content, query
-  fingerprint): the executed plan name and simulated cost of a ``cm_scan``,
+* a **CM-build cache** keyed by (heap file content, key, bucket widths):
+  the built Correlation Map, shared by every query it is tried for;
+* a **CM-choice cache** keyed by (heap file content, query fingerprint,
+  designer knobs): the CM Designer's winner for one query on one object,
+  which is what re-designing the same object at another budget reuses;
+* a **distinct-count memo** keyed by (heap file content, key attributes):
+  what the CM Designer sizes a candidate's bucket-width ladder from;
+* a **scan-result cache** keyed by (heap file content, access structure,
+  query fingerprint): the executed plan name and simulated cost of a scan,
   left there by the CM Designer for each winner it prices (it builds no
   other candidate) and by the executor for every scan it runs, and shared
-  across every database of a sweep;
-* a **distinct-count memo** keyed by (heap file content, key attributes):
-  what the CM Designer sizes a candidate's bucket-width ladder from.
+  across every database of a sweep.
 
-All second-tier caches are exportable: :mod:`repro.engine.snapshot` turns
-the entries a session gained since a baseline (masks and CM designs too)
-into a picklable delta, which is how the forked workers of a
-:class:`repro.engine.parallel.ParallelSweep` — who inherit the session
-itself — send home what they added to it.
+Those eight are all of them, and each is reached by a lookup that saves
+real work on a hit.  The session lives in one process: the forked workers of
+a :class:`repro.engine.parallel.ParallelSweep` inherit it copy-on-write and
+what they add to their copies is not brought back.
 
 All keys are *content*-derived (array bytes are digested, predicates and
 disk models are value-hashable dataclasses), which makes the caches safe to
@@ -50,10 +41,11 @@ share across designers and budgets within a session, and makes two sessions
 over different data provably disjoint.  A heap file mutated after the
 session first saw it is keyed by that first content key plus the file's
 mutation lineage since (:meth:`EvalSession.heapfile_key`) — still a function
-of content alone, but computed without re-reading the file.  Cached masks are frozen
-(``writeable=False``) so accidental mutation raises instead of corrupting
-later plans.  Caching is observationally invisible: plan choices, simulated
-costs and result masks are bit-identical with or without a session.
+of content alone, but computed without re-reading the file.  Cached masks
+are frozen (``writeable=False``) so accidental mutation raises instead of
+corrupting later plans.  Caching is observationally invisible: plan
+choices, simulated costs and result masks are bit-identical with or without
+a session.
 
 Sessions are installed ambiently (a :class:`contextvars.ContextVar`) via
 :func:`use_session`; code that evaluates plans picks the active session up
@@ -77,19 +69,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.relational.table import Table
     from repro.storage.disk import DiskModel
     from repro.storage.layout import HeapFile
-
-
-def _content_digest(arr: np.ndarray) -> bytes:
-    """128-bit content digest of a (transient) array — same identity scheme
-    as :meth:`EvalSession.array_key`, but without pinning: used for keying
-    by arrays that are produced fresh on every lookup (CM rank codes,
-    cluster buckets) and would leak if pinned."""
-    arr = np.ascontiguousarray(arr)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(arr.dtype).encode())
-    h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
-    return h.digest()
 
 
 class EvalSession:
@@ -122,8 +101,6 @@ class EvalSession:
         self._heapfile_versions: dict[int, int] = {}
         self._heapfile_roots: dict[int, tuple[tuple, bytes]] = {}
         self._pinned_objects: list = []
-        # (heapfile key, query fingerprints, designer knobs) -> [CM, ...]
-        self._cms: dict[tuple, list["CorrelationMap"]] = {}
         # (heapfile key, key attrs, widths, cluster width) -> CorrelationMap.
         self._cm_builds: dict[tuple, "CorrelationMap"] = {}
         # id(CM) -> its _cm_builds key, so dependent caches (scan results)
@@ -136,10 +113,6 @@ class EvalSession:
         self._cm_distincts: dict[tuple, int] = {}
         # (cluster key, key-column digests) -> stable sort permutation.
         self._orderings: dict[tuple, np.ndarray] = {}
-        # (heapfile key, depth, rank-codes bytes) -> page fragments tuple.
-        self._cm_fragments: dict[tuple, tuple] = {}
-        # (cluster width, nranks, bucket bytes) -> expanded rank codes.
-        self._expansions: dict[tuple, np.ndarray] = {}
         # (heapfile key, CM key, query fingerprint) -> (plan name, cost).
         self._scan_results: dict[tuple, tuple] = {}
         self.stats = {
@@ -151,8 +124,6 @@ class EvalSession:
             "heapfile_hits": 0,
             "heapfile_misses": 0,
             "heapfile_bytes": 0,
-            "cm_hits": 0,
-            "cm_misses": 0,
             "cm_build_hits": 0,
             "cm_build_misses": 0,
             "cm_build_bytes": 0,
@@ -163,11 +134,6 @@ class EvalSession:
             "ordering_hits": 0,
             "ordering_misses": 0,
             "ordering_bytes": 0,
-            "fragment_hits": 0,
-            "fragment_misses": 0,
-            "expansion_hits": 0,
-            "expansion_misses": 0,
-            "expansion_bytes": 0,
             "scan_hits": 0,
             "scan_misses": 0,
         }
@@ -293,12 +259,11 @@ class EvalSession:
         the content key it held then, its mutation chain then and now
         (:attr:`repro.storage.layout.HeapFile.lineage`).  Equal keys still
         imply equal content — same root, same mutations in the same order —
-        so twin copies fed the same refresh batches keep sharing CM builds,
-        fragments and scan results, within the session and across snapshot
-        boundaries; and the file itself is never re-read.  Every dependent
-        cache tier keys off this value, so a mutation invalidates them all
-        by construction — entries under the old key simply stop being
-        addressed.
+        so twin copies fed the same refresh batches keep sharing CM builds
+        and scan results; and the file itself is never re-read.  Every
+        dependent cache tier keys off this value, so a mutation invalidates
+        them all by construction — entries under the old key simply stop
+        being addressed.
         """
         key = self._heapfile_keys.get(id(heapfile))
         if key is None:
@@ -356,9 +321,9 @@ class EvalSession:
         """The stable lexsort permutation of ``source`` by ``cluster_key``,
         cached by key-column *content* — so two materializations that sort
         the same data by the same key (different projections, different
-        budgets) sort once.  Stored as the narrowest index dtype that fits,
-        which halves what a worker's delta carries home for every
-        realistic table."""
+        budgets) sort once.  Stored as the narrowest index dtype that fits:
+        the session pins every ordering for its lifetime, and ``int32``
+        halves that for every realistic table."""
         key = (
             tuple(cluster_key),
             tuple(self.array_key(source.column(a)) for a in cluster_key),
@@ -374,41 +339,6 @@ class EvalSession:
         else:
             self.stats["ordering_hits"] += 1
         return perm
-
-    def design_cms(
-        self,
-        designer: "CMDesigner",
-        heapfile: "HeapFile",
-        queries: list["Query"],
-    ) -> list["CorrelationMap"]:
-        """CM design for a *cached* heap file, memoized by (file content,
-        query fingerprints, designer knobs).  Falls back to a plain design
-        run when the heap file did not come from this session."""
-        hf_key = self.heapfile_key(heapfile)
-        if hf_key is None:
-            return designer.design(heapfile, queries)
-        key = (
-            hf_key,
-            tuple(q.fingerprint() for q in queries),
-            self._designer_knobs(designer),
-        )
-        cms = self._cms.get(key)
-        if cms is None:
-            self.stats["cm_misses"] += 1
-            cms = designer.design(heapfile, queries)
-            self._cms[key] = cms
-        else:
-            self.stats["cm_hits"] += 1
-        return list(cms)
-
-    @staticmethod
-    def _designer_knobs(designer: "CMDesigner") -> tuple:
-        return (
-            designer.budget_bytes,
-            designer.max_composite,
-            designer.cluster_width,
-            designer.max_widths,
-        )
 
     def correlation_map(
         self,
@@ -478,7 +408,14 @@ class EvalSession:
         hf_key = self.heapfile_key(heapfile)
         if hf_key is None:
             return designer.best_cm_for_query(heapfile, query)
-        key = (hf_key, query.fingerprint(), self._designer_knobs(designer))
+        key = (
+            hf_key,
+            query.fingerprint(),
+            designer.budget_bytes,
+            designer.max_composite,
+            designer.cluster_width,
+            designer.max_widths,
+        )
         choice = self._cm_choices.get(key)
         if choice is None:
             self.stats["cm_choice_misses"] += 1
@@ -489,54 +426,6 @@ class EvalSession:
         return choice
 
     # ------------------------------------------------------ scan-result tier
-
-    def cm_page_fragments(
-        self, heapfile: "HeapFile", depth: int, codes: np.ndarray
-    ) -> list[tuple[int, int]]:
-        """The page fragments a CM-guided scan of ``heapfile`` reads for the
-        given prefix rank codes, cached by (file content, depth, codes
-        content).  Distinct CM candidates — and the same candidate probed by
-        different queries — frequently resolve to identical code sets, so
-        the expensive range lookup + fragment merge runs once per distinct
-        input.  Codes are keyed by content digest — the same 128-bit
-        blake2b identity every other session cache rests on.
-        """
-        hf_key = self.heapfile_key(heapfile)
-        if hf_key is None:
-            return heapfile.page_fragments_for_prefix_codes(depth, codes)
-        key = (hf_key, depth, _content_digest(codes))
-        fragments = self._cm_fragments.get(key)
-        if fragments is None:
-            self.stats["fragment_misses"] += 1
-            fragments = tuple(
-                heapfile.page_fragments_for_prefix_codes(depth, codes)
-            )
-            self._cm_fragments[key] = fragments
-        else:
-            self.stats["fragment_hits"] += 1
-        return list(fragments)
-
-    def expand_buckets(
-        self,
-        cluster_width: int,
-        nranks: int,
-        buckets: np.ndarray,
-        expand,
-    ) -> np.ndarray:
-        """Memoized CM cluster-bucket -> rank-code expansion (``expand`` is
-        the uncached computation), keyed by (width, rank count, bucket
-        content)."""
-        key = (cluster_width, nranks, _content_digest(buckets))
-        codes = self._expansions.get(key)
-        if codes is None:
-            self.stats["expansion_misses"] += 1
-            codes = expand(buckets)
-            codes.setflags(write=False)
-            self._expansions[key] = codes
-            self.stats["expansion_bytes"] += codes.nbytes
-        else:
-            self.stats["expansion_hits"] += 1
-        return codes
 
     def scan_cost(
         self, heapfile: "HeapFile", structure, query: "Query"
@@ -613,25 +502,6 @@ class EvalSession:
         worker starts here: the counts it inherited are the parent's to
         publish, so what the worker publishes is its own growth only."""
         self._published_stats = dict(self.stats)
-
-    # ------------------------------------------------------------- snapshots
-
-    def cache_keys(self) -> dict[str, frozenset]:
-        """The current key set of every exportable cache — the baseline a
-        worker captures so it can later export only its *delta* (see
-        :func:`repro.engine.snapshot.export_snapshot`)."""
-        return {
-            "masks": frozenset(self._masks),
-            "conjunctions": frozenset(self._conjunctions),
-            "orderings": frozenset(self._orderings),
-            "cms": frozenset(self._cms),
-            "cm_builds": frozenset(self._cm_builds),
-            "cm_choices": frozenset(self._cm_choices),
-            "cm_distincts": frozenset(self._cm_distincts),
-            "cm_fragments": frozenset(self._cm_fragments),
-            "expansions": frozenset(self._expansions),
-            "scan_results": frozenset(self._scan_results),
-        }
 
 
 # ------------------------------------------------------------ ambient session

@@ -19,7 +19,12 @@ end-to-end (see :mod:`repro.engine.faults`):
   dispatched item under ``sweep.steal.dispatched``, and
   ``migration.journal.resumes`` /
   ``migration.journal.commits`` counters (supervision asserts are skipped
-  on platforms without ``fork``, where the sweep runs serially).
+  on platforms without ``fork``, where the sweep runs serially);
+* the trace also counts every design and every query **exactly once**
+  (``harness.designs_evaluated`` / ``harness.queries_executed``) although
+  one item crashed its hosts, was requeued and finally ran in the parent:
+  worker metrics come home on result messages, and an attempt that never
+  answered contributes nothing.
 """
 
 from __future__ import annotations
@@ -127,6 +132,10 @@ def run_chaos_smoke(path: str | Path = "TRACE_chaos_smoke.json") -> dict:
     assert counters.get("migration.journal.commits", 0) >= 1, counters
     assert counters.get("migration.journal.steps", 0) >= 1, counters
     assert counters.get("faults.injected.raise", 0) >= 1, counters
+    assert counters.get("harness.designs_evaluated", 0) == len(designs), counters
+    assert counters.get("harness.queries_executed", 0) == (
+        len(designs) * len(inst.workload)
+    ), counters
     if sweep.parallel:
         assert counters.get("sweep.faults.worker_deaths", 0) > 0, counters
         assert counters.get("sweep.faults.requeues", 0) > 0, counters

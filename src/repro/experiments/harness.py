@@ -121,11 +121,9 @@ def evaluate_ladder(
     out one at a time to idle forked workers, which inherit that session.
     Results are in ladder order and bit-identical to a serial
     sweep; with ``workers=1`` this *is* a serial sweep.  With
-    ``session=None`` a throwaway session drives the sweep and worker
-    deltas are not shipped back; pass a session to get it back sweep-warm.
+    ``session=None`` a throwaway session drives the sweep.
     """
-    sweep = ParallelSweep(workers=workers, collect_deltas=session is not None)
-    evaluated = sweep.map(
+    evaluated = ParallelSweep(workers=workers).map(
         evaluate_fn,
         design_tuples,
         session=session if session is not None else EvalSession(),

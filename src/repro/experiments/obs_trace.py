@@ -6,8 +6,8 @@ the trace report is written to ``TRACE_obs_smoke.json``, read back, and
 asserted to be a well-formed report (versioned span tree with the designer
 stages present, non-empty engine cache-hit counters, a populated drift
 section).  A refactor that silently disconnects any layer — the tracer, the
-metrics registry riding the snapshot merge, or the drift monitor fed by the
-harness — fails the assertions rather than going dark.
+metrics registry worker results report into, or the drift monitor fed by
+the harness — fails the assertions rather than going dark.
 """
 
 from __future__ import annotations

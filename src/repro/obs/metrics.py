@@ -7,11 +7,10 @@ and tracers are.  Instrumented layers call the module-level helpers
 contextvar read when no registry is active — so the disabled path costs
 nothing measurable and the instrumentation cannot perturb results.
 
-The merge contract is what lets per-worker metrics ride the existing
-:mod:`repro.engine.snapshot` merge-back from forked
-:class:`~repro.engine.parallel.ParallelSweep` workers: a registry exports to
-a plain picklable payload (:meth:`MetricsRegistry.export`), and payloads
-merge commutatively —
+The merge contract is what lets the forked workers of a
+:class:`~repro.engine.parallel.ParallelSweep` send each item's metrics home
+on its result message: a registry exports to a plain picklable payload
+(:meth:`MetricsRegistry.export`), and payloads merge commutatively —
 
 * **counters** add (order-free for the integral hit/byte/row counts every
   instrumented layer emits);
@@ -21,8 +20,8 @@ merge commutatively —
   max/max, per-bucket counts add (buckets are powers of two of the observed
   value, so two workers bucket identically by construction).
 
-Merging worker payloads in any order therefore yields the same registry —
-the same argument, and the same tests, as the session-cache snapshot merge.
+Merging worker payloads in any order therefore yields the same registry,
+whichever worker answers first.
 """
 
 from __future__ import annotations
@@ -172,9 +171,8 @@ class MetricsRegistry:
 
 
 def merge_payloads(*payloads: dict) -> dict:
-    """Pure commutative merge of exported payloads (what
-    :func:`repro.engine.snapshot.merge_snapshots` applies to the worker
-    metrics riding each snapshot)."""
+    """Pure commutative merge of exported payloads (the rule
+    :meth:`MetricsRegistry.merge` applies to each worker payload)."""
     merged = MetricsRegistry()
     for payload in payloads:
         if payload:

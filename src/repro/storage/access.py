@@ -280,11 +280,9 @@ def cm_scan(
     With an active :class:`~repro.engine.EvalSession` the executed (plan,
     cost) pair is memoized per (heap-file content, CM content, query
     fingerprint) — the CM Designer leaves each winner's pair there, priced
-    from the file's columns, for the executor to find at every budget — and
-    on a miss the
-    rank-codes -> page-fragments resolution is shared content-wise across
-    CMs and queries.  The result mask always comes from the (cached) query
-    mask, so memoized and fresh results are bit-identical.
+    from the file's columns, for the executor to find at every budget.  The
+    result mask always comes from the (cached) query mask, so memoized and
+    fresh results are bit-identical.
     """
     session = ctx.session if ctx is not None else get_session()
     if session is not None:
@@ -296,10 +294,7 @@ def cm_scan(
     codes = cm.lookup(query)
     if codes is None:
         return None
-    if session is not None:
-        fragments = session.cm_page_fragments(heapfile, cm.depth, codes)
-    else:
-        fragments = heapfile.page_fragments_for_prefix_codes(cm.depth, codes)
+    fragments = heapfile.page_fragments_for_prefix_codes(cm.depth, codes)
     cost = guided_scan_cost(heapfile, fragments)
     plan = cm_scan_plan(cm)
     if session is not None:

@@ -15,6 +15,7 @@ import pytest
 from repro.design.designer import CoraddDesigner, DesignerConfig
 from repro.engine import EvalSession, get_session, use_session
 from repro.experiments.harness import evaluate_design
+from repro.storage.access import cm_scan
 from repro.storage.executor import PhysicalDatabase, PhysicalObject
 from repro.storage.layout import HeapFile
 from repro.workloads.registry import make
@@ -69,6 +70,29 @@ class TestCachedEqualsUncached:
         # The caches were actually exercised, not bypassed.
         assert session.stats["mask_misses"] > 0
         assert session.stats["heapfile_misses"] > 0
+        # cm_scan through every CM of a covering object — most of them not
+        # designed for the query, so nothing was left in the scan tier and
+        # the session arm resolves lookup -> fragments -> cost itself.
+        bare = design.materialize()
+        with use_session() as fresh:
+            db = design.materialize()
+            undesigned = 0
+            for query in design.workload:
+                for obj in db.covering_objects(query):
+                    twin = bare.object(obj.name)
+                    for plain_cm, cm in zip(twin.cms, obj.cms):
+                        undesigned += (
+                            fresh._scan_key(obj.heapfile, cm, query)
+                            not in fresh._scan_results
+                        )
+                        a = cm_scan(twin.heapfile, query, plain_cm)
+                        b = cm_scan(obj.heapfile, query, cm)
+                        assert (a is None) == (b is None)
+                        if a is not None:
+                            assert (a.plan, a.cost) == (b.plan, b.cost)
+                            assert np.array_equal(a.mask, b.mask)
+        # (The tiny synth and tpch designs carry no CM at this budget.)
+        assert undesigned > 0 or name in ("synth", "tpch")
 
     def test_second_evaluation_hits_caches(self):
         design = _design(_tiny_instance("synth"))

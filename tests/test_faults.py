@@ -258,7 +258,7 @@ class TestSupervisedSweep:
 @needs_fork
 class TestPipeHygiene:
     def _payload(self):
-        return (_square, ITEMS, None, False, None)
+        return (_square, ITEMS, None, None)
 
     def test_shutdown_closes_every_pipe_end(self):
         pool = _StealPool(mp.get_context("fork"), 2, self._payload())

@@ -431,16 +431,13 @@ class TestLineageKeys:
         lineage keys, and every answer equals the sessionless one."""
         from repro.cm.designer import CMDesigner
 
-        def design_cms(design, db, session, budget_bytes):
+        def design_cms(design, db, budget_bytes):
+            """``CMDesigner.design`` per object, under the ambient session."""
             designer = CMDesigner(budget_bytes=budget_bytes)
             for spec in design.object_specs():
                 obj, queries = db.object(spec.name), design.spec_queries(spec)
                 if spec.cluster_key and queries:
-                    obj.cms = (
-                        session.design_cms(designer, obj.heapfile, queries)
-                        if session is not None
-                        else designer.design(obj.heapfile, queries)
-                    )
+                    obj.cms = designer.design(obj.heapfile, queries)
             db.invalidate_plans()
 
         digested = _count_content_keys(monkeypatch)
@@ -452,12 +449,12 @@ class TestLineageKeys:
                 _apply_stream(inst, db, session, compaction="tail-merge")
             assert len(digested) == len(db_a.objects) + len(db_b.objects)
             budget = design.cm_budget_bytes
-            design_cms(design, db_a, session, budget)
+            design_cms(design, db_a, budget)
             built = session.stats["cm_build_misses"]
             reused = session.stats["cm_build_hits"]
-            # Another designer knob: the whole-object and per-query CM
-            # tiers miss, the builds underneath must not.
-            design_cms(design, db_b, session, budget + 1)
+            # Another designer knob: the per-query CM tier misses, the
+            # builds underneath must not.
+            design_cms(design, db_b, budget + 1)
             assert session.stats["cm_build_misses"] == built > 0
             assert session.stats["cm_build_hits"] > reused
             first = _answers(inst, db_a)
@@ -467,7 +464,7 @@ class TestLineageKeys:
             assert len(digested) == len(db_a.objects) + len(db_b.objects)
         design, bare = _materialized(inst, None)
         _apply_stream(inst, bare, None, compaction="tail-merge")
-        design_cms(design, bare, None, budget)
+        design_cms(design, bare, budget)
         assert _answers(inst, bare) == first
 
 

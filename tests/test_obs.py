@@ -6,9 +6,9 @@ The layer's contract has three legs, each tested here:
   bit-identical with instrumentation on vs off, and the disabled path
   (no ambient tracer/registry/monitor) costs one contextvar read per site;
 * **commutativity** — metric payloads merge order-free (counters add,
-  gauges max, histograms component-wise), which is what lets worker
-  metrics ride the existing snapshot merge-back from forked
-  :class:`~repro.engine.ParallelSweep` workers;
+  gauges max, histograms component-wise), which is what lets each item
+  of a forked :class:`~repro.engine.ParallelSweep` send its metrics home
+  on its result message, exactly once under any fault schedule;
 * **parity** — the online :class:`~repro.obs.drift.CostModelMonitor`
   replayed over Figure 10's offline rows reproduces the experiment's
   per-query error ratios exactly, and a noisy interleaved online stream
@@ -21,7 +21,6 @@ tests so float addition is exact and "equal" means ``==``.
 from __future__ import annotations
 
 import json
-import pickle
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -31,13 +30,14 @@ import pytest
 from repro.design.designer import CoraddDesigner, DesignerConfig
 from repro.engine import (
     EvalSession,
+    FaultPlan,
+    FaultSpec,
     ParallelSweep,
-    export_snapshot,
     fork_available,
-    merge_snapshots,
+    use_faults,
     use_session,
 )
-from repro.experiments.harness import evaluate_design
+from repro.experiments.harness import evaluate_design, evaluate_designs
 from repro.obs import (
     NULL_SPAN,
     CostModelMonitor,
@@ -225,37 +225,6 @@ class TestMetricsMerge:
         assert registry.histogram("h").count == 1
 
 
-class TestSnapshotMetrics:
-    def test_snapshot_carries_metrics_through_pickle(self):
-        session = EvalSession()
-        registry = MetricsRegistry()
-        registry.inc("engine.cache.mask_hits", 4)
-        snap = export_snapshot(session, metrics=registry.export())
-        again = pickle.loads(pickle.dumps(snap))
-        assert again.metrics["counters"] == {"engine.cache.mask_hits": 4}
-
-    def test_merge_snapshots_merges_metrics_commutatively(self):
-        session = EvalSession()
-        a = MetricsRegistry()
-        a.inc("hits", 2)
-        a.observe("lat", 0.5)
-        b = MetricsRegistry()
-        b.inc("hits", 1.25)
-        b.observe("lat", 0.25)
-        snap_a = export_snapshot(session, metrics=a.export())
-        snap_b = export_snapshot(session, metrics=b.export())
-        ab = merge_snapshots(snap_a, snap_b)
-        ba = merge_snapshots(snap_b, snap_a)
-        assert ab.metrics == ba.metrics
-        assert ab.metrics["counters"]["hits"] == 3.25
-        assert ab.metrics["histograms"]["lat"]["count"] == 2
-
-    def test_metricless_snapshots_merge_to_empty_payload(self):
-        session = EvalSession()
-        merged = merge_snapshots(export_snapshot(session), export_snapshot(session))
-        assert merged.metrics == {}
-
-
 # ------------------------------------------------- engine cache counters
 
 
@@ -285,7 +254,7 @@ class TestEngineCacheMetrics:
     @pytest.mark.skipif(
         not fork_available(), reason="platform cannot fork worker processes"
     )
-    def test_worker_metrics_ride_the_snapshot_merge_back(self, instance):
+    def test_worker_metrics_ride_the_result_messages(self, instance):
         designer = _fresh_designer(instance)
         base = instance.total_base_bytes()
         designs = [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5, 2.0)]
@@ -301,7 +270,7 @@ class TestEngineCacheMetrics:
             evaluated = sweep.map(evaluate, designs, session=session)
         assert len(evaluated) == len(designs)
         # Every item counted exactly once, whether it ran in the parent
-        # (warmup heads) or in a forked worker (payload on the delta).
+        # (warmup heads) or in a forked worker (payload on its result).
         assert registry.counter("obs_test.items") == len(designs)
         # Worker-side cache work came home as engine.cache.* counters too.
         assert registry.counter("engine.cache.mask_misses") > 0
@@ -330,6 +299,51 @@ class TestEngineCacheMetrics:
         # once per worker, so the honest bound is >= — never fewer misses,
         # and results stay bit-identical either way (TestParallelIdentity).
         assert totals[2] >= totals[1] > 0
+
+    @pytest.mark.skipif(
+        not fork_available(), reason="platform cannot fork worker processes"
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            None,
+            FaultSpec("sweep.task", "crash", key=2),
+            FaultSpec("sweep.task", "raise", key=1, times=1),
+        ],
+        ids=["no-fault", "crash", "raise"],
+    )
+    def test_harness_totals_equal_serial_with_and_without_a_session(
+        self, instance, spec
+    ):
+        """Every evaluated design is counted once — forked or not, session
+        or not, item crashed-and-rerun or not.  A sweep given no session is
+        how the figure drivers run; its worker metrics used to be dropped."""
+        designer = _fresh_designer(instance)
+        base = instance.total_base_bytes()
+        designs = [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5, 2.0)]
+
+        def totals(workers, session):
+            plan = FaultPlan(spec) if spec is not None and workers > 1 else None
+            with use_metrics() as registry, use_faults(plan):
+                evaluate_designs(designs, workers=workers, session=session)
+            return registry
+
+        serial = totals(1, None)
+        assert serial.counter("harness.designs_evaluated") == len(designs)
+        for session in (EvalSession(), None):
+            forked = totals(2, session)
+            for name in ("harness.designs_evaluated", "harness.queries_executed"):
+                assert forked.counter(name) == serial.counter(name), name
+            # Every item but the warm-up was handed out; each was answered
+            # by a worker or, when its host kept dying, run by the parent.
+            assert forked.counter("sweep.steal.dispatched") == len(designs) - 1
+            assert forked.counter("sweep.steal.tasks") + forked.counter(
+                "sweep.faults.parent_runs"
+            ) == len(designs) - 1
+            assert (
+                forked.histogram("sweep.steal.task_seconds").count
+                == forked.counter("sweep.steal.tasks")
+            )
 
 
 # -------------------------------------------------------------- bit identity

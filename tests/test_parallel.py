@@ -51,6 +51,13 @@ def tpch_designs():
     return [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5, 2.0)]
 
 
+#: The session's eight cache tiers, by attribute.
+_TIERS = (
+    "_masks", "_conjunctions", "_heapfiles", "_orderings", "_cm_builds",
+    "_cm_choices", "_cm_distincts", "_scan_results",
+)
+
+
 def _assert_identical(a, b):
     assert a.real_seconds == b.real_seconds
     for qname, x in a.plans.items():
@@ -105,9 +112,8 @@ class TestParallelIdentity:
         )
         for a, b in zip(serial, parallel):
             _assert_identical(a, b)
-        # Worker deltas merged back: the parent session now has the scan
-        # results every budget produced, not just the warmed head's.
-        assert session.stats["scan_misses"] > 0 or session._scan_results
+        # The warm-up item ran under the session, in the parent.
+        assert session._scan_results
 
     def test_map_without_session(self, tpch_designs):
         doubled = ParallelSweep(workers=2).map(
@@ -207,7 +213,7 @@ class TestExperimentWorkersKnob:
 class TestWorkStealing:
     """The steal scheduler's contract: whichever idle worker pulls which
     item, in whatever order stragglers resolve, results are bit-identical
-    to a serial sweep and the merged-back cache is the same cache."""
+    to a serial sweep."""
 
     def test_identical_under_randomized_stragglers(self, tpch_designs):
         """Per-item delays drawn from a fixed seed scramble completion
@@ -228,24 +234,6 @@ class TestWorkStealing:
         for a, b in zip(serial, parallel):
             _assert_identical(a, b)
         assert sweep.last_stats  # it forked: this was not the serial loop
-
-    def test_merged_cache_equals_serial_cache(self, tpch_designs):
-        """Delta merge-back completeness: after the sweep the parent
-        session holds exactly the cache entries a serial sweep computes —
-        keys are content-derived, so set equality is semantic equality."""
-        serial_session = EvalSession()
-        with use_session(serial_session):
-            for design in tpch_designs:
-                evaluate_design(design)
-        sweep_session = EvalSession()
-        ParallelSweep(workers=2).map(
-            evaluate_design, tpch_designs, session=sweep_session
-        )
-        serial_keys = serial_session.cache_keys()
-        sweep_keys = sweep_session.cache_keys()
-        assert set(serial_keys) == set(sweep_keys)
-        for cache in serial_keys:
-            assert serial_keys[cache] == sweep_keys[cache], cache
 
     def test_per_worker_accounting(self, tpch_designs):
         sweep = ParallelSweep(workers=2)
@@ -385,9 +373,23 @@ class TestWorkersInheritTheSession:
             session.stats["heapfile_hits"] + worker_hits
         )
 
+    def test_sweep_brings_home_no_cache_entries(self, tpch_designs):
+        """After a forked sweep the session holds what the warm-up item
+        alone left in it — the same keys in every tier, the same counters."""
+        warm = EvalSession()
+        with use_session(warm):
+            evaluate_design(tpch_designs[0])
+        session = EvalSession()
+        sweep = ParallelSweep(workers=2)
+        sweep.map(evaluate_design, tpch_designs, session=session)
+        assert sweep.last_stats
+        for tier in _TIERS:
+            assert set(getattr(session, tier)) == set(getattr(warm, tier)), tier
+        assert session.stats == warm.stats
+
     def test_sweep_leaves_the_session_as_it_found_it(self, tpch_designs):
-        """Apart from merged cache entries: every heap-file array is the
-        object it was, and nothing appears in ``/dev/shm``."""
+        """Every heap-file array is the object it was, and nothing appears
+        in ``/dev/shm``."""
 
         def shm_listing():
             shm = "/dev/shm"
@@ -419,8 +421,8 @@ class TestWorkersInheritTheSession:
         assert shm_listing() == listing
 
 
-class TestScanCachingFlag:
-    def test_flag_on_hits_scan_tier_on_repeat(self, tpch_designs):
+class TestRepeatEvaluationHitsTheSession:
+    def test_repeat_hits_scan_tier_and_reuses_orderings(self, tpch_designs):
         design = tpch_designs[0]
         session = EvalSession()
         with use_session(session):
@@ -429,3 +431,11 @@ class TestScanCachingFlag:
         _assert_identical(a, b)
         assert session.stats["scan_hits"] > 0
         assert session.stats["ordering_misses"] > 0
+
+    def test_session_holds_the_eight_documented_tiers(self):
+        session = EvalSession()
+        assert {key.rsplit("_", 1)[0] for key in session.stats} == {
+            "mask", "conjunction", "heapfile", "ordering", "cm_build",
+            "cm_choice", "cm_distinct", "scan",
+        }
+        assert all(getattr(session, tier) == {} for tier in _TIERS)

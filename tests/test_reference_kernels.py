@@ -6,7 +6,6 @@ an array program and the cost model's scalar pricing core against
 ``tests/reference_kernels.py``."""
 
 import functools
-import pickle
 
 import numpy as np
 import pytest
@@ -407,9 +406,8 @@ def _churn(hf: HeapFile, rng: np.random.Generator, recent: bool) -> None:
 def test_correlation_map_equals_reference(
     seed, n, cluster_key, key, cluster_width, queries, rounds
 ):
-    """After the build, after every ``refresh_merged`` that follows a
-    ``tail_merge`` (incremental, and rebuild by boundary or by bloat), and
-    after the pickle round trip a sweep worker's cache delta takes."""
+    """After the build and after every ``refresh_merged`` that follows a
+    ``tail_merge`` (incremental, and rebuild by boundary or by bloat)."""
     rng = np.random.default_rng(seed)
     hf = HeapFile(_random_table(rng, n), cluster_key, DISK)
     key_attrs, key_widths = key
@@ -432,9 +430,6 @@ def test_correlation_map_equals_reference(
         else:
             ref.merge_rows(merged_from)
         _assert_cm_equals_reference(cm, ref, queries)
-    shipped = pickle.loads(pickle.dumps(cm))
-    assert shipped.heapfile is None
-    _assert_cm_equals_reference(shipped, ref, queries)
 
 
 def test_empty_sorted_region_builds_an_empty_map():
