@@ -730,7 +730,7 @@ class CoraddDesigner:
         old_enum = self.state.enumerator_for(fact)
 
         # Strip dropped queries' runtimes from live and archived candidates
-        # so domination and penalty chains never see stale entries.
+        # so domination and the ILP's chains never see stale entries.
         if removed:
             for cand in self.state.fact_candidates(fact):
                 for name in removed:

@@ -1,31 +1,41 @@
 """The candidate-selection ILP (Section 5.1, Table 3).
 
-For each query ``q`` the candidates covering it are ordered fastest-first
-(``p_{q,1}, p_{q,2}, ...``), terminated by the *base design* — the runtime
-``q`` achieves with no extra objects.  The objective charges each query its
-fastest runtime plus "penalties" for every faster candidate not chosen:
+For each query ``q`` the candidates covering it that beat its *base design*
+— the runtime ``q`` achieves with no extra objects — form its chain, ordered
+fastest-first (``p_{q,1}, p_{q,2}, ...``).  Table 3 charges each query its
+fastest runtime plus a "penalty" for every faster candidate not chosen,
+with one row per chain entry that names every faster candidate:
+``x_{q,r} >= 1 - sum_{k<r} y_{p_k}``.  Row ``r`` has ``r - 1`` coefficients,
+so that encoding grows with the square of the chain length.
 
-    min  sum_q  freq_q * [ t_{q,p1} + sum_{r>=2} x_{q,r} (t_r - t_{r-1}) ]
+HiGHS gets the equivalent *assignment* (facility-location) form instead,
+where ``z_{q,r}`` is the share of ``q`` served by its ``r``-th candidate:
+
+    min  sum_q f_q base_q  -  sum_{q,r} f_q (base_q - t_{q,r}) z_{q,r}
+           + sum_m maint_m y_m
 
     s.t. (1) y_m binary
-         (2) x_{q,r} >= 1 - sum_{k<r} y_{p_k}      (0 <= x <= 1)
-         (3) sum_m s_m y_m <= S
-         (4) per fact table f: sum_{m in R_f} y_m <= 1
+         (2) z_{q,r} - y_{p_{q,r}} <= 0          (0 <= z <= 1)
+         (3) per query q: sum_r z_{q,r} <= 1
+         (4) sum_m s_m y_m <= S
+         (5) per fact table f: sum_{m in R_f} y_m <= 1
 
-The telescoping makes the objective exactly the runtime of the best *chosen*
-candidate (or the base design): if nothing is chosen all penalties fire and
-the sum collapses to the base runtime.  Because the model minimizes and each
-``(t_r - t_{r-1})`` is positive, the continuous ``x`` settle at their integral
-lower bounds on their own — the paper's "no relaxation needed" structure.
+For integral ``y`` the optimum sets ``z = 1`` at the first chosen entry of
+each chain, so every query is charged the runtime of its best chosen
+candidate, or its base runtime when no candidate is chosen.  For fractional
+``y`` the relaxation fills each query fastest-first, ``z_{q,r} = min(y_r,
+1 - sum_{k<r} z_{q,k})``, which telescopes to exactly Table 3's charge
+``t_{q,1} + sum_r (t_{q,r+1} - t_{q,r}) max(0, 1 - sum_{k<=r} y_{p_k})``
+(the entry past the chain's end is ``base_q``): the LP bound, and with it
+HiGHS's pruning, is the paper's.  Each chain entry costs three nonzeros —
+``z`` and ``y`` in row (2), ``z`` in row (3) — at any chain length.
 
-Encoding note: constraint (2) written literally puts r-1 coefficients in the
-r-th row — quadratic nonzeros in the chain length, which is fine at SSB
-scale (the paper's 2,080-variable ILP) but explodes for the 20,000-candidate
-scaling study (Figure 6).  For chains longer than ``_DENSE_CHAIN_LIMIT`` we
-switch to an equivalent prefix-sum encoding: auxiliary ``s_{q,r} =
-sum_{k<=r} y_{p_k}`` built by one 3-coefficient equality per level, with
-``x_{q,r} + s_{q,r-1} >= 1``.  Same feasible set projected onto (x, y), same
-optimum, linear nonzeros.
+*Twins* — candidates with the same kind, fact, size, maintenance charge and
+chain entries, typically two clusterings of one query group that price every
+query alike — are interchangeable in any design.  The model carries one
+column per set of twins, the twin enumerated first in ``CandidateSet``
+order, so HiGHS neither branches over them nor picks one arbitrarily; warm
+starts and free ids that name a later twin are mapped onto it.
 """
 
 from __future__ import annotations
@@ -43,13 +53,28 @@ if TYPE_CHECKING:
 
 _EPS = 1e-9
 
-# Chains longer than this switch from the paper's literal constraint (2)
-# rows to the equivalent prefix-sum encoding (see module docstring).
-_DENSE_CHAIN_LIMIT = 64
 
-# query name -> penalty chain: the candidates covering the query that beat
-# its base runtime, fastest first (the ``p_{q,r}`` ordering).
-Chains = dict[str, list[tuple[float, MVCandidate]]]
+@dataclass
+class Chains:
+    """Every query's chain over twin representatives, fastest first, and
+    which representative stands for each candidate that reaches a chain."""
+
+    by_query: dict[str, list[tuple[float, MVCandidate]]]
+    # cand_id -> the id of the first of its twins in CandidateSet order
+    # (its own id when it has no earlier twin).
+    representative: dict[str, str]
+
+    def __getitem__(self, query_name: str) -> list[tuple[float, MVCandidate]]:
+        return self.by_query[query_name]
+
+    def columns(self) -> dict[str, MVCandidate]:
+        """The representatives, in order of first appearance over the
+        chains: the model's ``y`` columns."""
+        used: dict[str, MVCandidate] = {}
+        for chain in self.by_query.values():
+            for _, cand in chain:
+                used.setdefault(cand.cand_id, cand)
+        return used
 
 
 @dataclass
@@ -76,7 +101,7 @@ class DesignProblem:
 
     def chain_for(self, query: Query) -> list[tuple[float, MVCandidate]]:
         """Candidates covering ``query`` that beat its base runtime, fastest
-        first (the ``p_{q,r}`` ordering)."""
+        first (the ``p_{q,r}`` ordering), twins included."""
         base = self.base_seconds[query.name]
         entries = [
             (cand.runtimes[query.name], cand)
@@ -88,9 +113,38 @@ class DesignProblem:
         return entries
 
     def chains(self) -> Chains:
-        """Every query's penalty chain.  Each one scans the whole pool, so
-        :func:`choose_candidates` computes them once and shares them."""
-        return {q.name: self.chain_for(q) for q in self.queries}
+        """Every query's :meth:`chain_for` with twins merged into their
+        representative, from one pass over the pool, which
+        :func:`choose_candidates` shares between its steps."""
+        by_query: dict[str, list[tuple[float, MVCandidate]]] = {
+            q.name: [] for q in self.queries
+        }
+        first_of: dict[tuple, str] = {}
+        representative: dict[str, str] = {}
+        for cand in self.candidates:
+            have = frozenset(cand.attrs)
+            entries = tuple(
+                (q.name, t)
+                for q in self.queries
+                if (t := cand.runtimes.get(q.name)) is not None
+                and t < self.base_seconds[q.name] - _EPS
+                and q.fact_table == cand.fact
+                and have.issuperset(q.attributes())
+            )
+            if not entries:
+                continue
+            twin_key = (
+                cand.kind, cand.fact, cand.size_bytes,
+                self.maintenance_seconds(cand), entries,
+            )
+            rep = first_of.setdefault(twin_key, cand.cand_id)
+            representative[cand.cand_id] = rep
+            if rep == cand.cand_id:
+                for name, t in entries:
+                    by_query[name].append((t, cand))
+        for chain in by_query.values():
+            chain.sort(key=lambda item: (item[0], item[1].cand_id))
+        return Chains(by_query, representative)
 
 
 @dataclass
@@ -119,19 +173,21 @@ class ChosenDesign:
         return [candidates.candidate(cid) for cid in self.chosen_ids]
 
 
+def _z(query_name: str, cand_id: str) -> str:
+    return f"z[{query_name},{cand_id}]"
+
+
 def build_design_ilp(
     problem: DesignProblem, chains: Chains | None = None
 ) -> MILPModel:
-    """Construct the Section 5.1 model.  Candidates that beat no query's
-    base runtime get no variable (they could never improve the objective).
-    ``chains`` are ``problem.chains()`` when the caller already has them."""
+    """Construct the Section 5.1 model in its assignment form.  Candidates
+    that beat no query's base runtime, and twins after the first, get no
+    column.  ``chains`` are ``problem.chains()`` when the caller already
+    has them."""
     model = MILPModel("coradd_design")
     if chains is None:
         chains = problem.chains()
-    used: dict[str, MVCandidate] = {}
-    for chain in chains.values():
-        for _, cand in chain:
-            used.setdefault(cand.cand_id, cand)
+    used = chains.columns()
     for cand_id, cand in used.items():
         # A candidate's maintenance bill is a linear per-object charge, so
         # it rides directly on the choice variable.
@@ -145,7 +201,7 @@ def build_design_ilp(
             float(problem.budget_bytes),
             name="space_budget",
         )
-    # Condition (4): at most one clustering per fact table.
+    # Condition (5): at most one clustering per fact table.
     by_fact: dict[str, list[str]] = {}
     for cid, cand in used.items():
         if cand.kind == KIND_FACT_RECLUSTER:
@@ -154,38 +210,24 @@ def build_design_ilp(
         model.add_constraint(
             {f"y[{cid}]": 1.0 for cid in ids}, "<=", 1.0, name=f"one_clustering[{fact}]"
         )
-    # Objective + penalty chains.
+    # Objective: every query at its base runtime, less what its assignment
+    # saves.
     for q in problem.queries:
-        chain = chains[q.name]
         base = problem.base_seconds[q.name]
-        times = [t for t, _ in chain] + [base]
-        ids = [cand.cand_id for _, cand in chain]
-        model.add_objective_constant(q.frequency * times[0])
-        dense = len(ids) <= _DENSE_CHAIN_LIMIT
-        prev_s: str | None = None
-        for r in range(1, len(times)):
-            delta = times[r] - times[r - 1]
-            if not dense:
-                # Maintain s_{q,r-1} = sum of the first r-1 y's.
-                s_name = f"s[{q.name},{r}]"
-                model.add_var(s_name, lb=0.0, ub=float(r))
-                coeffs_s = {s_name: 1.0, f"y[{ids[r - 1]}]": -1.0}
-                if prev_s is not None:
-                    coeffs_s[prev_s] = -1.0
-                model.add_constraint(coeffs_s, "==", 0.0, name=f"prefix[{q.name},{r}]")
-                prev_s = s_name
-            if delta <= 0:
-                continue
-            x_name = model.add_var(
-                f"x[{q.name},{r}]", lb=0.0, ub=1.0, obj=q.frequency * delta
+        model.add_objective_constant(q.frequency * base)
+        shares: dict[str, float] = {}
+        for t, cand in chains[q.name]:
+            z_name = model.add_var(
+                _z(q.name, cand.cand_id), lb=0.0, ub=1.0,
+                obj=-q.frequency * (base - t),
             )
-            if dense:
-                coeffs = {x_name: 1.0}
-                for cid in ids[:r]:
-                    coeffs[f"y[{cid}]"] = 1.0
-            else:
-                coeffs = {x_name: 1.0, prev_s: 1.0}
-            model.add_constraint(coeffs, ">=", 1.0, name=f"penalty[{q.name},{r}]")
+            model.add_constraint(
+                {z_name: 1.0, f"y[{cand.cand_id}]": -1.0}, "<=", 0.0,
+                name=f"serve[{q.name},{cand.cand_id}]",
+            )
+            shares[z_name] = 1.0
+        if shares:
+            model.add_constraint(shares, "<=", 1.0, name=f"assign[{q.name}]")
     return model
 
 
@@ -240,37 +282,27 @@ def incumbent_from_chosen(
     """A feasible warm-start point of :func:`build_design_ilp`'s model from a
     previously chosen candidate set.
 
-    Mirrors the model construction exactly: ``y`` variables are set from
-    ``chosen_ids`` (ids without a variable — candidates that no longer beat
-    any base runtime — are dropped), prefix-sum ``s`` variables get their
-    implied counts, and every penalty ``x`` settles at its integral lower
-    bound given the ``y``.  Feasibility under the *current* budget is not
-    checked here; the solver facade verifies it and ignores infeasible
-    incumbents.
+    Mirrors the model construction exactly: each id is mapped to its twin
+    representative, ``y`` variables are set from the result (ids without a
+    variable — candidates that no longer beat any base runtime — are
+    dropped), and each query is assigned whole to the first chosen entry of
+    its chain.  Feasibility under the *current* budget is not checked here;
+    the solver facade verifies it and ignores infeasible incumbents.
     """
     if chains is None:
         chains = problem.chains()
-    chosen = {cid for cid in chosen_ids if f"y[{cid}]" in model.variables}
+    chosen = {chains.representative.get(cid, cid) for cid in chosen_ids}
     values: dict[str, float] = {
         name: (1.0 if name[2:-1] in chosen else 0.0)
         for name in model.variables
         if name.startswith("y[")
     }
     for q in problem.queries:
-        chain = chains[q.name]
-        base = problem.base_seconds[q.name]
-        times = [t for t, _ in chain] + [base]
-        ids = [cand.cand_id for _, cand in chain]
-        prefix = 0
-        for r in range(1, len(times)):
-            if ids[r - 1] in chosen:
-                prefix += 1
-            s_name = f"s[{q.name},{r}]"
-            if s_name in model.variables:
-                values[s_name] = float(prefix)
-            x_name = f"x[{q.name},{r}]"
-            if x_name in model.variables:
-                values[x_name] = 0.0 if prefix else 1.0
+        served = False
+        for _, cand in chains[q.name]:
+            take = not served and cand.cand_id in chosen
+            values[_z(q.name, cand.cand_id)] = 1.0 if take else 0.0
+            served = served or take
     return values
 
 
@@ -284,9 +316,10 @@ def choose_candidates(
     ``warm_start`` — candidate ids of a previous solution — seeds the
     solver's fix-and-polish pass; ``free_ids`` names the candidates a
     workload delta touched, whose choice variables stay free during the
-    polish.  The returned optimum is the same either way; a warm point the
-    LP bound certifies is returned as it stands.  When no candidate helps
-    any query the model is empty and the answer is the base design.
+    polish.  Both are mapped onto twin representatives.  The returned
+    optimum is the same either way; a warm point the LP bound certifies is
+    returned as it stands.  When no candidate helps any query the model is
+    empty and the answer is the base design.
     """
     chains = problem.chains()
     model = build_design_ilp(problem, chains)
@@ -296,7 +329,9 @@ def choose_candidates(
         else None
     )
     free_vars = (
-        {f"y[{cid}]" for cid in free_ids if f"y[{cid}]" in model.variables}
+        {
+            f"y[{chains.representative.get(cid, cid)}]" for cid in free_ids
+        } & model.variables.keys()
         if free_ids
         else None
     )

@@ -77,8 +77,9 @@ def _solve_scipy(
         else arrays.integrality
     )
     # HiGHS's optimality tolerance is absolute (1e-7) and design objectives
-    # are model-seconds with penalty steps down to 1e-8, which it would
-    # leave slack: hand it the objective scaled by a power of two (exact in
+    # are model-seconds: a whole workload can total 0.1 s, and a share's
+    # saving f * (base - t) is anything above 1e-9, which it would leave
+    # slack: hand it the objective scaled by a power of two (exact in
     # floating point) that puts the largest coefficient near 2**13.
     largest = float(np.abs(arrays.c).max(initial=0.0))
     scale = 2.0 ** (13 - math.frexp(largest)[1]) if largest else 1.0

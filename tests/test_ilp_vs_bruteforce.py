@@ -62,21 +62,43 @@ def test_ilp_matches_brute_force(n_cands, n_queries, seed):
     ]
     base = {q.name: float(rng.uniform(5, 20)) for q in queries}
     candidates = CandidateSet()
+    drawn: list[MVCandidate] = []
     for i in range(n_cands):
-        kind = KIND_FACT_RECLUSTER if rng.random() < 0.25 else KIND_MV
-        cand = MVCandidate(
-            cand_id=f"c{i}",
-            fact="f",
-            group=frozenset(),
-            attrs=("a", "m", f"pad{i}"),
-            cluster_key=("a",),
-            size_bytes=int(rng.integers(1, 50)),
-            kind=kind,
-        )
-        for q in queries:
-            if rng.random() < 0.7:
-                cand.runtimes[q.name] = float(base[q.name] * rng.uniform(0.1, 1.3))
+        # Ids count down, so an earlier-enumerated twin sorts after a later
+        # one: the representative rule cannot pass by id order alone.
+        cand_id = f"c{n_cands - i}"
+        if drawn and rng.random() < 0.3:
+            # A twin: another clustering of an earlier candidate, priced
+            # and sized exactly like it.
+            of = drawn[int(rng.integers(len(drawn)))]
+            cand = MVCandidate(
+                cand_id=cand_id,
+                fact="f",
+                group=frozenset(),
+                attrs=("a", "m", f"pad{i}"),
+                cluster_key=("m", "a"),
+                size_bytes=of.size_bytes,
+                kind=of.kind,
+                runtimes=dict(of.runtimes),
+            )
+        else:
+            kind = KIND_FACT_RECLUSTER if rng.random() < 0.25 else KIND_MV
+            cand = MVCandidate(
+                cand_id=cand_id,
+                fact="f",
+                group=frozenset(),
+                attrs=("a", "m", f"pad{i}"),
+                cluster_key=("a",),
+                size_bytes=int(rng.integers(1, 50)),
+                kind=kind,
+            )
+            for q in queries:
+                if rng.random() < 0.7:
+                    cand.runtimes[q.name] = float(
+                        base[q.name] * rng.uniform(0.1, 1.3)
+                    )
         candidates.add(cand)
+        drawn.append(cand)
     budget = int(rng.integers(1, 120))
     problem = DesignProblem(candidates, queries, base, budget)
     ilp = choose_candidates(problem)
@@ -85,3 +107,20 @@ def test_ilp_matches_brute_force(n_cands, n_queries, seed):
     # The reported assignment must recompute to the same objective.
     total = sum(q.frequency * ilp.expected_seconds[q.name] for q in queries)
     assert total == pytest.approx(ilp.objective, abs=1e-6)
+    # Only representatives are chosen: no chosen candidate has an earlier
+    # twin (same kind, size and improving runtimes) in enumeration order.
+    def twin_key(c):
+        beats = tuple(
+            (q.name, c.runtimes[q.name])
+            for q in queries
+            if c.runtimes.get(q.name, float("inf")) < base[q.name]
+        )
+        return c.kind, c.size_bytes, beats
+
+    position = {c.cand_id: i for i, c in enumerate(drawn)}
+    for cid in ilp.chosen_ids:
+        chosen = candidates.candidate(cid)
+        assert not any(
+            twin_key(c) == twin_key(chosen)
+            for c in drawn[: position[cid]]
+        ), cid

@@ -112,6 +112,10 @@ class TestWarmStart:
     def test_warm_equals_cold_on_small_fixture(self, inst, budget):
         designer = _designer(inst)
         problem = designer.problem(budget)
+        # The pool holds twins, so the merged-column path is the one run.
+        assert any(
+            cid != rep for cid, rep in problem.chains().representative.items()
+        )
         cold = choose_candidates(problem)
         warm = choose_candidates(problem, warm_start=cold.chosen_ids)
         assert warm.chosen_ids == cold.chosen_ids

@@ -315,9 +315,20 @@ class TestTransitions:
 
 class TestFixAndPolish:
     def test_scipy_warm_equals_cold(self, inst, budget):
+        from repro.design.ilp_formulation import incumbent_from_chosen
+
         designer = _designer(inst)
         problem = designer.problem(budget)
+        chains = problem.chains()
+        # The pool holds twins, so the merged-column path is the one run.
+        assert any(cid != rep for cid, rep in chains.representative.items())
         cold = choose_candidates(problem)
+        model = build_design_ilp(problem, chains)
+        incumbent = incumbent_from_chosen(problem, model, cold.chosen_ids)
+        assert model.is_feasible(incumbent)
+        assert model.evaluate(incumbent) == pytest.approx(
+            cold.objective, rel=1e-9
+        )
         warm = choose_candidates(problem, warm_start=cold.chosen_ids)
         assert warm.chosen_ids == cold.chosen_ids
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
