@@ -10,7 +10,7 @@ Set ``REPRO_FULL=1`` to run the full-scale variants (e.g. the 20,000
 candidate ILP point of Figure 6).  Set ``REPRO_TRACE=1`` to run benches
 that take the ``observe`` fixture under the :mod:`repro.obs`
 instrumentation, writing a ``TRACE_<bench>.json`` span/metrics/drift report
-next to the ``BENCH_*.json`` artifacts.
+next to the saved reports.
 """
 
 from __future__ import annotations
@@ -28,18 +28,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 def full_scale() -> bool:
     return os.environ.get("REPRO_FULL", "0") == "1"
-
-
-def cpu_count() -> int:
-    return os.cpu_count() or 1
-
-
-def multicore(min_cores: int = 4) -> bool:
-    """Gate for *wall-clock* perf bars only: forked workers timeshare the
-    CPU on a small runner, so speedup assertions need real cores.
-    I/O-model metrics (pages scanned, bytes shipped) are core-count
-    independent and must never gate on this."""
-    return cpu_count() >= min_cores
 
 
 def make_benchmark(name: str, **knobs):

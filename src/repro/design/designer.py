@@ -80,7 +80,6 @@ class DesignerConfig:
     seed: int = 0
     cm_budget_bytes: int = DEFAULT_CM_BUDGET_BYTES
     use_cms: bool = True
-    prune_dominated: bool = True
     update_weight: float = 0.0
     maintenance_pool_pages: int = DEFAULT_POOL_PAGES
 
@@ -430,12 +429,7 @@ class CoraddDesigner:
         else:
             for enumerator in self.enumerators:
                 enumerator.enumerate(candidates)
-        before = len(candidates)
-        after = before
-        if self.config.prune_dominated:
-            before, after = prune_dominated(
-                candidates, archive=self.state.archive
-            )
+        before, after = prune_dominated(candidates, archive=self.state.archive)
         self.state.enumeration_stats = {
             "enumerated": before,
             "after_domination": after,
@@ -692,7 +686,7 @@ class CoraddDesigner:
         # (their groups were designed in an earlier phase): they extend
         # runtimes, which can break existing dominations and resurrect
         # archived candidates.
-        if self.config.prune_dominated and (newcomers or removed_names or added):
+        if newcomers or removed_names or added:
             reprune_incremental(self.state.candidates, self.state.archive)
         stats = self.state.enumeration_stats
         stats["enumerated"] = stats.get("enumerated", 0) + len(newcomers)

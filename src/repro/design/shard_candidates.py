@@ -19,7 +19,8 @@ one-clustering-per-fact constraint, exactly like global MVs.
 
 Adding shard-local candidates only ever *grows* the ILP's feasible set, so
 the optimum at any budget is no worse than global-only; on skewed mixes it
-is strictly better (asserted in ``bench_sharded.py``).
+is strictly better (``tests/test_sharded.py::
+test_ilp_shard_candidates_no_worse_and_strictly_better``).
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
-"""Deterministic fault injection for chaos tests, smokes, and benches.
+"""Deterministic fault injection for chaos tests.
 
 The fault layer is a contextvar-ambient :class:`FaultPlan` — an ordered set of
 :class:`FaultSpec` rules, each naming an instrumented *site* and a failure
 *kind*.  Production code calls :func:`fire` at each site; with no ambient plan
 the call is a dictionary lookup returning ``None``, so the hooks are free in
 normal operation.  Because plans are plain data with per-process match
-counters, the same plan drives the unit tests and
-``repro.experiments.chaos_smoke``, and a seeded plan replays the exact same
-fault schedule on every run.
+counters, the same plan drives every chaos test (``tests/test_faults.py``:
+a crash-injected sweep recovers to bit-identical results, an interrupted
+migration resumes to the exact target design), and a seeded plan replays
+the exact same fault schedule on every run.
 
 Instrumented sites (``key`` passed by the caller):
 

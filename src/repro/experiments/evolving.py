@@ -19,9 +19,9 @@ designer faces drift.  This experiment drives a
 Per phase the experiment reports wall-clock (design + database transition)
 and design quality (frequency-weighted expected seconds of the phase's
 workload), plus the migration plan sizes.  The incremental arm must match
-from-scratch quality to within a fraction of a percent while being several
-times faster — the claim ``benchmarks/bench_incremental_redesign.py``
-enforces.
+from-scratch quality to within 1% at every phase — tier-1 holds it to that
+(``tests/test_experiments.py::TestEvolving``); being faster is the point of
+it, but wall-clock is reported, never asserted.
 """
 
 from __future__ import annotations
@@ -195,19 +195,12 @@ if __name__ == "__main__":
 
     from repro.obs import observed
 
-    smoke = os.environ.get("REPRO_SMOKE", "0") == "1"
     tracing = os.environ.get("REPRO_TRACE", "0") == "1"
     with observed("evolving") if tracing else nullcontext() as obs:
-        report = run_evolving(
-            scale=0.05 if smoke else 0.3,
-            phases=2 if smoke else 4,
-        )
+        report = run_evolving()
     from repro.experiments.report import format_report
 
     print(format_report(report))
     if obs is not None:
         print(obs.render())
         print(f"trace written to {obs.write('TRACE_evolving.json')}")
-    if smoke:
-        ratios = [r["quality_ratio"] for r in report.rows]
-        assert all(r <= 1.01 for r in ratios), ratios

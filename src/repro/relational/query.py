@@ -15,6 +15,7 @@ them into two independent queries").
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,17 @@ KIND_RANGE = 1
 KIND_IN = 2
 
 _KIND_NAMES = {KIND_EQ: "=", KIND_RANGE: "range", KIND_IN: "IN"}
+
+
+def _constant(value: float) -> str:
+    """A predicate constant printed exactly: integral values as integers,
+    anything else at ``repr`` precision — so two different constants never
+    print alike (``19950301`` and ``19950331`` both round to
+    ``1.99503e+07`` under ``:g``)."""
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 class Predicate:
@@ -65,7 +77,7 @@ class EqPredicate(Predicate):
         return (self.value, self.value)
 
     def __str__(self) -> str:
-        return f"{self.attr}={self.value:g}"
+        return f"{self.attr}={_constant(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,7 @@ class RangePredicate(Predicate):
         return (self.lo, self.hi)
 
     def __str__(self) -> str:
-        return f"{self.lo:g}<={self.attr}<={self.hi:g}"
+        return f"{_constant(self.lo)}<={self.attr}<={_constant(self.hi)}"
 
 
 @dataclass(frozen=True)
@@ -111,7 +123,7 @@ class InPredicate(Predicate):
         return (min(self.values), max(self.values))
 
     def __str__(self) -> str:
-        vals = ",".join(f"{v:g}" for v in self.values)
+        vals = ",".join(_constant(v) for v in self.values)
         return f"{self.attr} IN ({vals})"
 
 
@@ -166,8 +178,7 @@ class Query:
         self._attributes = tuple(
             dict.fromkeys(self._predicate_attrs + self._target_attrs)
         )
-        self._predicate_keys = {p.attr: (p.attr, str(p)) for p in self.predicates}
-        self._predicate_key_set = frozenset(self._predicate_keys.values())
+        self._predicate_key_set = frozenset(self.predicates)
         self._fingerprint = (
             self.fact_table,
             tuple(self.predicates),
@@ -184,15 +195,16 @@ class Query:
 
     def predicate_keys(
         self, attrs: tuple[str, ...] | None = None
-    ) -> frozenset[tuple[str, str]]:
-        """``(attribute, predicate text)`` of every predicate (of those on
-        ``attrs`` when given) — what statistics caches key a predicate set
-        by.  Text, not query name: distinct Query objects may reuse a name
-        and must never see each other's cache entries."""
+    ) -> frozenset[Predicate]:
+        """Every predicate (of those on ``attrs`` when given) — what
+        statistics caches key a predicate set by.  The frozen predicates
+        themselves, compared by value: not the query name, which distinct
+        Query objects may reuse, and not the display text, which may round
+        two different constants to one string."""
         if attrs is None:
             return self._predicate_key_set
-        keys = self._predicate_keys
-        return frozenset(keys[a] for a in attrs if a in keys)
+        by_attr = self._by_attr
+        return frozenset(by_attr[a] for a in attrs if a in by_attr)
 
     def target_attrs(self) -> tuple[str, ...]:
         """Attributes the query reads beyond its predicates (SELECT list,

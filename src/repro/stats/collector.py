@@ -17,8 +17,9 @@ parent prefix's over columns dense-coded once (``corr.index``, the
 predicate and per predicate *set* (``_pred_mask_cache``,
 ``_conj_mask_cache``), and the layout simulation per (cluster key, predicate
 set) (``_scan_memo``, see :meth:`TableStatistics.estimate_layout`).  A
-predicate set is named by the ``(attribute, predicate text)`` keys the
-:class:`~repro.relational.query.Query` derives once at construction.  The
+predicate is named by itself — a frozen, value-compared dataclass — and a
+predicate set by the frozenset the :class:`~repro.relational.query.Query`
+derives once at construction, never by display text.  The
 caches are sound because the synopsis is immutable today; the change that
 folds refresh samples into it (ROADMAP 1(c), stale statistics) must replace
 the key index (with it the correlation model's distinct counts and
@@ -32,16 +33,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.relational.query import Query
+from repro.relational.query import Predicate, Query
 from repro.relational.table import Table
 from repro.stats.correlation import CorrelationModel
 from repro.stats.distinct import scale_counts
 from repro.stats.histogram import EquiWidthHistogram
 from repro.stats.sampling import reservoir_sample_indices
-
-#: (attribute, predicate text) — text, not query name, because distinct Query
-#: objects may reuse a name and must never see each other's cache entries.
-PredKey = tuple[str, str]
 
 
 class TableStatistics:
@@ -70,12 +67,12 @@ class TableStatistics:
             estimator="exact" if sample_is_table else estimator,
         )
         self._histograms: dict[str, EquiWidthHistogram] = {}
-        self._query_sel: dict[str, float] = {}
-        self._pred_sel: dict[tuple[str, str], float] = {}
-        self._pred_mask_cache: dict[PredKey, np.ndarray] = {}
-        self._conj_mask_cache: dict[frozenset[PredKey], np.ndarray] = {}
+        self._query_sel: dict[frozenset[Predicate], float] = {}
+        self._pred_sel: dict[Predicate, float] = {}
+        self._pred_mask_cache: dict[Predicate, np.ndarray] = {}
+        self._conj_mask_cache: dict[frozenset[Predicate], np.ndarray] = {}
         self._scan_memo: dict[
-            tuple[tuple[str, ...], frozenset[PredKey]],
+            tuple[tuple[str, ...], frozenset[Predicate]],
             tuple[int, float, np.ndarray],
         ] = {}
 
@@ -101,24 +98,23 @@ class TableStatistics:
         """Exact selectivity of the query's predicate on ``attr`` (1.0 when
         unpredicated), memoized.  The paper computes these by scanning.
 
-        Cache keys carry the predicate text, not just the query name —
+        The cache is keyed by the predicate itself, not the query name —
         distinct Query objects may reuse a name (common in tests and ad-hoc
         exploration) and must never see each other's entries.
         """
         pred = query.predicate_on(attr)
         if pred is None:
             return 1.0
-        key = (attr, str(pred))
-        cached = self._pred_sel.get(key)
+        cached = self._pred_sel.get(pred)
         if cached is not None:
             return cached
         value = pred.selectivity(self.table)
-        self._pred_sel[key] = value
+        self._pred_sel[pred] = value
         return value
 
     def query_selectivity(self, query: Query) -> float:
         """Exact conjunctive selectivity of the whole query, memoized."""
-        key = " & ".join(sorted(str(p) for p in query.predicates))
+        key = query.predicate_keys()
         cached = self._query_sel.get(key)
         if cached is not None:
             return cached
@@ -132,27 +128,23 @@ class TableStatistics:
         """Read-only boolean mask of synopsis rows matching the query's
         predicates (restricted to ``attrs`` when given), cached per
         predicate set."""
-        return self._conjunction_mask(query, query.predicate_keys(attrs))
+        return self._conjunction_mask(query.predicate_keys(attrs))
 
-    def _conjunction_mask(
-        self, query: Query, pred_keys: frozenset[PredKey]
-    ) -> np.ndarray:
+    def _conjunction_mask(self, preds: frozenset[Predicate]) -> np.ndarray:
         """Cached read-only mask of the (unsorted) synopsis under the AND of
-        the query's predicates named by ``pred_keys``; the empty set is the
-        all-true mask.  Single-predicate masks are cached too, shared by
-        every conjunction they appear in."""
-        mask = self._conj_mask_cache.get(pred_keys)
+        ``preds``; the empty set is the all-true mask.  Single-predicate
+        masks are cached too, shared by every conjunction they appear in."""
+        mask = self._conj_mask_cache.get(preds)
         if mask is None:
             mask = np.ones(self.synopsis.nrows, dtype=bool)
-            for pred_key in pred_keys:
-                single = self._pred_mask_cache.get(pred_key)
+            for pred in preds:
+                single = self._pred_mask_cache.get(pred)
                 if single is None:
-                    pred = query.predicate_on(pred_key[0])
                     single = pred.mask(self.synopsis.column(pred.attr))
-                    self._pred_mask_cache[pred_key] = single
+                    self._pred_mask_cache[pred] = single
                 mask &= single
             mask.flags.writeable = False
-            self._conj_mask_cache[pred_keys] = mask
+            self._conj_mask_cache[preds] = mask
         return mask
 
     def _simulate_scan(
@@ -199,8 +191,8 @@ class TableStatistics:
         row (CM false positives included), so fragments/fraction are
         measured over those group-expanded rows.
 
-        The simulation is memoised per (cluster key, set of predicate texts
-        on ``pred_attrs``): which rows are scanned depends on nothing else.
+        The simulation is memoised per (cluster key, set of predicates on
+        ``pred_attrs``): which rows are scanned depends on nothing else.
         The readahead gap is deliberately *outside* the key — it varies with
         the row width of every candidate object — so the memo stores the
         sorted gaps between scanned positions and a call answers its own
@@ -224,7 +216,7 @@ class TableStatistics:
             memo = self._scan_memo.get(key)
             if memo is None:
                 memo = self._simulate_scan(
-                    cluster_key, self._conjunction_mask(query, pred_keys)
+                    cluster_key, self._conjunction_mask(pred_keys)
                 )
                 self._scan_memo[key] = memo
             n_match, fraction, gaps = memo
@@ -236,7 +228,7 @@ class TableStatistics:
             wider = len(gaps) - int(gaps.searchsorted(gaps.dtype.type(floor), "right"))
             return 1.0 + float(wider), fraction
         perm = self.corr.index.order(cluster_key).perm
-        mask = self._conjunction_mask(query, pred_keys)[perm]
+        mask = self._conjunction_mask(pred_keys)[perm]
         n_match = int(mask.sum())
         if n_match < min_sample_matches:
             return None

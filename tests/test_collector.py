@@ -1,10 +1,21 @@
 """TableStatistics: selectivities, synopsis estimates, layout estimation."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from repro.relational.query import Aggregate, EqPredicate, Query, RangePredicate
+from repro.relational.query import (
+    Aggregate,
+    EqPredicate,
+    InPredicate,
+    Query,
+    RangePredicate,
+)
 from repro.stats.collector import TableStatistics
+from repro.workloads.registry import available, make
 from tests.conftest import make_people
 
 
@@ -140,3 +151,93 @@ class TestLayoutEstimation:
         # Restricting predicates can only scan more (or equal).
         if narrow is not None:
             assert wide[1] >= narrow[1] - 1e-12
+
+
+# ------------------------------------------------- content-keyed predicate caches
+
+
+@lru_cache(maxsize=None)
+def _registry(name):
+    """A registry workload at tiny scale, its distinct predicates, and the
+    sorted domain of every predicated column."""
+    inst = make(name, scale=0.02)
+    preds = list(dict.fromkeys(p for q in inst.workload for p in q.predicates))
+    domains = {
+        p.attr: np.unique(_flat_with(inst, p.attr).column(p.attr)) for p in preds
+    }
+    return inst, preds, domains
+
+
+def _flat_with(inst, attr):
+    return next(t for t in inst.flat_tables.values() if t.has_column(attr))
+
+
+@st.composite
+def neighbouring_predicates(draw):
+    """(registry workload, one of its predicates, that predicate with one
+    constant moved one step along its column's domain)."""
+    name = draw(st.sampled_from(available()))
+    _inst, preds, domains = _registry(name)
+    pred = draw(st.sampled_from(preds))
+    domain = domains[pred.attr]
+    up = draw(st.booleans())
+
+    def step(value):
+        i = int(np.searchsorted(domain, value, side="right" if up else "left"))
+        i = i if up else i - 1
+        assume(0 <= i < len(domain))
+        return float(domain[i])
+
+    if isinstance(pred, EqPredicate):
+        near = EqPredicate(pred.attr, step(pred.value))
+    elif isinstance(pred, RangePredicate):
+        lo, hi = pred.lo, pred.hi
+        if draw(st.booleans()):
+            lo = step(lo)
+        else:
+            hi = step(hi)
+        assume(lo <= hi)
+        near = RangePredicate(pred.attr, lo, hi)
+    else:
+        values = list(pred.values)
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = step(values[i])
+        near = InPredicate(pred.attr, tuple(values))
+    assume(near != pred)
+    return name, pred, near
+
+
+def _answers(stats, query, attr):
+    """Everything the statistics cache about a one-predicate query."""
+    layout = stats.estimate_layout((attr,), query, gap_rows=8, min_sample_matches=1)
+    return (
+        stats.predicate_selectivity(query, attr),
+        stats.query_selectivity(query),
+        stats.sample_mask(query).tobytes(),
+        layout,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@example(pair=(
+    "tpch",
+    RangePredicate("o_orderdate", 19950301, 19950331),
+    RangePredicate("o_orderdate", 19950301, 19950302),
+))
+@given(pair=neighbouring_predicates())
+def test_neighbouring_predicates_never_share_a_cache_entry(pair):
+    """Two predicates one domain step apart never share a mask, a
+    selectivity or an ``estimate_layout`` memo entry: what the statistics
+    answer for one does not depend on whether the other was asked first —
+    and the two print differently."""
+    name, far, near = pair
+    flat = _flat_with(_registry(name)[0], near.attr)
+    q_far, q_near = (Query("q", "fact", [p]) for p in (far, near))
+    assert str(far) != str(near)
+    assert repr(q_far) != repr(q_near)
+    assert q_far.predicate_keys() != q_near.predicate_keys()
+    warmed = TableStatistics(flat)
+    _answers(warmed, q_far, far.attr)
+    assert _answers(warmed, q_near, near.attr) == _answers(
+        TableStatistics(flat), q_near, near.attr
+    )

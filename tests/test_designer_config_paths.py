@@ -1,8 +1,12 @@
 """Designer configuration paths not covered by the main integration tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.design.designer import CoraddDesigner, DesignerConfig
+from repro.design.ilp_formulation import choose_candidates
+from repro.design.mv import CandidateSet
 from repro.experiments.harness import evaluate_design
 
 
@@ -50,13 +54,19 @@ class TestNoCMs:
 class TestNoDominationPruning:
     def test_same_optimum_with_and_without_pruning(self, ssb_small, budget):
         """Domination pruning is an optimization, not an approximation:
-        the ILP optimum must be identical (Section 5.3's guarantee)."""
-        pruned = make_designer(ssb_small, prune_dominated=True)
-        unpruned = make_designer(ssb_small, prune_dominated=False)
-        d1 = pruned.design(budget)
-        d2 = unpruned.design(budget)
-        assert d1.ilp.objective == pytest.approx(d2.ilp.objective, rel=1e-9)
-        assert len(unpruned.enumerate()) >= len(pruned.enumerate())
+        the ILP over the pruned pool and over the pool plus every archived
+        (dominated) candidate reach the same optimum (Section 5.3's
+        guarantee)."""
+        designer = make_designer(ssb_small)
+        pruned = designer.problem(budget)
+        assert designer.state.archive, "fixture must prune something"
+        everything = CandidateSet()
+        for cand in [*pruned.candidates, *designer.state.archive.values()]:
+            everything.add(cand)
+        unpruned = replace(pruned, candidates=everything)
+        assert choose_candidates(pruned).objective == pytest.approx(
+            choose_candidates(unpruned).objective, rel=1e-9
+        )
 
 
 class TestMaxK:

@@ -1,8 +1,10 @@
 """Smoke tests: every paper experiment runs end to end at tiny scale and
-produces the paper's qualitative shape."""
+produces the paper's qualitative shape; so do the experiments beyond the
+paper, each holding its model-metric contract."""
 
 import pytest
 
+from repro.experiments.evolving import run_evolving
 from repro.experiments.fig05_ilp_vs_greedy import run_fig05
 from repro.experiments.fig06_ilp_scaling import run_fig06, synthetic_problem
 from repro.experiments.fig07_feedback import run_fig07
@@ -10,8 +12,10 @@ from repro.experiments.fig09_apb import run_fig09
 from repro.experiments.fig10_cost_model_error import run_fig10
 from repro.experiments.fig11_ssb import run_fig11
 from repro.experiments.fig14_maintenance import run_fig14
+from repro.experiments.refresh_design import run_refresh_design
 from repro.experiments.report import ExperimentResult, format_report
 from repro.experiments.tables12_selectivity import run_tables12
+from repro.experiments.tpch_design import run_tpch
 
 
 class TestReport:
@@ -123,3 +127,49 @@ class TestFig14:
         assert slowdowns[-1] > 5.0
         hit_rates = [row["hit_rate"] for row in r.rows]
         assert hit_rates[0] > hit_rates[-1]
+
+
+class TestTpch:
+    def test_coradd_beats_commercial_at_every_budget(self):
+        r = run_tpch(scale=0.02, fractions=(0.25, 0.5, 1.0), augment_factor=4)
+        assert len(r.rows) == 3
+        for row in r.rows:
+            assert row["coradd_real"] < row["commercial_real"], row
+
+
+class TestEvolving:
+    def test_incremental_quality_within_one_percent_of_scratch(self):
+        """``ssb-drift`` through ``WorkloadStream``, ``update()`` and
+        ``DesignDiff`` migration: every phase's incremental design is
+        within 1% of the from-scratch design."""
+        r = run_evolving(benchmark="ssb-drift", scale=0.05, phases=3)
+        assert [row["phase"] for row in r.rows] == [0, 1, 2]
+        assert all(row["added"] > 0 for row in r.rows[1:])
+        for row in r.rows:
+            assert row["quality_ratio"] <= 1.01, row
+
+
+class TestRefreshDesign:
+    def test_maintenance_aware_design_never_loses(self):
+        """At every update-heavy mix the maintenance-aware design's
+        measured query+maintenance total is no worse than the query-only
+        design's; at the heaviest mix it holds no more MV bytes."""
+        weights = (0.0, 0.25, 1.0)
+        r = run_refresh_design(
+            scale=0.05, budget_fracs=(0.4, 0.8), update_weights=weights,
+            rounds=2,
+        )
+        arms = {
+            (row["budget_frac"], row["update_weight"], row["arm"]): row
+            for row in r.rows
+        }
+        for budget in (0.4, 0.8):
+            for w in weights[1:]:
+                aware = arms[budget, w, "maintenance-aware"]
+                only = arms[budget, w, "query-only"]
+                assert aware["total_seconds"] <= only["total_seconds"] * 1.001
+            heavy = weights[-1]
+            assert (
+                arms[budget, heavy, "maintenance-aware"]["mv_mb"]
+                <= arms[budget, heavy, "query-only"]["mv_mb"] + 1e-9
+            )

@@ -145,11 +145,9 @@ def _recomputed_views(q: Query) -> dict:
             a: next((p for p in q.predicates if p.attr == a), None)
             for a in attributes + ("no_such_attr",)
         },
-        "predicate_keys": frozenset((p.attr, str(p)) for p in q.predicates),
+        "predicate_keys": frozenset(q.predicates),
         "prefix_keys": [
-            frozenset(
-                (p.attr, str(p)) for p in q.predicates if p.attr in attributes[:n]
-            )
+            frozenset(p for p in q.predicates if p.attr in attributes[:n])
             for n in range(len(attributes) + 1)
         ],
     }

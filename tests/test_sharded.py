@@ -10,6 +10,7 @@ from repro.costmodel.base import ObjectGeometry
 from repro.costmodel.correlation_aware import CorrelationAwareCostModel
 from repro.engine.parallel import ParallelSweep
 from repro.engine.session import EvalSession, use_session
+from repro.obs import observed
 from repro.relational.query import (
     Aggregate,
     EqPredicate,
@@ -346,6 +347,44 @@ def test_ilp_shard_candidates_no_worse_and_strictly_better(people, disk):
         if ds.objective < dg.objective - 1e-9:
             strict_win = True
     assert strict_win, "no budget where shard-local candidates won"
+
+
+def test_ssb_sharded_correlated_suite_reads_three_times_fewer_pages():
+    """``ssb-sharded`` on 8 range shards of the correlation-chosen key:
+    every query answers as the unsharded heap file does, and the queries
+    pruning localizes read >= 3x fewer modeled pages.  Pruning is traced:
+    ``shard.prune`` spans and the ``engine.shard.*`` counters, on the
+    serial path and on the shard-parallel one."""
+    from repro.workloads.registry import make
+
+    inst = make("ssb-sharded", scale=0.02, seed=7, shards=8)
+    fact = "lineorder"
+    flat, pk = inst.flat_tables[fact], tuple(inst.primary_keys[fact])
+    disk = DiskModel()
+    db = PhysicalDatabase(
+        [sharded_fact_object(flat, fact, pk, inst.sharding[fact], disk)]
+    )
+    ref = PhysicalDatabase([PhysicalObject(HeapFile(flat, pk, disk, name=fact))])
+    shf, ref_hf = db.object(fact).heapfile, ref.object(fact).heapfile
+    pages_sharded = pages_unsharded = 0
+    with observed("sharded") as obs:
+        for q in inst.workload:
+            res, res_ref = db.run(q).result, ref.run(q).result
+            assert np.array_equal(
+                selected_sources(shf, res), selected_sources(ref_hf, res_ref)
+            ), q.name
+            if res.shards_scanned < res.shards_total:
+                pages_sharded += res.cost.pages_read
+                pages_unsharded += res_ref.cost.pages_read
+        assert obs.metrics.counter("engine.shard.shards_pruned") > 0
+        assert "shard.prune" in {s.name for s in obs.tracer.spans}
+        with use_session(EvalSession()) as session:
+            run_workload_shard_parallel(
+                db, inst.workload, ParallelSweep(workers=2), session=session
+            )
+    assert pages_sharded > 0
+    assert pages_unsharded >= 3 * pages_sharded
+    assert obs.metrics.counter("engine.shard.shard_parallel_tasks") > 0
 
 
 def test_registry_sharded_variants():
