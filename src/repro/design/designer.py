@@ -26,10 +26,10 @@ through :class:`~repro.design.migration.DesignDiff` instead of rebuilding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cm.designer import DEFAULT_CM_BUDGET_BYTES, CMDesigner
-from repro.engine import EvalSession, ParallelSweep, ambient_scope, get_session
+from repro.engine import EvalSession, ambient_scope, get_session
 from repro.costmodel.correlation_aware import CorrelationAwareCostModel
 from repro.design.dominate import prune_dominated, reprune_incremental
 from repro.design.enumerate import CandidateEnumerator
@@ -391,44 +391,17 @@ class CoraddDesigner:
             ),
         )
 
-    def enumerate(self, workers: int = 1) -> CandidateSet:
-        """Stage 2 (resumable): the domination-pruned candidate pool.
-
-        With ``workers > 1`` the per-fact enumerators fan out to a process
-        pool (they are fully independent: each sees only its own fact's
-        statistics and queries) and the per-fact pools are merged with
-        stable re-numbered ids — bit-identical to the serial pool, because
-        serial enumeration visits the enumerators in the same order and
-        fact-qualified signatures can never collide across facts.
-        """
+    def enumerate(self) -> CandidateSet:
+        """Stage 2 (resumable): the domination-pruned candidate pool."""
         if self.state.candidates is None:
-            with span("designer.enumerate", workers=workers):
-                self._enumerate(workers)
+            with span("designer.enumerate"):
+                self._enumerate()
         return self.state.candidates
 
-    def _enumerate(self, workers: int) -> None:
+    def _enumerate(self) -> None:
         candidates = CandidateSet()
-        if workers > 1 and len(self.enumerators) > 1:
-            # Session-free fan-out: enumerators carry their own statistics,
-            # so the work-stealing scheduler just hands each enumerator to
-            # the next idle worker.
-            pools = ParallelSweep(workers=workers).map(
-                lambda enumerator: enumerator.enumerate(), self.enumerators
-            )
-            for enumerator, pool in zip(self.enumerators, pools):
-                for cand in pool:
-                    prefix = cand.cand_id.rstrip("0123456789")
-                    candidates.add(
-                        replace(cand, cand_id=candidates.next_id(prefix))
-                    )
-                # The worker-side enumerators logged their designed
-                # groups in the child process; replay the log so
-                # incremental updates can skip them in the parent too.
-                for group in {c.group for c in pool if c.kind == KIND_MV}:
-                    enumerator.log_designed(group)
-        else:
-            for enumerator in self.enumerators:
-                enumerator.enumerate(candidates)
+        for enumerator in self.enumerators:
+            enumerator.enumerate(candidates)
         before, after = prune_dominated(candidates, archive=self.state.archive)
         self.state.enumeration_stats = {
             "enumerated": before,
@@ -539,43 +512,12 @@ class CoraddDesigner:
         return self._assemble(budget_bytes, self.solve(budget_bytes, feedback))
 
     def design_ladder(
-        self,
-        budgets: list[int],
-        workers: int = 1,
-        feedback: bool | None = None,
+        self, budgets: list[int], feedback: bool | None = None
     ) -> list[Design]:
-        """Designs for a whole budget ladder.
-
-        With feedback enabled the ladder is inherently serial (each solve's
-        feedback rounds grow the candidate pool the next budget sees).  In
-        the feedback-free mode the pool is frozen after enumeration, the
-        per-budget ILP solves are independent, and ``workers > 1`` shards
-        them across a :class:`~repro.engine.ParallelSweep` process pool
-        (work-stealing: each idle worker pulls the next budget, so one
-        slow ILP solve cannot straggle a whole static chunk) — workers
-        return the (small, picklable) :class:`ChosenDesign`s and
-        the parent assembles the :class:`Design`s, so base tables never
-        cross a process boundary.  Results are bit-identical to a serial
-        ladder either way.
-        """
-        use_feedback = self.config.use_feedback if feedback is None else feedback
-        if use_feedback or workers <= 1 or len(budgets) < 2:
-            return [self.design(b, feedback=feedback) for b in budgets]
-        # Freeze the shared stages in the parent before forking: workers
-        # would otherwise each redo enumeration, and their state mutations
-        # would be lost with the fork.
-        self.enumerate()
-        self.base_seconds()
-        solutions = ParallelSweep(workers=workers).map(
-            lambda budget: choose_candidates(self.problem(budget)),
-            budgets,
-        )
-        designs = []
-        for budget, solution in zip(budgets, solutions):
-            self.state.solutions[budget] = solution
-            self.state.last_budget = budget
-            designs.append(self._assemble(budget, solution))
-        return designs
+        """Designs for a whole budget ladder, in budget order.  With feedback
+        each solve's feedback rounds grow the candidate pool the next budget
+        sees; without it the pool is frozen after enumeration."""
+        return [self.design(b, feedback=feedback) for b in budgets]
 
     # ------------------------------------------------------------ incremental
 

@@ -144,13 +144,6 @@ class CandidateEnumerator:
             and self._group_log_key(members, t) in self.designed_groups
         )
 
-    def log_designed(self, group: frozenset[str], t: int | None = None) -> None:
-        """Record ``group`` as designed without running the design — used to
-        replay a worker-side enumeration log into the parent."""
-        members = self.group_queries(group)
-        if members:
-            self.designed_groups.add(self._group_log_key(members, t))
-
     def add_mv_candidates(
         self,
         candidates: CandidateSet,

@@ -17,17 +17,18 @@ Parallel sweeps (see :mod:`repro.engine.parallel`)::
     sweep = ParallelSweep(workers=4)    # serial fallback when workers=1
     evaluated = sweep.map(evaluate, designs, session=session)
 
-There is one parallel path — supervised work stealing — and one session:
-neither takes a switch that selects an older behaviour.
+There is one parallel path — a forked standard-library process pool — and
+one session: neither takes a switch that selects an older behaviour.
 
 Forked workers inherit the session they evaluate under — ``fork`` is the
 only parent -> worker transport.  What comes home is each item's result and
 its metrics; what a worker adds to its copy of the session stays there.
 
-Fault tolerance (see :mod:`repro.engine.faults`): every forked sweep
-supervises its workers (crash/hang detection, requeue, respawn, in-parent
-fallback), and a contextvar-ambient :class:`~repro.engine.faults.FaultPlan`
-injects deterministic crashes/hangs/exceptions for chaos tests::
+Fault tolerance (see :mod:`repro.engine.faults`): every forked sweep has
+one recovery rule — an item a worker does not bring home (it raised, or a
+worker died) runs again in the parent — and a contextvar-ambient
+:class:`~repro.engine.faults.FaultPlan` injects deterministic
+crashes/hangs/exceptions for chaos tests::
 
     from repro.engine import FaultPlan, FaultSpec, use_faults
 
@@ -41,7 +42,6 @@ from repro.engine.faults import (
     FaultSpec,
     InjectedFault,
     get_faults,
-    plan_from_env,
     use_faults,
 )
 from repro.engine.parallel import ParallelSweep, fork_available
@@ -63,7 +63,6 @@ __all__ = [
     "fork_available",
     "get_faults",
     "get_session",
-    "plan_from_env",
     "use_faults",
     "use_session",
 ]

@@ -15,7 +15,7 @@ Instrumented sites (``key`` passed by the caller):
 =================  ==========================  ================================
 site               key                         fired by
 =================  ==========================  ================================
-``sweep.task``     item index                  steal-pool worker, per item
+``sweep.task``     item index                  sweep worker, per item
 ``ilp.solve``      ``None``                    :func:`repro.ilp.solver.solve`
 ``migration.step`` step boundary index         :func:`repro.design.migration.execute_transition`
 =================  ==========================  ================================
@@ -26,13 +26,8 @@ Fault kinds:
   like a SIGKILL from the outside.
 * ``"hang"`` — sleep for ``delay_s`` seconds, then continue normally.
 * ``"raise"`` — raise :class:`InjectedFault`.
-* ``"corrupt"`` / ``"timeout"`` — *advisory*: :func:`fire` returns the matched
-  spec and the site interprets it (the ILP facade skips straight to its
-  degraded path; no site reads ``"corrupt"`` today).
-
-Plans can also come from the environment: ``REPRO_FAULTS="site:kind[@key]"``
-(``;``-separated) is parsed by :func:`plan_from_env`, so a chaos run can be
-switched on for any experiment without code changes.
+* ``"timeout"`` — *advisory*: :func:`fire` returns the matched spec and the
+  site interprets it (the ILP facade skips straight to its degraded path).
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from dataclasses import dataclass
 
 from repro.obs.metrics import count
 
-KINDS = ("raise", "crash", "hang", "corrupt", "timeout")
+KINDS = ("raise", "crash", "hang", "timeout")
 
 
 class InjectedFault(RuntimeError):
@@ -65,9 +60,9 @@ class FaultSpec:
 
     ``key=None`` matches every key at the site.  ``at`` restricts the rule to
     the Nth matching call (0-based, counted per process); ``times`` caps how
-    often the rule fires per process (``None`` = every match, which is what
-    makes crash-at-item-N deterministic: the retried item keeps crashing its
-    new host worker until the supervisor gives up and runs it in the parent).
+    often the rule fires per process (``None`` = every match).  Sites fire
+    in sweep workers only, so an item the pool loses runs in the parent
+    without faults.
     """
 
     site: str
@@ -95,10 +90,9 @@ class FaultSpec:
 class FaultPlan:
     """An ordered collection of :class:`FaultSpec` rules with match counters.
 
-    Counters are per-process state: a forked worker inherits the parent's
-    counts at fork time, and the supervisor re-ships the plan to respawned
-    workers, so every fresh process starts from the same (zero) state — which
-    is what keeps injected schedules deterministic under respawns.
+    Counters are per-process state: a forked sweep worker inherits the
+    parent's counts at fork time, so every worker starts from the same state
+    — which is what keeps injected schedules deterministic.
     """
 
     def __init__(self, *specs: FaultSpec, seed: int | None = None):
@@ -135,7 +129,7 @@ class FaultPlan:
                 return spec
             if spec.kind == "raise":
                 raise InjectedFault(site, key, spec)
-            return spec  # "corrupt" / "timeout": interpreted by the site
+            return spec  # "timeout": interpreted by the site
         return None
 
     @classmethod
@@ -143,12 +137,12 @@ class FaultPlan:
         cls,
         seed: int,
         n_items: int,
-        site: str = "sweep.task",
-        kinds: tuple[str, ...] = ("crash", "raise", "hang"),
+        kinds: tuple[str, ...] = ("crash", "raise"),
         rate: float = 0.25,
         delay_s: float = 30.0,
     ) -> "FaultPlan":
-        """A seeded random schedule over ``n_items`` keys at one site.
+        """A seeded random schedule over the ``sweep.task`` site's first
+        ``n_items`` item indices.
 
         Each key independently draws a fault with probability ``rate``; the
         same seed always yields the same schedule, so property tests can
@@ -159,38 +153,10 @@ class FaultPlan:
         for key in range(n_items):
             if rng.random() < rate:
                 kind = rng.choice(list(kinds))
-                specs.append(FaultSpec(site, kind, key=key, delay_s=delay_s))
+                specs.append(
+                    FaultSpec("sweep.task", kind, key=key, delay_s=delay_s)
+                )
         return cls(*specs, seed=seed)
-
-
-def plan_from_env(text: str | None = None) -> FaultPlan | None:
-    """Parse ``REPRO_FAULTS`` (or ``text``) into a plan, ``None`` if unset.
-
-    Grammar: ``site:kind`` or ``site:kind@key``, ``;``-separated; numeric keys
-    are parsed as ints (sweep/migration sites key on indices), anything else
-    stays a string.  Example::
-
-        REPRO_FAULTS="sweep.task:crash@2;ilp.solve:timeout"
-    """
-    if text is None:
-        text = os.environ.get("REPRO_FAULTS", "")
-    text = text.strip()
-    if not text:
-        return None
-    specs = []
-    for clause in text.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        site, _, rest = clause.partition(":")
-        if not rest:
-            raise ValueError(f"bad REPRO_FAULTS clause {clause!r}: expected site:kind[@key]")
-        kind, _, key_text = rest.partition("@")
-        key: object = None
-        if key_text:
-            key = int(key_text) if key_text.lstrip("-").isdigit() else key_text
-        specs.append(FaultSpec(site.strip(), kind.strip(), key=key))
-    return FaultPlan(*specs)
 
 
 _FAULTS: ContextVar[FaultPlan | None] = ContextVar("repro_fault_plan", default=None)

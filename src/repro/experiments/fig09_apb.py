@@ -34,7 +34,6 @@ def run_fig09(
     t0: int = 1,
     alphas: tuple[float, ...] = (0.0, 0.25, 0.5),
     use_feedback: bool = True,
-    workers: int = 1,
 ) -> ExperimentResult:
     inst = make("apb", seed=seed, actuals_rows=actuals_rows)
     base_bytes = inst.total_base_bytes()
@@ -42,9 +41,6 @@ def run_fig09(
     coradd = CoraddDesigner(
         inst.flat_tables, inst.workload, inst.primary_keys, inst.fk_attrs, config=config
     )
-    # APB has two fact tables (actuals + budget): with workers > 1 their
-    # candidate enumerations run in separate processes.
-    coradd.enumerate(workers=workers)
     commercial = CommercialDesigner(inst.flat_tables, inst.workload, inst.primary_keys)
 
     result = ExperimentResult(
@@ -67,9 +63,7 @@ def run_fig09(
     )
     # Serial design phase (feedback grows the pool budget-by-budget), then
     # one engine session for the whole evaluation sweep: masks, sorted heap
-    # files and CMs are shared across budgets and both designers — and,
-    # with ``workers > 1``, inherited by the work-stealing pool's forked
-    # workers.
+    # files and CMs are shared across budgets and both designers.
     budgets = budget_ladder(base_bytes, fractions)
     designs = [(coradd.design(b), commercial.design(b)) for b in budgets]
 
@@ -82,7 +76,7 @@ def run_fig09(
             ).without_design(),
         )
 
-    evaluated = evaluate_ladder(designs, _evaluate, workers=workers)
+    evaluated = evaluate_ladder(designs, _evaluate)
     for frac, budget, (cd, md) in zip(fractions, budgets, evaluated):
         result.add_row(
             budget_frac=frac,

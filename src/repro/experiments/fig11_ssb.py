@@ -31,7 +31,6 @@ def run_fig11(
     alphas: tuple[float, ...] = (0.0, 0.25, 0.5),
     use_feedback: bool = True,
     augment_factor: int = 4,
-    workers: int = 1,
 ) -> ExperimentResult:
     inst = make(
         "ssb-augmented",
@@ -69,9 +68,7 @@ def run_fig11(
     )
     # Serial design phase (feedback state flows down the ladder), then one
     # evaluation-engine session across the whole ladder and all three
-    # designers.  With ``workers > 1`` evaluate_ladder fans out on the
-    # work-stealing pool: forked workers inherit the session, budgets go
-    # to whoever is idle.
+    # designers.
     budgets = budget_ladder(base_bytes, fractions)
     designs = [
         (coradd.design(b), naive.design(b), commercial.design(b))
@@ -88,7 +85,7 @@ def run_fig11(
             ).without_design(),
         )
 
-    evaluated = evaluate_ladder(designs, _evaluate, workers=workers)
+    evaluated = evaluate_ladder(designs, _evaluate)
     for frac, budget, (cd, nd, md) in zip(fractions, budgets, evaluated):
         result.add_row(
             budget_frac=frac,

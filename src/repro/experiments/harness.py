@@ -117,8 +117,8 @@ def evaluate_ladder(
     stripped so workers do not ship whole base tables back through pickle.
     The parent reattaches each design positionally.  The parallel path
     runs through :class:`~repro.engine.ParallelSweep`: the first budget
-    warms the session in the parent, and the remaining budgets are handed
-    out one at a time to idle forked workers, which inherit that session.
+    warms the session in the parent, and idle forked workers, which inherit
+    that session, pull the remaining budgets one at a time.
     Results are in ladder order and bit-identical to a serial
     sweep; with ``workers=1`` this *is* a serial sweep.  With
     ``session=None`` a throwaway session drives the sweep.

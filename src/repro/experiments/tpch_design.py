@@ -41,16 +41,11 @@ def run_tpch(
     alphas: tuple[float, ...] = (0.0, 0.25, 0.5),
     use_feedback: bool = True,
     augment_factor: int = 1,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Generate TPC-H, design under each budget, materialize, measure.
 
     ``augment_factor > 1`` expands the 12-query suite with the variant
-    expander before designing (the Figure-11 protocol).  ``workers > 1``
-    shards the evaluation phase across processes (bit-identical results),
-    and — in the feedback-free mode — the per-budget ILP solves of the
-    design phase too; with feedback the design phase stays serial because
-    feedback grows the candidate pool budget-by-budget.
+    expander before designing (the Figure-11 protocol).
     """
     inst = make(
         "tpch-augmented",
@@ -91,13 +86,11 @@ def run_tpch(
             "normalized schema — CORADD ahead everywhere, most in large budgets"
         ),
     )
-    # Design phase: with feedback, serial and in budget order (feedback
-    # grows the candidate pool as the ladder progresses, so later budgets
-    # legitimately depend on earlier ones); feedback-free, the pool is
-    # frozen after enumeration and design_ladder shards the per-budget ILP
-    # solves across workers.
+    # Design phase, in budget order: with feedback the candidate pool grows
+    # as the ladder progresses, so later budgets legitimately depend on
+    # earlier ones.
     budgets = budget_ladder(base_bytes, fractions)
-    coradd_designs = coradd.design_ladder(budgets, workers=workers)
+    coradd_designs = coradd.design_ladder(budgets)
     designs = [
         (cd, commercial.design(b)) for cd, b in zip(coradd_designs, budgets)
     ]
@@ -112,10 +105,8 @@ def run_tpch(
         )
 
     # Evaluation phase: one engine session across the whole ladder (sorted
-    # heap files, CM designs and predicate masks shared sweep-wide),
-    # sharded across the work-stealing pool when asked — forked workers
-    # inherit the session, results are bit-identical.
-    evaluated = evaluate_ladder(designs, _evaluate, workers=workers)
+    # heap files, CM designs and predicate masks shared sweep-wide).
+    evaluated = evaluate_ladder(designs, _evaluate)
     for frac, budget, (cd, md) in zip(fractions, budgets, evaluated):
         result.add_row(
             budget_frac=frac,

@@ -659,7 +659,7 @@ def run_workload_shard_parallel(
     db, workload, sweep, session=None
 ) -> dict:
     """Evaluate a workload with (object, surviving shard) as the unit of
-    parallelism over ``sweep``'s steal pool.
+    parallelism over ``sweep``'s process pool.
 
     Sharded objects expand into one task per surviving shard; plain objects
     stay one task.  Reassembly walks objects in the executor's dict order

@@ -335,14 +335,15 @@ class TestEngineCacheMetrics:
             for name in ("harness.designs_evaluated", "harness.queries_executed"):
                 assert forked.counter(name) == serial.counter(name), name
             # Every item but the warm-up was handed out; each was answered
-            # by a worker or, when its host kept dying, run by the parent.
+            # by a worker or, when it did not come home, run by the parent.
             assert forked.counter("sweep.steal.dispatched") == len(designs) - 1
             assert forked.counter("sweep.steal.tasks") + forked.counter(
                 "sweep.faults.parent_runs"
             ) == len(designs) - 1
-            assert (
-                forked.histogram("sweep.steal.task_seconds").count
-                == forked.counter("sweep.steal.tasks")
+            # A crash can break the pool before any worker answers.
+            answered = forked.histogram("sweep.steal.task_seconds")
+            assert (answered.count if answered else 0) == forked.counter(
+                "sweep.steal.tasks"
             )
 
 
