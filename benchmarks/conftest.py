@@ -9,7 +9,7 @@ next to the paper's expectation, and saves it under
 Set ``REPRO_FULL=1`` to run the full-scale variants (e.g. the 20,000
 candidate ILP point of Figure 6).  Set ``REPRO_TRACE=1`` to run benches
 that take the ``observe`` fixture under the :mod:`repro.obs`
-instrumentation, writing a ``TRACE_<bench>.json`` span/metrics/drift report
+instrumentation, writing a ``TRACE_<bench>.json`` span/drift report
 next to the saved reports.
 """
 
@@ -59,8 +59,8 @@ def run_once(benchmark, fn):
 @pytest.fixture
 def observe(request):
     """Optional observability for a bench: under ``REPRO_TRACE=1`` the test
-    body runs inside :func:`repro.obs.observed` (ambient tracer + metrics +
-    drift monitor) and the report lands in ``results/TRACE_<bench>.json``.
+    body runs inside :func:`repro.obs.observed` (ambient tracer + drift
+    monitor) and the report lands in ``results/TRACE_<bench>.json``.
     Without the env var the fixture yields ``None`` and installs nothing,
     so default bench timings see only the disabled-path instrumentation
     cost (one contextvar read per site)."""

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine import EvalContext, get_session
-from repro.obs.metrics import count
 from repro.relational.query import Query
 from repro.storage.access import (
     SimulatedCost,
@@ -155,7 +154,6 @@ class CMDesigner:
             for width in candidate_widths(ndistinct, self.max_widths):
                 widths = (width,) + tuple(1 for _ in key[1:])
                 cost = pricer.cost(key, widths)
-                count("cm.designer.candidates_priced")
                 if not cost.seconds < best_seconds:
                     continue
                 # Only a candidate that would win is worth a build — and
@@ -173,9 +171,7 @@ class CMDesigner:
                         key_widths=widths,
                         cluster_width=self.cluster_width,
                     )
-                count("cm.designer.candidates_built")
                 if cm.size_bytes > self.budget_bytes:
-                    count("cm.designer.over_budget")
                     continue
                 best_seconds = cost.seconds
                 best_cm = cm

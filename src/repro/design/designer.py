@@ -26,6 +26,7 @@ through :class:`~repro.design.migration.DesignDiff` instead of rebuilding.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.cm.designer import DEFAULT_CM_BUDGET_BYTES, CMDesigner
@@ -49,7 +50,6 @@ from repro.design.maintenance import MaintenanceModel, MaintenanceTable
 from repro.storage.bufferpool import DEFAULT_POOL_PAGES
 from repro.design.mv import KIND_FACT_RECLUSTER, KIND_MV, CandidateSet, MVCandidate
 from repro.design.state import DesignerState
-from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate, span
 from repro.relational.query import Query, Workload, WorkloadDelta
 from repro.relational.table import Table
@@ -131,6 +131,19 @@ class Design:
     def size_bytes(self) -> int:
         """Budget-charged bytes of the chosen objects."""
         return sum(c.size_bytes for c in self.chosen)
+
+    def fingerprint(self) -> str:
+        """Content identity of the chosen objects: a blake2b digest of their
+        sorted ``(kind, fact, attrs, cluster_key, btree_keys)``.  Candidate
+        ids and choice order do not enter it, so two runs that build the
+        same objects share it, and any moved object changes it."""
+        objects = sorted(
+            (c.kind, c.fact, c.attrs, c.cluster_key, c.btree_keys)
+            for c in self.chosen
+        )
+        return hashlib.blake2b(
+            repr(objects).encode(), digest_size=8
+        ).hexdigest()
 
     def materialize(
         self,
@@ -408,8 +421,6 @@ class CoraddDesigner:
             "after_domination": after,
         }
         annotate(enumerated=before, after_domination=after)
-        obs_metrics.count("designer.candidates_enumerated", before)
-        obs_metrics.count("designer.candidates_pruned", before - after)
         self.state.candidates = candidates
 
     def base_seconds(self) -> dict[str, float]:
@@ -484,7 +495,6 @@ class CoraddDesigner:
                     free_ids=free_ids,
                 )
             annotate(chosen=len(solution.chosen_ids))
-            obs_metrics.count("designer.solves")
         self.state.solutions[budget_bytes] = solution
         self.state.last_budget = budget_bytes
         return solution
@@ -621,7 +631,6 @@ class CoraddDesigner:
                     base,
                 )
             annotate(newcomers=len(newcomers))
-            obs_metrics.count("designer.updates")
         self.state.base_seconds = base
 
         # Added queries matter even when no candidate was newly enumerated

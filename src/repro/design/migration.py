@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from repro.design.designer import Design, ObjectSpec
 from repro.engine import EvalSession, ambient_scope, get_session
 from repro.engine import faults
-from repro.obs.metrics import count
 from repro.relational.query import Workload
 from repro.storage.executor import PhysicalDatabase, PhysicalObject
 
@@ -329,7 +328,7 @@ class MigrationJournal:
 
     The database is in-process state, so the journal is too; a storage
     backend with real persistence would serialize exactly these fields.
-    Progress surfaces as ``migration.journal.*`` counters.
+    Progress is the journal's own ``state`` and ``completed`` fields.
     """
 
     state: str = "idle"  # "idle" | "in-progress" | "committed" | "aborted"
@@ -359,7 +358,6 @@ class MigrationJournal:
                 "journal does not match this migration: expected steps "
                 f"{self.planned}, got {list(planned)}"
             )
-        count("migration.journal.resumes")
 
     def mark_done(self, index: int) -> None:
         if index != self.completed:
@@ -368,11 +366,9 @@ class MigrationJournal:
                 f"with {self.completed} done"
             )
         self.completed = index + 1
-        count("migration.journal.steps")
 
     def commit(self) -> None:
         self.state = "committed"
-        count("migration.journal.commits")
 
     def resume(self, diff: DesignDiff, db: PhysicalDatabase, **kwargs) -> TransitionReport:
         """Finish an interrupted transition: replays ``execute_transition``
@@ -399,7 +395,6 @@ class MigrationJournal:
         db.objects = {name: db.objects[name] for name in self.old_order}
         db.invalidate_plans()
         self.state = "aborted"
-        count("migration.journal.aborts")
         return db
 
 
@@ -481,18 +476,12 @@ def execute_transition(
     # consumed; the journal records consumption as it happens.
     pending = all_refreshes[journal.refreshes_consumed:]
 
-    def skip(index: int) -> bool:
-        if index < journal.completed:
-            count("migration.journal.skipped")
-            return True
-        return False
-
     with ambient_scope(session):
         if fresh:
             faults.fire("migration.step", key=0)
         index = 0
         for step in pure_drops:
-            if not skip(index):
+            if index >= journal.completed:
                 journal.removed.setdefault(step.name, db.remove(step.name))
                 report.steps.append(
                     TransitionStep("drop", step.name, 0.0, 0.0, 0.0)
@@ -501,7 +490,7 @@ def execute_transition(
                 faults.fire("migration.step", key=index + 1)
             index += 1
         for step in builds:
-            if skip(index):
+            if index < journal.completed:
                 index += 1
                 continue
             spec = diff._new_specs[step.name]
@@ -546,7 +535,7 @@ def execute_transition(
             leftover += refresh_executor.apply(pending.pop(0)).seconds
             journal.refreshes_consumed += 1
         for step in plan.cm_refreshes:
-            if not skip(index):
+            if index >= journal.completed:
                 obj = db.object(step.name)
                 journal.refreshed_cms.setdefault(step.name, list(obj.cms))
                 obj.cms = diff.new.design_cms_for(

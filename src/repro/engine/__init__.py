@@ -21,8 +21,8 @@ There is one parallel path — a forked standard-library process pool — and
 one session: neither takes a switch that selects an older behaviour.
 
 Forked workers inherit the session they evaluate under — ``fork`` is the
-only parent -> worker transport.  What comes home is each item's result and
-its metrics; what a worker adds to its copy of the session stays there.
+only parent -> worker transport.  What comes home is each item's result;
+what a worker adds to its copy of the session stays there.
 
 Fault tolerance (see :mod:`repro.engine.faults`): every forked sweep has
 one recovery rule — an item a worker does not bring home (it raised, or a

@@ -16,7 +16,6 @@ Instrumented sites (``key`` passed by the caller):
 site               key                         fired by
 =================  ==========================  ================================
 ``sweep.task``     item index                  sweep worker, per item
-``ilp.solve``      ``None``                    :func:`repro.ilp.solver.solve`
 ``migration.step`` step boundary index         :func:`repro.design.migration.execute_transition`
 =================  ==========================  ================================
 
@@ -26,8 +25,6 @@ Fault kinds:
   like a SIGKILL from the outside.
 * ``"hang"`` — sleep for ``delay_s`` seconds, then continue normally.
 * ``"raise"`` — raise :class:`InjectedFault`.
-* ``"timeout"`` — *advisory*: :func:`fire` returns the matched spec and the
-  site interprets it (the ILP facade skips straight to its degraded path).
 """
 
 from __future__ import annotations
@@ -39,9 +36,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from repro.obs.metrics import count
 
-KINDS = ("raise", "crash", "hang", "timeout")
+KINDS = ("raise", "crash", "hang")
 
 
 class InjectedFault(RuntimeError):
@@ -121,15 +117,12 @@ class FaultPlan:
             if spec.times is not None and fired >= spec.times:
                 continue
             self._fired[idx] = fired + 1
-            count(f"faults.injected.{spec.kind}")
             if spec.kind == "crash":
                 os._exit(23)
             if spec.kind == "hang":
                 time.sleep(spec.delay_s)
                 return spec
-            if spec.kind == "raise":
-                raise InjectedFault(site, key, spec)
-            return spec  # "timeout": interpreted by the site
+            raise InjectedFault(site, key, spec)
         return None
 
     @classmethod

@@ -17,26 +17,25 @@ result).  A :class:`ParallelSweep` exploits that:
    all.  Nothing but item indices is shipped from parent to worker, and an
    idle worker pulls the next index from the pool's queue, so a straggler
    item delays only itself;
-3. each item's result returns with that item's **metrics** (what the item
-   counted and observed, and what it added to the session's cache
-   counters), which the parent folds into its ambient registry when it
-   takes the result.  Nothing else comes home: what a worker adds to its
-   copy of the session dies with the worker;
+3. each item comes home as its result, with the worker's pid and the
+   seconds the item took (the ``last_stats`` accounting).  Nothing else
+   comes home: what a worker adds to its copy of the session dies with the
+   worker;
 4. **one recovery rule**: an item that does not come home — it raised, its
    result could not be pickled, or a worker died and broke the pool — runs
    again in the parent once the pool is shut down, serially, under the
-   parent session and registry, where no fault site fires.  So each item's
-   metrics merge exactly once and results are bit-identical to serial under
-   any fault schedule (see :mod:`repro.engine.faults`).  There is no
-   timeout: an item that hangs holds up the sweep as it would a serial loop.
+   parent session, where no fault site fires.  So results are bit-identical
+   to serial under any fault schedule (see :mod:`repro.engine.faults`).
+   There is no timeout: an item that hangs holds up the sweep as it would a
+   serial loop.
 
 This is the only parallel path, and nothing about it is chosen by the
 caller but the pool size.  With ``workers <= 1``, on platforms without
 ``fork`` (Windows), or when at most one item would be left to hand out after
 the warm-up, the sweep is a plain serial loop under the ambient session —
 same results, no subprocesses.  Workers inherit the parent via fork, so work
-functions may be closures; only task indices, results and metrics payloads
-cross process boundaries.
+functions may be closures; only task indices and results cross process
+boundaries.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from typing import Any, Callable, Sequence
 
 from repro.engine import faults
 from repro.engine.session import EvalSession, ambient_scope, use_session
-from repro.obs.metrics import MetricsRegistry, count, get_metrics, use_metrics
 from repro.obs.trace import span
 
 
@@ -66,50 +64,35 @@ def _init_worker(fn, items, session, plan) -> None:
     arrive through ``fork``, not pickle, which is why ``fn`` may be a
     closure.
 
-    The fork inherited the parent's ambient session, metrics registry,
-    tracer and drift monitor; they are dropped so a worker only ever
-    evaluates under the session the sweep was given (or none), and records
-    into the per-item registry that ships home with the result (the
-    monitor's EWMA is order-dependent — it only ever observes parent-side
-    evaluations, which a serial run covers completely)."""
+    The fork inherited the parent's ambient session, tracer and drift
+    monitor; they are dropped so a worker only ever evaluates under the
+    session the sweep was given (or none), and records nothing the parent
+    would never see (the monitor's EWMA is order-dependent — it only ever
+    observes parent-side evaluations, which a serial run covers
+    completely)."""
     global _SWEEP
     from repro.engine.session import _ACTIVE
     from repro.obs.drift import _MONITOR
-    from repro.obs.metrics import _METRICS
     from repro.obs.trace import _TRACER
 
-    for ambient in (_ACTIVE, _METRICS, _TRACER, _MONITOR):
+    for ambient in (_ACTIVE, _TRACER, _MONITOR):
         ambient.set(None)
     faults._FAULTS.set(plan)
-    if session is not None:
-        # The inherited counters are the parent's to publish: this worker
-        # reports only what it adds to them.
-        session.mark_metrics_published()
     _SWEEP = (fn, items, session)
 
 
 def _run_item(index: int):
-    """Run item ``index`` in a worker: ``(pid, seconds, result, metrics)``,
-    or ``None`` when the item raised — the parent then runs it itself."""
+    """Run item ``index`` in a worker: ``(pid, seconds, result)``, or
+    ``None`` when the item raised — the parent then runs it itself."""
     fn, items, session = _SWEEP
     started = perf_counter()
-    registry = MetricsRegistry()
     try:
-        with ambient_scope(session), use_metrics(registry):
+        with ambient_scope(session):
             faults.fire("sweep.task", key=index)
             result = fn(items[index])
     except Exception:
-        # The failed attempt's registry is dropped here, and so are the
-        # cache counters it ran up: the parent's rerun reports its own.
-        if session is not None:
-            session.mark_metrics_published()
         return None
-    elapsed = perf_counter() - started
-    registry.inc("sweep.steal.tasks")
-    registry.observe("sweep.steal.task_seconds", elapsed)
-    if session is not None:
-        session.publish_metrics(registry)
-    return os.getpid(), elapsed, result, registry.export()
+    return os.getpid(), perf_counter() - started, result
 
 
 class ParallelSweep:
@@ -118,14 +101,13 @@ class ParallelSweep:
     ``workers`` is the pool size (``1`` means serial).  With a session the
     first item runs in the parent before fanning out, warming the session
     every worker then inherits — sweep items share most of their cache
-    footprint.  What comes home is each item's result and its metrics; the
-    session keeps what the parent ran under it and gains nothing from the
+    footprint.  What comes home is each item's result; the session keeps what the parent ran under it and gains nothing from the
     workers.  An item that does not come home runs in the parent (the
     module's one recovery rule).
 
     Results are returned in item order and are bit-identical to a serial
     run; the only observable differences are wall-clock, ``session.stats``
-    and the ``sweep.*`` metrics.
+    and ``last_stats``.
 
     ``last_stats`` is the last ``map`` call's accounting.  It is empty
     unless that call forked workers (so empty after any serial fallback);
@@ -137,7 +119,7 @@ class ParallelSweep:
       an item, seconds spent inside items and items answered;
     * ``tasks`` — items handed to the pool (all but the warm-up item);
     * ``parent_runs`` — items the pool did not bring home, which the parent
-      ran (also the ``sweep.faults.parent_runs`` counter).
+      ran.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -169,10 +151,7 @@ class ParallelSweep:
         handed_out = len(items) - (session is not None)
         if not self.parallel or handed_out < 2:
             with ambient_scope(session):
-                results = [fn(item) for item in items]
-            if session is not None:
-                session.publish_metrics()
-            return results
+                return [fn(item) for item in items]
         return self._map_forked(fn, items, session)
 
     def _map_forked(
@@ -195,7 +174,6 @@ class ParallelSweep:
                 results[0] = fn(items[0])
         indices = range(int(session is not None), len(items))
         workers = min(self.workers, len(indices))
-        registry = get_metrics()
         per_worker: dict[int, list] = {}  # pid -> [busy seconds, tasks]
         stranded: list[int] = []
         with span("sweep.steal", tasks=len(indices)):
@@ -222,25 +200,18 @@ class ParallelSweep:
                     if outcome is None:
                         stranded.append(index)
                         continue
-                    pid, seconds, results[index], metrics = outcome
+                    pid, seconds, results[index] = outcome
                     busy = per_worker.setdefault(pid, [0.0, 0])
                     busy[0] += seconds
                     busy[1] += 1
-                    if registry is not None:
-                        registry.merge(metrics)
             finally:
                 pool.shutdown(cancel_futures=True)
             # The recovery rule: what did not come home runs here, under the
-            # parent session and registry.  Fault sites do not fire in the
-            # parent, so this terminates under any fault schedule.
-            if stranded:
-                count("sweep.faults.parent_runs", len(stranded))
+            # parent session.  Fault sites do not fire in the parent, so this
+            # terminates under any fault schedule.
             with ambient_scope(session):
                 for index in stranded:
                     results[index] = fn(items[index])
-        count("sweep.steal.dispatched", len(indices))
-        if session is not None:
-            session.publish_metrics()
         self.last_stats = {
             "workers": workers,
             "tasks": len(indices),

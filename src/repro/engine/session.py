@@ -137,9 +137,6 @@ class EvalSession:
             "scan_hits": 0,
             "scan_misses": 0,
         }
-        # Per-key baseline of the last publish_metrics() call, so repeated
-        # publishing emits deltas (idempotent across sweep boundaries).
-        self._published_stats: dict[str, int] = {}
 
     # ------------------------------------------------------------------ keys
 
@@ -473,35 +470,6 @@ class EvalSession:
             if struct_key is None:
                 return None
         return (hf_key, struct_key, query.fingerprint())
-
-    # --------------------------------------------------------------- metrics
-
-    def publish_metrics(self, registry=None) -> None:
-        """Publish the per-tier cache counters (hits/misses/bytes) into a
-        :class:`~repro.obs.metrics.MetricsRegistry` — the given one, or the
-        ambient one — as ``engine.cache.<stat>`` counters.
-
-        Publishing is *delta-based*: each call emits only the growth since
-        the previous call, so sweeps can publish at every boundary without
-        double counting.  A no-op when no registry is available.
-        """
-        if registry is None:
-            from repro.obs.metrics import get_metrics
-
-            registry = get_metrics()
-            if registry is None:
-                return
-        for key, value in self.stats.items():
-            delta = value - self._published_stats.get(key, 0)
-            if delta:
-                registry.inc(f"engine.cache.{key}", delta)
-            self._published_stats[key] = value
-
-    def mark_metrics_published(self) -> None:
-        """Take the counters as they stand for published.  A forked sweep
-        worker starts here: the counts it inherited are the parent's to
-        publish, so what the worker publishes is its own growth only."""
-        self._published_stats = dict(self.stats)
 
 
 # ------------------------------------------------------------ ambient session

@@ -55,6 +55,8 @@ def run_fig09(
             "commercial_model",
             "speedup",
             "comm_model_error",
+            "coradd_design",
+            "commercial_design",
         ],
         paper_expectation=(
             "CORADD 1.5-3x faster in tight budgets, 5-6x in large; "
@@ -91,6 +93,8 @@ def run_fig09(
             comm_model_error=(
                 md.real_total / md.model_total if md.model_total else float("inf")
             ),
+            coradd_design=cd.design.fingerprint(),
+            commercial_design=md.design.fingerprint(),
         )
     result.notes.append(
         f"base database {base_bytes / (1 << 20):.0f} MB "

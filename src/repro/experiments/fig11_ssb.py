@@ -60,6 +60,9 @@ def run_fig11(
             "commercial_real",
             "speedup_vs_commercial",
             "speedup_vs_naive",
+            "coradd_design",
+            "naive_design",
+            "commercial_design",
         ],
         paper_expectation=(
             "CORADD 1.5-2x over commercial tight, 4-5x large; Naive beats "
@@ -99,6 +102,9 @@ def run_fig11(
             speedup_vs_naive=(
                 nd.real_total / cd.real_total if cd.real_total else float("inf")
             ),
+            coradd_design=cd.design.fingerprint(),
+            naive_design=nd.design.fingerprint(),
+            commercial_design=md.design.fingerprint(),
         )
     result.notes.append(
         f"base database {base_bytes / (1 << 20):.0f} MB; "

@@ -20,7 +20,6 @@ from repro.engine import (
     ambient_scope,
     get_session,
 )
-from repro.obs import metrics as obs_metrics
 from repro.obs.drift import get_monitor
 from repro.obs.trace import annotate, span
 from repro.relational.query import Query
@@ -92,12 +91,11 @@ def evaluate_design(
 
 def _observe_evaluation(evaluated: EvaluatedDesign) -> None:
     """Feed one evaluated design to the ambient observability layers: the
-    drift monitor sees every (modeled, measured) pair, metrics count the
-    executed queries.  Purely observational — a no-op when nothing is
-    installed, and never read back into planning."""
+    drift monitor sees every (modeled, measured) pair, and the enclosing
+    span is annotated with the executed query count.  Purely observational
+    — a no-op when nothing is installed, and never read back into
+    planning."""
     annotate(queries=len(evaluated.real_seconds))
-    obs_metrics.count("harness.designs_evaluated")
-    obs_metrics.count("harness.queries_executed", len(evaluated.real_seconds))
     monitor = get_monitor()
     if monitor is not None:
         monitor.observe_design(evaluated)

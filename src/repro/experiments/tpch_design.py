@@ -80,6 +80,8 @@ def run_tpch(
             "commercial_real",
             "commercial_model",
             "speedup",
+            "coradd_design",
+            "commercial_design",
         ],
         paper_expectation=(
             "beyond the paper: the SSB/APB gap should persist or widen on the "
@@ -118,6 +120,8 @@ def run_tpch(
             speedup=(
                 md.real_total / cd.real_total if cd.real_total else float("inf")
             ),
+            coradd_design=cd.design.fingerprint(),
+            commercial_design=md.design.fingerprint(),
         )
     result.notes.append(
         f"base database {base_bytes / (1 << 20):.0f} MB "

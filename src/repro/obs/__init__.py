@@ -1,18 +1,20 @@
-"""Observability: span tracing, metrics, and cost-model drift detection.
+"""Observability: span tracing and cost-model drift detection.
 
 Public surface::
 
-    from repro.obs import observed, span, annotate, count
+    from repro.obs import observed, span, annotate
 
-    with observed("fig11-sweep") as obs:     # tracer + metrics + monitor
+    with observed("fig11-sweep") as obs:     # tracer + drift monitor
         result = run_fig11(...)
     print(obs.render())                       # span tree with timings
     obs.write("TRACE_fig11.json")             # machine-readable artifact
 
-Instrumented code uses the ambient helpers directly — :func:`span`,
-:func:`annotate`, :func:`repro.obs.metrics.count` — which no-op in a single
-contextvar read when nothing is installed.  The three layers can also be
-used independently (:func:`use_tracer` / :func:`use_metrics` /
+Instrumented code uses the ambient helpers directly — :func:`span` and
+:func:`annotate` — which no-op in a single contextvar read when nothing is
+installed.  Times come from spans; counts come from the values the
+instrumented calls already return (``EvalSession.stats``, a refresh's
+``RefreshOutcome``, ``ParallelSweep.last_stats``, a ``Solution``).  The two
+layers can also be used independently (:func:`use_tracer` /
 :func:`use_monitor`); :func:`observed` is the bundle the experiments and
 benchmarks reach for.
 
@@ -25,7 +27,7 @@ no measurable overhead.
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -34,16 +36,6 @@ from repro.obs.drift import (
     DriftSignal,
     get_monitor,
     use_monitor,
-)
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    count,
-    get_metrics,
-    merge_payloads,
-    observe,
-    set_gauge,
-    use_metrics,
 )
 from repro.obs.trace import (
     NULL_SPAN,
@@ -55,19 +47,18 @@ from repro.obs.trace import (
     use_tracer,
 )
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 class Observation:
-    """One observed run: a tracer, a metrics registry and a drift monitor,
-    reportable as a single JSON artifact."""
+    """One observed run: a tracer and a drift monitor, reportable as a
+    single JSON artifact."""
 
     def __init__(
         self, name: str = "run", monitor: CostModelMonitor | None = None
     ) -> None:
         self.name = name
         self.tracer = Tracer()
-        self.metrics = MetricsRegistry()
         self.monitor = monitor if monitor is not None else CostModelMonitor()
 
     def report(self) -> dict:
@@ -75,7 +66,6 @@ class Observation:
             "name": self.name,
             "version": REPORT_VERSION,
             "trace": self.tracer.to_dict(),
-            "metrics": self.metrics.export(),
             "drift": self.monitor.to_dict(),
         }
 
@@ -94,36 +84,25 @@ class Observation:
 def observed(
     name: str = "run", monitor: CostModelMonitor | None = None
 ) -> Iterator[Observation]:
-    """Run the block under a fresh :class:`Observation`: its tracer,
-    metrics registry and drift monitor are all installed ambiently."""
+    """Run the block under a fresh :class:`Observation`: its tracer and
+    drift monitor are both installed ambiently."""
     obs = Observation(name, monitor=monitor)
-    with ExitStack() as stack:
-        stack.enter_context(use_tracer(obs.tracer))
-        stack.enter_context(use_metrics(obs.metrics))
-        stack.enter_context(use_monitor(obs.monitor))
+    with use_tracer(obs.tracer), use_monitor(obs.monitor):
         yield obs
 
 
 __all__ = [
     "CostModelMonitor",
     "DriftSignal",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_SPAN",
     "Observation",
     "Span",
     "Tracer",
     "annotate",
-    "count",
-    "get_metrics",
     "get_monitor",
     "get_tracer",
-    "merge_payloads",
-    "observe",
     "observed",
-    "set_gauge",
     "span",
-    "use_metrics",
     "use_monitor",
     "use_tracer",
 ]

@@ -19,9 +19,8 @@ so instrumented code never threads a tracer argument through call chains:
   and a JSON-ready dict for artifacts (the ``TRACE_*.json`` reports the
   benchmarks emit).
 
-On exit every span also publishes its duration into the ambient metrics
-registry (histogram ``span.<name>``, see :mod:`repro.obs.metrics`) — span
-timings and metric timings are one mechanism, not two stopwatches.
+Spans are the program's one stopwatch: a stage's time is its span's
+``seconds``, and counts come from the values the instrumented calls return.
 
 Tracing is *observational*: spans never feed back into plan choices, costs
 or masks, so results with tracing on are bit-identical to results with it
@@ -89,12 +88,6 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.end = perf_counter()
         self._tracer._stack.pop()
-        # One timing mechanism: every span's duration is also a metric.
-        from repro.obs.metrics import get_metrics
-
-        registry = get_metrics()
-        if registry is not None:
-            registry.observe(f"span.{self.name}", self.seconds)
         return False
 
     def to_dict(self) -> dict:

@@ -171,7 +171,7 @@ def hash_join(
     rkeys = right.column(right_key)
     order = np.argsort(rkeys, kind="stable")
     sorted_keys = rkeys[order]
-    if len(sorted_keys) != len(np.unique(sorted_keys)):
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():  # sorted: dupes adjoin
         raise ValueError(f"join key {right_key!r} is not unique in {right.schema.name!r}")
     lkeys = left.column(left_key)
     pos = np.searchsorted(sorted_keys, lkeys)

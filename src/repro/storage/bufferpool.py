@@ -39,7 +39,6 @@ class BufferPool:
         self.hits = 0
         self.dirty_evictions = 0
         self.clean_evictions = 0
-        self._published: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -66,24 +65,6 @@ class BufferPool:
         dirty = sum(1 for d in self._lru.values() if d)
         self._lru.clear()
         return dirty
-
-    def publish_metrics(self, registry=None) -> None:
-        """Publish hit/miss/eviction counts to the ambient metrics registry
-        as ``storage.bufferpool.*`` counters.  Publishes *deltas* since the
-        last call, so repeated publishing (one per refresh batch) never
-        double-counts; no-ops when metrics are disabled."""
-        if registry is None:
-            from repro.obs.metrics import get_metrics
-
-            registry = get_metrics()
-            if registry is None:
-                return
-        for key in ("hits", "misses", "dirty_evictions", "clean_evictions"):
-            value = getattr(self, key)
-            delta = value - self._published.get(key, 0)
-            if delta:
-                registry.inc(f"storage.bufferpool.{key}", delta)
-            self._published[key] = value
 
     def drop_object(self, obj: int) -> int:
         """Discard every cached page of ``obj`` without charging writes —

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.engine.context import EvalContext
 from repro.engine.session import get_session
-from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate, span
 from repro.relational.query import KIND_IN, Query
 from repro.relational.table import Table
@@ -50,6 +49,7 @@ from repro.storage.access import (
     secondary_btree_scan,
 )
 from repro.storage.disk import DiskModel
+from repro.storage.fragments import sorted_unique
 from repro.storage.layout import HeapFile
 
 RANGE = "range"
@@ -133,13 +133,13 @@ class ShardMap:
             return everything
         if self.spec.scheme == HASH:
             if pred.kind == KIND_IN:
-                return np.unique(self.route(np.asarray(pred.values)))
+                return sorted_unique(self.route(np.asarray(pred.values)))
             lo, hi = pred.value_range()
             if lo == hi:  # equality routes exactly
-                return np.unique(self.route(np.asarray([lo])))
+                return sorted_unique(self.route(np.asarray([lo])))
             return everything  # ranges don't localize under hashing
         if pred.kind == KIND_IN:
-            return np.unique(self.route(np.asarray(pred.values)))
+            return sorted_unique(self.route(np.asarray(pred.values)))
         lo, hi = pred.value_range()
         first = int(np.searchsorted(self.boundaries, lo, side="right"))
         last = int(np.searchsorted(self.boundaries, hi, side="right"))
@@ -509,9 +509,7 @@ class ShardedHeapFile:
         bases = self._shard_bases()
         shard = np.searchsorted(bases, rowids, side="right") - 1
         local = rowids - bases[shard]
-        return np.unique(
-            local // self.rows_per_page + shard * _PAGE_STRIDE
-        )
+        return sorted_unique(local // self.rows_per_page + shard * _PAGE_STRIDE)
 
     def refresh_zone_maps(self) -> None:
         """Recompute (tighten) every shard's zone map from current content
@@ -634,13 +632,10 @@ def sharded_scan(
     """Prune, then evaluate each surviving shard with its cheapest plan."""
     with span("shard.prune", object=sharded.name, query=query.name):
         survivors = [int(s) for s in sharded.shards_for_query(query)]
-        pruned = sharded.spec.shards - len(survivors)
         pages_avoided = sum(
             hf.npages for i, hf in enumerate(sharded.shards)
             if i not in survivors
         )
-        obs_metrics.count("engine.shard.shards_pruned", pruned)
-        obs_metrics.count("engine.shard.pages_avoided", pages_avoided)
         annotate(
             shards=sharded.spec.shards,
             scanned=len(survivors),
@@ -680,22 +675,12 @@ def run_workload_shard_parallel(
             if isinstance(hf, ShardedHeapFile):
                 with span("shard.prune", object=obj_name, query=q.name):
                     surv = [int(s) for s in hf.shards_for_query(q)]
-                    pruned = hf.spec.shards - len(surv)
-                    pages_avoided = sum(
-                        shard.npages for i, shard in enumerate(hf.shards)
-                        if i not in surv
-                    )
-                    obs_metrics.count("engine.shard.shards_pruned", pruned)
-                    obs_metrics.count(
-                        "engine.shard.pages_avoided", pages_avoided
-                    )
                     annotate(shards=hf.spec.shards, scanned=len(surv))
                 survivors_by[(qi, obj_name)] = surv
                 units.extend((qi, obj_name, s) for s in surv)
             else:
                 survivors_by[(qi, obj_name)] = None
                 units.append((qi, obj_name, -1))
-    obs_metrics.count("engine.shard.shard_parallel_tasks", len(units))
 
     def eval_unit(unit: tuple[int, str, int]) -> AccessResult:
         qi, obj_name, s = unit

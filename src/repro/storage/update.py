@@ -26,6 +26,13 @@ every physical object derived from the batch's fact table:
 Session-cached heap files may back several databases of a sweep, so the
 executor privatizes an object (``HeapFile.mutable_copy`` + rebound CMs)
 before its first mutation — other databases keep seeing the pristine file.
+
+Every count of the refresh path is a value a caller already holds: each
+batch returns its :class:`RefreshOutcome` (rows, page reads and writes,
+compactions, seconds), :meth:`RefreshExecutor.flush` and
+:meth:`RefreshExecutor.catch_up` return the seconds they charged, and the
+buffer pool's hits, misses and evictions are attributes of
+``executor.pool``.
 """
 
 from __future__ import annotations
@@ -35,12 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.session import EvalSession, get_session
-from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate, span
 from repro.storage.bufferpool import DEFAULT_POOL_PAGES, BufferPool
 from repro.storage.btree import leaf_entries_per_page
 from repro.storage.disk import DiskModel
 from repro.storage.executor import PhysicalDatabase, PhysicalObject
+from repro.storage.fragments import sorted_unique
 from repro.storage.layout import HeapFile
 from repro.storage.sharded import ShardedHeapFile
 
@@ -159,17 +166,6 @@ class RefreshExecutor:
     def _pool_delta(self) -> tuple[int, int]:
         return (self.pool.misses, self.pool.dirty_evictions)
 
-    def _publish(self, outcome: RefreshOutcome) -> None:
-        """Record one applied batch on the ambient metrics registry (no-op
-        when metrics are disabled)."""
-        obs_metrics.count(f"storage.refresh.{outcome.kind}_batches")
-        obs_metrics.count(f"storage.refresh.{outcome.kind}_rows", outcome.rows)
-        obs_metrics.count("storage.refresh.page_reads", outcome.page_reads)
-        obs_metrics.count("storage.refresh.page_writes", outcome.page_writes)
-        obs_metrics.count("storage.refresh.compactions", outcome.compactions)
-        obs_metrics.observe("storage.refresh.batch_seconds", outcome.seconds)
-        self.pool.publish_metrics()
-
     # -------------------------------------------------------------- applying
 
     def apply(self, batch) -> RefreshOutcome:
@@ -202,7 +198,7 @@ class RefreshExecutor:
                 hf = self._privatize(obj)
                 obj_id = self._obj_id(obj.name)
                 target_pages = hf.insert(columns, source_ids)
-                for page in np.unique(target_pages):
+                for page in sorted_unique(target_pages):
                     self.pool.access(obj_id, int(page), dirty=True)
                 self._charge_index_maintenance(obj, hf, columns, nrows)
                 seconds = self._maybe_compact(obj, hf)
@@ -218,7 +214,6 @@ class RefreshExecutor:
                 reads, writes, compactions,
             )
             annotate(seconds=outcome.seconds, compactions=compactions)
-            self._publish(outcome)
             return outcome
 
     def apply_delete(self, fact: str, predicates: list) -> RefreshOutcome:
@@ -265,15 +260,12 @@ class RefreshExecutor:
                 reads, writes, compactions,
             )
             annotate(rows=removed, seconds=outcome.seconds)
-            self._publish(outcome)
             return outcome
 
     def flush(self) -> float:
         """Write out the pool's remaining dirty pages (end of a stream);
         returns the seconds charged."""
         dirty = self.pool.flush()
-        obs_metrics.count("storage.refresh.flush_writes", dirty)
-        self.pool.publish_metrics()
         return dirty * self.disk.page_write_s
 
     def catch_up(self, obj: PhysicalObject) -> float:
@@ -296,7 +288,7 @@ class RefreshExecutor:
                 hf = self._privatize(obj)
                 obj_id = self._obj_id(obj.name)
                 pages = hf.insert(columns, source_ids)
-                for page in np.unique(pages):
+                for page in sorted_unique(pages):
                     self.pool.access(obj_id, int(page), dirty=True)
                 self._charge_index_maintenance(
                     obj, hf, columns, len(source_ids)
@@ -318,8 +310,6 @@ class RefreshExecutor:
         reads1, writes1 = self._pool_delta()
         seconds = self._charge(reads1 - reads0, writes1 - writes0) + compact_seconds
         annotate(seconds=seconds, batches=len(self._log))
-        obs_metrics.count("storage.refresh.catch_ups")
-        self.pool.publish_metrics()
         return seconds
 
     # -------------------------------------------------------------- helpers
@@ -363,7 +353,7 @@ class RefreshExecutor:
             key_bytes = hf.table.schema.byte_size(key)
             per_leaf = leaf_entries_per_page(key_bytes, self.disk.page_size)
             positions = np.searchsorted(sorted_vals, np.asarray(columns[lead]))
-            leaves = np.unique(positions // per_leaf)
+            leaves = sorted_unique(positions // per_leaf)
             for leaf in leaves:
                 self.pool.access(idx_id, int(leaf), dirty=True)
 
@@ -391,15 +381,7 @@ class RefreshExecutor:
                 stats.merged_from_row // hf.rows_per_page,
             )
             for cm in obj.cms:
-                outcome = cm.refresh_merged(
-                    hf, merged_from_row=stats.merged_from_row
-                )
-                obs_metrics.count(
-                    "storage.refresh.cm_incremental"
-                    if outcome == "incremental"
-                    else "storage.refresh.cm_rebuilds"
-                )
-            obs_metrics.count("storage.refresh.tail_merges")
+                cm.refresh_merged(hf, merged_from_row=stats.merged_from_row)
         else:
             stats = hf.compact()
             # A full compaction is a sequential rewrite: read every old
@@ -440,7 +422,6 @@ class RefreshExecutor:
                 continue
             if self.compaction == "tail-merge":
                 stats = hf.tail_merge()
-                obs_metrics.count("storage.refresh.tail_merges")
             else:
                 stats = hf.compact()
             seconds += (
@@ -450,7 +431,6 @@ class RefreshExecutor:
                 cm.refresh(hf)
             compacted = True
             self.compactions += 1
-            obs_metrics.count("engine.shard.compactions")
         if compacted:
             # Tombstones are gone: tighten zone maps from current content,
             # and settle the object's (shard-strided) pool pages wholesale.

@@ -32,6 +32,7 @@ whenever the observed mix shifts past a threshold — directly consumable by
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,6 @@ import numpy as np
 from repro.design.grouping import extended_vectors
 from repro.design.kmeans import kmeans
 from repro.design.selectivity import build_selectivity_vectors
-from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate, span
 from repro.relational.query import Query, Workload, WorkloadDelta
 from repro.stats.collector import TableStatistics
@@ -223,8 +223,6 @@ def dedup_log(log: QueryLog, name: str | None = None) -> DedupResult:
             n_unique_codes=len(codes),
         )
         annotate(unique_codes=len(codes), unique=result.n_unique)
-        obs_metrics.count("workload.compress.log_entries", len(log))
-        obs_metrics.count("workload.compress.unique_queries", result.n_unique)
         return result
 
 
@@ -248,6 +246,13 @@ class CompressedWorkload:
     @property
     def total_weight(self) -> float:
         return sum(q.frequency for q in self.workload)
+
+    def fingerprint(self) -> str:
+        """Content identity of the representatives: a blake2b digest of
+        each one's query fingerprint and weight, in workload order (names
+        do not enter it)."""
+        text = repr([(q.fingerprint(), q.frequency) for q in self.workload])
+        return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
 
 
 def compress_workload(
@@ -339,7 +344,6 @@ def compress_workload(
             n_input=n,
         )
         annotate(representatives=len(reps))
-        obs_metrics.count("workload.compress.representatives", len(reps))
         return compressed
 
 
@@ -410,7 +414,6 @@ class StreamingCompressor:
         contrib = d ** (n - 1 - np.arange(n, dtype=np.float64))
         np.add.at(self._weights, codes, contrib)
         self.events += n
-        obs_metrics.count("workload.compress.stream_events", n)
 
     def observe_log(self, log: QueryLog, start: int = 0, end: int | None = None) -> None:
         self.observe(
@@ -465,7 +468,6 @@ class StreamingCompressor:
         delta = WorkloadDelta.between(previous, current)
         self._last = current
         self.emissions += 1
-        obs_metrics.count("workload.compress.stream_deltas")
         annotate_kw = {
             "tracked": int((self._weights > 0.0).sum()),
             "emitted": len(current),

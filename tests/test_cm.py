@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.cm.bucketing import bucket_codes, candidate_widths, entries_match
 from repro.cm.correlation_map import CorrelationMap
 from repro.cm.designer import CandidatePricer, CMDesigner, design_cms_for_object
-from repro.obs.metrics import use_metrics
 from repro.relational.query import (
     Aggregate,
     EqPredicate,
@@ -21,6 +20,7 @@ from repro.storage.btree import secondary_index_bytes
 from repro.storage.disk import DiskModel
 from repro.storage.layout import HeapFile
 from tests.conftest import make_people
+from tests.test_design_units import count_calls
 from tests.test_table import make_table
 
 
@@ -253,33 +253,34 @@ class TestCMDesigner:
         assert cm.key_widths == (4,) and cm.size_bytes == coarse
         assert seconds < full_scan(by_state, q).seconds
 
-    def test_improving_candidate_over_budget_is_skipped(self, disk):
+    def test_improving_candidate_over_budget_is_skipped(self, disk, monkeypatch):
         """The best-priced candidates do not fit; a later, worse one that
         does fit and still beats the baseline wins."""
         hf = HeapFile(make_people(n=200_000), ("state",), disk)
         q = Query("q", "people", [EqPredicate("city", 400), EqPredicate("region", 2)])
         designer = CMDesigner(budget_bytes=2_000, max_widths=1)
-        with use_metrics() as metrics:
-            cm, seconds = designer.best_cm_for_query(hf, q)
+        priced = count_calls(monkeypatch, CandidatePricer, "cost")
+        built = count_calls(monkeypatch, CorrelationMap, "_build")
+        cm, seconds = designer.best_cm_for_query(hf, q)
+        # Every candidate priced improved on the one before and was built;
+        # the two that did not fit were dropped.
+        assert (len(priced), len(built)) == (3, 3)
         assert cm.key_attrs == ("region",) and cm.size_bytes <= 2_000
         pricer = CandidatePricer(hf, q, designer.cluster_width)
         for key in (("city",), ("city", "region")):
             assert pricer.cost(key, (1,) * len(key)).seconds < seconds
         assert seconds < full_scan(hf, q).seconds
-        assert metrics.counter("cm.designer.candidates_priced") == 3
-        assert metrics.counter("cm.designer.candidates_built") == 3
-        assert metrics.counter("cm.designer.over_budget") == 2
 
-    def test_tie_keeps_the_earlier_candidate(self, by_pair):
+    def test_tie_keeps_the_earlier_candidate(self, by_pair, monkeypatch):
         """x2 is a copy of x: (x2,) and (x, x2) price exactly as (x,) does,
         and only a strict improvement replaces — or builds — a candidate."""
         q = Query("q", "t", [EqPredicate("x", 3), EqPredicate("x2", 3)])
         designer = CMDesigner()
-        with use_metrics() as metrics:
-            cm, seconds = designer.best_cm_for_query(by_pair, q)
+        priced = count_calls(monkeypatch, CandidatePricer, "cost")
+        built = count_calls(monkeypatch, CorrelationMap, "_build")
+        cm, seconds = designer.best_cm_for_query(by_pair, q)
+        assert len(priced) > 3 and len(built) == 1
         assert cm.name == "cm[x|w=1|cw=4]"
         pricer = CandidatePricer(by_pair, q, designer.cluster_width)
         assert pricer.cost(("x2",), (1,)).seconds == seconds
         assert pricer.cost(("x", "x2"), (1, 1)).seconds == seconds
-        assert metrics.counter("cm.designer.candidates_priced") > 3
-        assert metrics.counter("cm.designer.candidates_built") == 1

@@ -160,6 +160,8 @@ class TestCompressWorkload:
             q.frequency for q in b.workload
         ]
         assert a.assignment == b.assignment
+        # Pinned: a change that moves the representatives changes this.
+        assert a.fingerprint() == b.fingerprint() == "bb306803bf3a36f4"
 
     def test_assignment_covers_every_input(self, deduped, stats):
         compressed = compress_workload(
@@ -214,6 +216,7 @@ class TestCompressWorkload:
             deduped.workload, stats, max_representatives=len(deduped.workload)
         )
         comp = design(compressed.workload)
+        assert comp.fingerprint() == full.fingerprint()
         assert comp.ilp.chosen_ids == full.ilp.chosen_ids
         assert comp.ilp.assignment == full.ilp.assignment
         assert comp.total_expected_seconds == pytest.approx(

@@ -1,5 +1,7 @@
 """Integration: the full CORADD pipeline, feedback, baselines, on small SSB."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.design.baselines import CommercialDesigner, NaiveDesigner
@@ -95,6 +97,18 @@ class TestDesign:
         text = design.summary()
         for cand in design.chosen:
             assert cand.cand_id in text
+
+    def test_fingerprint_names_the_objects_not_the_ids(self, design):
+        """Order and candidate ids do not enter the fingerprint; any
+        object's shape does."""
+        assert design.chosen
+        renamed = [replace(c, cand_id=f"x{i}") for i, c in enumerate(design.chosen)]
+        same = replace(design, chosen=list(reversed(renamed)))
+        assert same.fingerprint() == design.fingerprint()
+        first = design.chosen[0]
+        moved = replace(first, cluster_key=first.cluster_key + first.attrs[:1])
+        other = replace(design, chosen=[moved, *design.chosen[1:]])
+        assert other.fingerprint() != design.fingerprint()
 
 
 class TestMaterialization:

@@ -17,6 +17,20 @@ from repro.experiments.report import ExperimentResult, format_report
 from repro.experiments.tables12_selectivity import run_tables12
 from repro.experiments.tpch_design import run_tpch
 
+# Design fingerprints (``Design.fingerprint()``) of the ladders below, per
+# budget and designer.  A change that moves a design changes these, and has
+# to say so here.
+FIG09_DESIGNS = [
+    ("520aa6f2523103a1", "7940894f84486031"),
+    ("c7efded83accb468", "02ff5dbe6573b2e9"),
+]
+FIG11_DESIGNS = [("c39a2e151f7afe46", "1954c235219652e3", "abef54bf08a4dd4e")]
+TPCH_DESIGNS = [
+    ("3b2cd8e932349697", "3b2cd8e932349697"),
+    ("11f8b7e9b03890be", "75941f92ef0e2d03"),
+    ("e8bce38f9ef535d6", "5de3472ccf8734f8"),
+]
+
 
 class TestReport:
     def test_format_contains_rows_and_notes(self):
@@ -92,6 +106,9 @@ class TestFig09:
         assert len(r.rows) == 2
         # At the generous budget CORADD must win.
         assert r.rows[-1]["speedup"] >= 1.0
+        assert [
+            (row["coradd_design"], row["commercial_design"]) for row in r.rows
+        ] == FIG09_DESIGNS
 
 
 class TestFig10:
@@ -117,6 +134,10 @@ class TestFig11:
         row = r.rows[0]
         assert row["coradd_real"] <= row["commercial_real"]
         assert row["coradd_real"] > 0 and row["naive_real"] > 0
+        assert [
+            (row["coradd_design"], row["naive_design"], row["commercial_design"])
+            for row in r.rows
+        ] == FIG11_DESIGNS
 
 
 class TestFig14:
@@ -135,6 +156,9 @@ class TestTpch:
         assert len(r.rows) == 3
         for row in r.rows:
             assert row["coradd_real"] < row["commercial_real"], row
+        assert [
+            (row["coradd_design"], row["commercial_design"]) for row in r.rows
+        ] == TPCH_DESIGNS
 
 
 class TestEvolving:

@@ -166,25 +166,3 @@ class TestSolverFacade:
         assert sol.status == "optimal"
         assert sol.objective == 7.5
         assert sol.values == {}
-
-    def test_timed_out_warm_solve_keeps_the_polished_point(self):
-        # LP bound -14 (y0 = 1, y1 = 2/3) sits below the integer optimum
-        # -13, so the polish is never certified and the cold solve runs —
-        # into a time limit it cannot meet.
-        m = knapsack_model([10, 6, 3], [2, 3, 1], 4)
-        warm = {"y0": 0.0, "y1": 1.0, "y2": 1.0}  # feasible, objective -9
-        raw = solve(m, warm_start=warm, time_limit_s=1e-9)
-        assert raw.status == "time_limit"
-        assert raw.backend == "scipy-polish"
-        assert raw.values == warm
-        assert raw.objective == pytest.approx(-9.0)
-        # Free variables let the polish move: the deadline path must hand
-        # back that better point, not the raw warm start.
-        soft = solve(
-            m, warm_start=warm, free_vars={"y0", "y1"}, deadline_s=1e-9
-        )
-        assert soft.status == "deadline"
-        assert soft.backend == "scipy-polish"
-        assert soft.objective == pytest.approx(-13.0)
-        assert m.is_feasible(soft.values)
-        assert solve(m).objective == pytest.approx(-13.0)

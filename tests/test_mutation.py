@@ -686,46 +686,50 @@ class TestTailMerge:
             == "rebuild"
         )
 
-    def test_executor_modes_agree_and_count(self, inst):
-        from repro.obs import observed
+    def test_executor_modes_agree_and_count(self, inst, monkeypatch):
+        from repro.cm.correlation_map import CorrelationMap
+        from tests.test_design_units import count_calls
 
         def run(compaction):
-            with observed(f"refresh-{compaction}") as obs:
-                session = EvalSession()
-                with use_session(session):
-                    _, db = _materialized(inst, session)
-                    executor, _ = _apply_stream(
-                        inst,
-                        db,
-                        session,
-                        compaction=compaction,
-                        compact_threshold=0.02,
+            merges = count_calls(monkeypatch, HeapFile, "tail_merge")
+            refreshes = count_calls(
+                monkeypatch, CorrelationMap, "refresh_merged"
+            )
+            session = EvalSession()
+            with use_session(session):
+                _, db = _materialized(inst, session)
+                executor, _ = _apply_stream(
+                    inst,
+                    db,
+                    session,
+                    compaction=compaction,
+                    compact_threshold=0.02,
+                )
+                out = {}
+                for query in inst.workload:
+                    choice = db.run(query)
+                    out[query.name] = (
+                        choice.result.mask.sum(),
+                        set(
+                            db.object(choice.object_name)
+                            .heapfile.source_rowids[choice.result.mask]
+                            .tolist()
+                        ),
                     )
-                    out = {}
-                    for query in inst.workload:
-                        choice = db.run(query)
-                        out[query.name] = (
-                            choice.result.mask.sum(),
-                            set(
-                                db.object(choice.object_name)
-                                .heapfile.source_rowids[choice.result.mask]
-                                .tolist()
-                            ),
-                        )
-            return executor, out, obs.metrics.counters
+            monkeypatch.undo()
+            return executor, out, len(merges), len(refreshes)
 
-    # Same stream, same threshold: both modes compact, both answer
-    # identically; only the I/O path differs.
-        rewrite_ex, rewrite_out, _ = run("rewrite")
-        merge_ex, merge_out, counters = run("tail-merge")
+        # Same stream, same threshold: both modes compact, both answer
+        # identically; only the I/O path differs.
+        rewrite_ex, rewrite_out, rewrite_merges, rewrite_refreshes = run(
+            "rewrite"
+        )
+        merge_ex, merge_out, merges, _ = run("tail-merge")
         assert rewrite_ex.compactions > 0
         assert merge_ex.compactions > 0
         assert merge_out == rewrite_out
-        assert counters.get("storage.refresh.tail_merges", 0) > 0
-        assert (
-            counters.get("storage.refresh.cm_incremental", 0)
-            + counters.get("storage.refresh.cm_rebuilds", 0)
-        ) >= 0
+        assert (rewrite_merges, rewrite_refreshes) == (0, 0)
+        assert merges > 0
 
     def test_invalid_compaction_mode_raises(self, inst):
         session = EvalSession()

@@ -4,18 +4,15 @@ The layer's contract has three legs, each tested here:
 
 * **invisibility** — plans, simulated costs and result masks are
   bit-identical with instrumentation on vs off, and the disabled path
-  (no ambient tracer/registry/monitor) costs one contextvar read per site;
-* **commutativity** — metric payloads merge order-free (counters add,
-  gauges max, histograms component-wise), which is what lets each item
-  of a forked :class:`~repro.engine.ParallelSweep` send its metrics home
-  on its result message, exactly once under any fault schedule;
+  (no ambient tracer/monitor) costs one contextvar read per site;
+* **one channel per fact** — times come from spans, and every count a
+  layer reports is a value its calls already return (``EvalSession.stats``,
+  ``RefreshOutcome``, ``ParallelSweep.last_stats``, the returned
+  ``EvaluatedDesign`` list), exactly once under any fault schedule;
 * **parity** — the online :class:`~repro.obs.drift.CostModelMonitor`
   replayed over Figure 10's offline rows reproduces the experiment's
   per-query error ratios exactly, and a noisy interleaved online stream
   flags the same high-error queries the offline figure does.
-
-Dyadic-rational metric values (halves, quarters) are used in the merge
-tests so float addition is exact and "equal" means ``==``.
 """
 
 from __future__ import annotations
@@ -41,22 +38,14 @@ from repro.experiments.harness import evaluate_design, evaluate_designs
 from repro.obs import (
     NULL_SPAN,
     CostModelMonitor,
-    MetricsRegistry,
     Observation,
     Tracer,
     observed,
 )
 from repro.obs.drift import COST_FLOOR, use_monitor
-from repro.obs.metrics import (
-    Histogram,
-    count,
-    merge_payloads,
-    observe,
-    set_gauge,
-    use_metrics,
-)
 from repro.obs.trace import annotate, span, use_tracer
 from repro.workloads.registry import make
+from tests.test_design_units import count_calls
 
 CONFIG = DesignerConfig(t0=1, alphas=(0.0, 0.5), use_feedback=False)
 
@@ -74,6 +63,15 @@ def _fresh_designer(instance):
         instance.fk_attrs,
         config=CONFIG,
     )
+
+
+def _span_names(spans) -> set[str]:
+    """Every span name in a forest, at any depth."""
+    out = set()
+    for s in spans:
+        out.add(s.name)
+        out |= _span_names(s.children)
+    return out
 
 
 def _assert_identical(a, b):
@@ -112,17 +110,6 @@ class TestTracer:
         rendered = tracer.render()
         assert "outer" in rendered and "  inner" in rendered
 
-    def test_span_durations_publish_to_ambient_metrics(self):
-        registry = MetricsRegistry()
-        with use_tracer(), use_metrics(registry):
-            with span("work"):
-                pass
-            with span("work"):
-                pass
-        hist = registry.histogram("span.work")
-        assert hist is not None and hist.count == 2
-        assert hist.total >= 0.0
-
     def test_annotate_targets_innermost_open_span(self):
         tracer = Tracer()
         with use_tracer(tracer):
@@ -144,11 +131,6 @@ class TestDisabledPath:
         NULL_SPAN.annotate(ignored=True)
         annotate(ignored=True)  # no open span, no tracer: must not raise
 
-    def test_metric_helpers_noop_without_registry(self):
-        count("nobody.listening")
-        observe("nobody.listening", 1.0)
-        set_gauge("nobody.listening", 1.0)
-
     def test_disabled_span_overhead_is_tiny(self):
         # A generous absolute guard (the real cost is ~100ns/call): the
         # disabled path must stay one contextvar read + identity check.
@@ -161,145 +143,10 @@ class TestDisabledPath:
         assert per_call < 20e-6, f"{per_call * 1e6:.2f} us per disabled span"
 
 
-# ------------------------------------------------------------------- metrics
-
-
-class TestMetricsMerge:
-    def _payload_a(self):
-        r = MetricsRegistry()
-        r.inc("hits", 3)
-        r.inc("bytes", 0.5)
-        r.set_gauge("peak", 4.0)
-        r.observe("lat", 0.25)
-        r.observe("lat", 1.0)
-        return r.export()
-
-    def _payload_b(self):
-        r = MetricsRegistry()
-        r.inc("hits", 2)
-        r.inc("misses", 7)
-        r.set_gauge("peak", 2.5)
-        r.observe("lat", 0.5)
-        return r.export()
-
-    def test_merge_is_commutative_and_exact(self):
-        ab = merge_payloads(self._payload_a(), self._payload_b())
-        ba = merge_payloads(self._payload_b(), self._payload_a())
-        assert ab == ba
-        assert ab["counters"] == {"hits": 5, "bytes": 0.5, "misses": 7}
-        assert ab["gauges"] == {"peak": 4.0}  # max, not last-writer-wins
-        lat = ab["histograms"]["lat"]
-        assert lat["count"] == 3
-        assert lat["total"] == 1.75  # dyadic values: float addition exact
-        assert lat["min"] == 0.25 and lat["max"] == 1.0
-
-    def test_histogram_buckets_are_powers_of_two(self):
-        h = Histogram()
-        for v in (0.25, 0.3, 1.0, 1.9, 0.0):
-            h.observe(v)
-        data = h.to_dict()
-        # 0.25/0.3 -> bucket -2, 1.0/1.9 -> bucket 0, zero gets its own.
-        assert data["buckets"]["-2"] == 2
-        assert data["buckets"]["0"] == 2
-        assert h.count == 5
-
-    def test_histogram_round_trip(self):
-        h = Histogram()
-        h.observe(0.5)
-        h.observe(2.0)
-        again = Histogram.from_dict(h.to_dict())
-        assert again.to_dict() == h.to_dict()
-
-    def test_empty_merge_is_falsy(self):
-        assert merge_payloads() == {}
-        assert merge_payloads({}, {}) == {}
-
-    def test_ambient_helpers_record(self):
-        with use_metrics() as registry:
-            count("c", 2)
-            count("c")
-            set_gauge("g", 1.5)
-            observe("h", 0.75)
-        assert registry.counter("c") == 3
-        assert registry.gauges["g"] == 1.5
-        assert registry.histogram("h").count == 1
-
-
 # ------------------------------------------------- engine cache counters
 
 
 class TestEngineCacheMetrics:
-    def test_session_publishes_cache_deltas(self, instance):
-        designer = _fresh_designer(instance)
-        design = designer.design(int(instance.total_base_bytes() * 0.75))
-        session = EvalSession()
-        with use_metrics() as registry, use_session(session):
-            evaluate_design(design)
-            session.publish_metrics()
-            first = dict(registry.counters)
-            # Publishing again with no new work must add nothing (deltas).
-            session.publish_metrics()
-            assert dict(registry.counters) == first
-            evaluate_design(design)
-            session.publish_metrics()
-        assert registry.counter("engine.cache.mask_misses") > 0
-        assert registry.counter("engine.cache.mask_bytes") > 0
-        # The second evaluation hit the warm caches.
-        assert registry.counter("engine.cache.scan_hits") > 0
-        assert (
-            registry.counter("engine.cache.mask_misses")
-            == session.stats["mask_misses"]
-        )
-
-    @pytest.mark.skipif(
-        not fork_available(), reason="platform cannot fork worker processes"
-    )
-    def test_worker_metrics_ride_the_result_messages(self, instance):
-        designer = _fresh_designer(instance)
-        base = instance.total_base_bytes()
-        designs = [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5, 2.0)]
-
-        def evaluate(design):
-            count("obs_test.items")
-            return evaluate_design(design).without_design()
-
-        session = EvalSession()
-        with use_metrics() as registry:
-            sweep = ParallelSweep(workers=2)
-            assert sweep.parallel
-            evaluated = sweep.map(evaluate, designs, session=session)
-        assert len(evaluated) == len(designs)
-        # Every item counted exactly once, whether it ran in the parent
-        # (warmup heads) or in a forked worker (payload on its result).
-        assert registry.counter("obs_test.items") == len(designs)
-        # Worker-side cache work came home as engine.cache.* counters too.
-        assert registry.counter("engine.cache.mask_misses") > 0
-
-    @pytest.mark.skipif(
-        not fork_available(), reason="platform cannot fork worker processes"
-    )
-    def test_parallel_metrics_match_serial_totals(self, instance):
-        designer = _fresh_designer(instance)
-        base = instance.total_base_bytes()
-        designs = [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5, 2.0)]
-
-        def evaluate(design):
-            return evaluate_design(design).without_design()
-
-        totals = {}
-        for workers in (1, 2):
-            session = EvalSession()
-            with use_metrics() as registry:
-                ParallelSweep(workers=workers).map(
-                    evaluate, designs, session=session
-                )
-            totals[workers] = registry.counter("engine.cache.mask_misses")
-        # Per-item stealing isolates items on whichever worker pulls them;
-        # a cache entry shared by two items on different workers is missed
-        # once per worker, so the honest bound is >= — never fewer misses,
-        # and results stay bit-identical either way (TestParallelIdentity).
-        assert totals[2] >= totals[1] > 0
-
     @pytest.mark.skipif(
         not fork_available(), reason="platform cannot fork worker processes"
     )
@@ -313,38 +160,46 @@ class TestEngineCacheMetrics:
         ids=["no-fault", "crash", "raise"],
     )
     def test_harness_totals_equal_serial_with_and_without_a_session(
-        self, instance, spec
+        self, instance, spec, monkeypatch
     ):
-        """Every evaluated design is counted once — forked or not, session
-        or not, item crashed-and-rerun or not.  A sweep given no session is
-        how the figure drivers run; its worker metrics used to be dropped."""
+        """Every design comes home evaluated exactly once — forked or not,
+        session or not, item crashed-and-rerun or not: the returned list is
+        the count, and the sweep's ``last_stats`` accounts for every item
+        it handed out."""
         designer = _fresh_designer(instance)
         base = instance.total_base_bytes()
         designs = [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5, 2.0)]
+        sweeps = []
+        original_map = ParallelSweep.map
 
-        def totals(workers, session):
+        def recording_map(sweep, *args, **kwargs):
+            sweeps.append(sweep)
+            return original_map(sweep, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelSweep, "map", recording_map)
+
+        def evaluated(workers, session):
             plan = FaultPlan(spec) if spec is not None and workers > 1 else None
-            with use_metrics() as registry, use_faults(plan):
-                evaluate_designs(designs, workers=workers, session=session)
-            return registry
+            with use_faults(plan):
+                return evaluate_designs(designs, workers=workers, session=session)
 
-        serial = totals(1, None)
-        assert serial.counter("harness.designs_evaluated") == len(designs)
+        serial = evaluated(1, None)
+        assert len(serial) == len(designs)
         for session in (EvalSession(), None):
-            forked = totals(2, session)
-            for name in ("harness.designs_evaluated", "harness.queries_executed"):
-                assert forked.counter(name) == serial.counter(name), name
+            forked = evaluated(2, session)
+            assert [ev.design for ev in forked] == designs
+            assert [len(ev.real_seconds) for ev in forked] == [
+                len(ev.real_seconds) for ev in serial
+            ]
             # Every item but the warm-up was handed out; each was answered
             # by a worker or, when it did not come home, run by the parent.
-            assert forked.counter("sweep.steal.dispatched") == len(designs) - 1
-            assert forked.counter("sweep.steal.tasks") + forked.counter(
-                "sweep.faults.parent_runs"
-            ) == len(designs) - 1
             # A crash can break the pool before any worker answers.
-            answered = forked.histogram("sweep.steal.task_seconds")
-            assert (answered.count if answered else 0) == forked.counter(
-                "sweep.steal.tasks"
+            stats = sweeps[-1].last_stats
+            assert stats["tasks"] == len(designs) - 1
+            assert sum(stats["worker_tasks"]) + stats["parent_runs"] == (
+                len(designs) - 1
             )
+            assert len(stats["worker_busy_seconds"]) == len(stats["worker_tasks"])
 
 
 # -------------------------------------------------------------- bit identity
@@ -360,12 +215,11 @@ class TestObservationalInvisibility:
             session = EvalSession()
             with use_session(session):
                 ev = evaluate_design(design)
-                session.publish_metrics()
-            return design, ev
+            return design, ev, session
 
-        plain_design, plain_ev = arm()
+        plain_design, plain_ev, _ = arm()
         with observed("identity") as obs:
-            traced_design, traced_ev = arm()
+            traced_design, traced_ev, traced_session = arm()
 
         assert [c.cand_id for c in traced_design.chosen] == [
             c.cand_id for c in plain_design.chosen
@@ -375,24 +229,25 @@ class TestObservationalInvisibility:
         _assert_identical(plain_ev, traced_ev)
 
         # ... and the observed arm actually observed: stage spans recorded,
-        # cache counters populated, every query drift-monitored.
+        # the ILP solved under its span, every query drift-monitored.
         names = {s.name for s in obs.tracer.spans}
         assert {"designer.profile", "designer.enumerate", "designer.solve"} <= names
-        assert obs.metrics.counter("ilp.solves") >= 1
-        assert obs.metrics.counter("engine.cache.mask_misses") > 0
+        assert "ilp.solve" in _span_names(obs.tracer.spans)
+        assert traced_session.stats["mask_misses"] > 0
         assert obs.monitor.observations == len(plain_ev.real_seconds)
 
     def test_report_is_json_serializable_and_versioned(self, tmp_path):
         with observed("report") as obs:
             with span("stage", detail="x"):
-                count("c", 1)
+                pass
             obs.monitor.observe("q1", modeled=1.0, measured=2.0)
         path = obs.write(tmp_path / "TRACE_report.json")
         data = json.loads(path.read_text())
+        assert set(data) == {"name", "version", "trace", "drift"}
         assert data["name"] == "report"
-        assert data["version"] == 1
+        assert data["version"] == 2
         assert data["trace"]["spans"][0]["name"] == "stage"
-        assert data["metrics"]["counters"] == {"c": 1}
+        assert data["trace"]["spans"][0]["attrs"] == {"detail": "x"}
         assert data["drift"]["queries"]["q1"]["error"] == 2.0
 
 
@@ -542,67 +397,56 @@ class TestLayerMetricsSmoke:
             with use_session(session):
                 db = design.materialize(session)
                 executor = RefreshExecutor(db, pool_pages=2_048, session=session)
-                for batch in inst.refresh.batches():
-                    executor.apply(batch)
-                executor.flush()
-        counters = obs.metrics.counters
-        assert counters.get("storage.refresh.insert_batches", 0) > 0
+                outcomes = [executor.apply(b) for b in inst.refresh.batches()]
+                flushed = executor.flush()
+        inserts = [o for o in outcomes if o.kind == "insert"]
+        assert inserts
         # Touched pages read in on miss; dirty ones settle at flush (the
         # pool here is big enough that nothing evicts mid-stream).
-        assert counters.get("storage.refresh.page_reads", 0) > 0
-        assert counters.get("storage.refresh.flush_writes", 0) > 0
-        pool_traffic = counters.get("storage.bufferpool.hits", 0) + counters.get(
-            "storage.bufferpool.misses", 0
-        )
-        assert pool_traffic > 0
-        batch_hist = obs.metrics.histogram("storage.refresh.batch_seconds")
-        assert batch_hist is not None and batch_hist.count > 0
+        assert sum(o.page_reads for o in outcomes) > 0
+        assert flushed > 0
+        assert executor.pool.hits + executor.pool.misses > 0
+        assert all(o.seconds >= 0.0 for o in outcomes)
+        insert_spans = [
+            s for s in obs.tracer.spans if s.name == "refresh.insert"
+        ]
+        assert len(insert_spans) == len(inserts)
+        assert [s.attrs["seconds"] for s in insert_spans] == [
+            o.seconds for o in inserts
+        ]
 
-        def names(spans):
-            out = set()
-            for s in spans:
-                out.add(s.name)
-                out |= names(s.children)
-            return out
-
-        assert "refresh.insert" in names(obs.tracer.spans)
-
-    def test_cm_designer_counts_its_decisions(self):
+    def test_cm_designer_counts_its_decisions(self, monkeypatch):
         """Candidates priced from columns, the improving ones built, the
         built ones that did not fit — and the width ladder's distinct
         counts through the session's ``*_hits`` / ``*_misses`` stats."""
-        from repro.cm.designer import CMDesigner
+        from repro.cm.correlation_map import CorrelationMap
+        from repro.cm.designer import CandidatePricer, CMDesigner
 
         # TPC-H at the module fixture's scale is too small for any CM to
         # beat a scan; this SSB instance builds some.
         inst = make("ssb", lineorder_rows=12_000, seed=3)
         design = _fresh_designer(inst).design(inst.total_base_bytes())
+        priced = count_calls(monkeypatch, CandidatePricer, "cost")
+        built = count_calls(monkeypatch, CorrelationMap, "_build")
         session = EvalSession()
-        with use_metrics() as registry, use_session(session):
+        with use_session(session):
             db = design.materialize(session)
-            session.publish_metrics()
-        priced = registry.counter("cm.designer.candidates_priced")
-        built = registry.counter("cm.designer.candidates_built")
-        assert priced > built > 0
-        assert registry.counter("cm.designer.over_budget") == 0
-        assert sum(len(obj.cms) for obj in db.objects.values()) <= built
-        ladders = registry.counter("engine.cache.cm_distinct_misses")
-        assert 0 < ladders == session.stats["cm_distinct_misses"]
-        assert ladders + registry.counter("engine.cache.cm_distinct_hits") <= priced
+        assert len(priced) > len(built) > 0
+        assert len(built) == session.stats["cm_build_misses"]
+        assert sum(len(obj.cms) for obj in db.objects.values()) <= len(built)
+        ladders = session.stats["cm_distinct_misses"]
+        assert 0 < ladders
+        assert ladders + session.stats["cm_distinct_hits"] <= len(priced)
         # Under a budget nothing fits, every improving candidate is built,
         # found too large and dropped.
         spec = next(s for s in design.object_specs() if s.cluster_key)
         tight = CMDesigner(budget_bytes=8)
-        with use_metrics() as registry:
-            chosen = tight.design(
-                db.object(spec.name).heapfile, design.spec_queries(spec)
-            )
-        assert chosen == []
-        assert (
-            registry.counter("cm.designer.over_budget")
-            == registry.counter("cm.designer.candidates_built")
-            > 0
+        del built[:]
+        chosen = tight.design(
+            db.object(spec.name).heapfile, design.spec_queries(spec)
         )
+        assert chosen == []
+        assert built
 
     def test_ilp_solver_annotates_and_counts(self):
         from repro.ilp.model import MILPModel
@@ -619,15 +463,15 @@ class TestLayerMetricsSmoke:
             cold = solve(tiny_model())
             warm = solve(tiny_model(), warm_start={"x": 1.0, "y": 0.0})
         assert cold.objective == warm.objective == -2.0
-        assert obs.metrics.counter("ilp.solves") == 2
-        assert obs.metrics.counter("ilp.warm_starts") == 1
+        assert (cold.backend, cold.status) == ("scipy", "optimal")
         # The polished incumbent matched the LP bound, so the warm solve
         # was certified without a cold MILP.
-        assert obs.metrics.counter("ilp.polish_certified") == 1
         assert warm.backend == "scipy-polish"
+        assert cold.solve_seconds >= 0.0 and warm.solve_seconds >= 0.0
         ilp_spans = [s for s in obs.tracer.spans if s.name == "ilp.solve"]
         assert len(ilp_spans) == 2
         assert ilp_spans[0].attrs["status"] == "optimal"
+        assert ilp_spans[0].attrs["warm"] is False
         assert ilp_spans[1].attrs["warm"] is True
         assert ilp_spans[1].attrs["warm_outcome"] == "polish-certified"
         assert "lp_bound" in ilp_spans[1].attrs

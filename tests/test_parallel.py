@@ -26,7 +26,6 @@ from repro.engine import (
     use_session,
 )
 from repro.experiments.harness import evaluate_design, evaluate_designs
-from repro.obs.metrics import use_metrics
 from repro.workloads.registry import make
 
 CONFIG = DesignerConfig(t0=1, alphas=(0.0, 0.5), use_feedback=False)
@@ -159,8 +158,7 @@ class TestWorkStealing:
 
     def test_per_worker_accounting(self, tpch_designs):
         sweep = ParallelSweep(workers=2)
-        with use_metrics() as registry:
-            sweep.map(evaluate_design, tpch_designs, session=EvalSession())
+        sweep.map(evaluate_design, tpch_designs, session=EvalSession())
         stats = sweep.last_stats
         # The documented key set, exactly: benchmarks/e2e reads workers,
         # wall_seconds and worker_busy_seconds from outside the package.
@@ -175,13 +173,7 @@ class TestWorkStealing:
         assert stats["tasks"] == len(tpch_designs) - 1
         assert len(stats["worker_tasks"]) == len(stats["worker_busy_seconds"])
         assert sum(stats["worker_tasks"]) == stats["tasks"]
-        # The same accounting, as the sweep.steal.* metrics a trace carries.
-        assert registry.counter("sweep.steal.dispatched") == stats["tasks"]
-        assert registry.counter("sweep.steal.tasks") == stats["tasks"]
-        assert (
-            registry.histogram("sweep.steal.task_seconds").count
-            == stats["tasks"]
-        )
+        assert all(busy > 0 for busy in stats["worker_busy_seconds"])
         # Non-empty only after a forked run: a serial fallback clears it.
         sweep.map(evaluate_design, tpch_designs[:1], session=EvalSession())
         assert sweep.last_stats == {}
@@ -278,19 +270,13 @@ class TestWorkersInheritTheSession:
             )
 
         sweep = ParallelSweep(workers=2)
-        with use_metrics() as registry:
-            units = sweep.map(evaluate, [design] * 3, session=session)
+        units = sweep.map(evaluate, [design] * 3, session=session)
         assert sweep.last_stats
         for pid, misses, hits in units[1:]:
             assert pid != os.getpid()
             assert misses == 0 and hits > 0
-        # Counters a worker inherits are the parent's to publish: each miss
-        # and hit reaches the registry once.
-        assert registry.counter("engine.cache.heapfile_misses") == built
-        worker_hits = sum(hits for _, _, hits in units[1:])
-        assert registry.counter("engine.cache.heapfile_hits") == (
-            session.stats["heapfile_hits"] + worker_hits
-        )
+        # What the workers ran up stayed in their copies of the session.
+        assert session.stats["heapfile_misses"] == built
 
     def test_sweep_brings_home_no_cache_entries(self, tpch_designs):
         """After a forked sweep the session holds what the warm-up item

@@ -352,9 +352,9 @@ def test_ilp_shard_candidates_no_worse_and_strictly_better(people, disk):
 def test_ssb_sharded_correlated_suite_reads_three_times_fewer_pages():
     """``ssb-sharded`` on 8 range shards of the correlation-chosen key:
     every query answers as the unsharded heap file does, and the queries
-    pruning localizes read >= 3x fewer modeled pages.  Pruning is traced:
-    ``shard.prune`` spans and the ``engine.shard.*`` counters, on the
-    serial path and on the shard-parallel one."""
+    pruning localizes read >= 3x fewer modeled pages.  Pruning shows in
+    each result's ``shards_scanned`` and in the ``shard.prune`` spans, on
+    the serial path and on the shard-parallel one."""
     from repro.workloads.registry import make
 
     inst = make("ssb-sharded", scale=0.02, seed=7, shards=8)
@@ -367,24 +367,39 @@ def test_ssb_sharded_correlated_suite_reads_three_times_fewer_pages():
     ref = PhysicalDatabase([PhysicalObject(HeapFile(flat, pk, disk, name=fact))])
     shf, ref_hf = db.object(fact).heapfile, ref.object(fact).heapfile
     pages_sharded = pages_unsharded = 0
+    scanned = {}
     with observed("sharded") as obs:
         for q in inst.workload:
             res, res_ref = db.run(q).result, ref.run(q).result
             assert np.array_equal(
                 selected_sources(shf, res), selected_sources(ref_hf, res_ref)
             ), q.name
+            scanned[q.name] = res.shards_scanned
             if res.shards_scanned < res.shards_total:
                 pages_sharded += res.cost.pages_read
                 pages_unsharded += res_ref.cost.pages_read
-        assert obs.metrics.counter("engine.shard.shards_pruned") > 0
-        assert "shard.prune" in {s.name for s in obs.tracer.spans}
+        serial_spans = _prune_spans(obs.tracer.spans)
         with use_session(EvalSession()) as session:
             run_workload_shard_parallel(
                 db, inst.workload, ParallelSweep(workers=2), session=session
             )
+        parallel_spans = _prune_spans(obs.tracer.spans)[len(serial_spans):]
     assert pages_sharded > 0
     assert pages_unsharded >= 3 * pages_sharded
-    assert obs.metrics.counter("engine.shard.shard_parallel_tasks") > 0
+    # Both paths prune each query to the shards its result scanned.
+    for spans in (serial_spans, parallel_spans):
+        assert {s.attrs["query"]: s.attrs["scanned"] for s in spans} == scanned
+        assert any(s.attrs["scanned"] < s.attrs["shards"] for s in spans)
+
+
+def _prune_spans(spans) -> list:
+    """Every ``shard.prune`` span in a forest, depth first."""
+    out = []
+    for s in spans:
+        if s.name == "shard.prune":
+            out.append(s)
+        out.extend(_prune_spans(s.children))
+    return out
 
 
 def test_registry_sharded_variants():
@@ -398,3 +413,62 @@ def test_registry_sharded_variants():
     inst2 = make("tpch-sharded", scale=0.02, shards=6,
                  shard_key="l_orderkey", shard_scheme="hash")
     assert inst2.sharding["lineitem"] == ShardSpec(6, "l_orderkey", HASH)
+
+
+def test_refresh_and_shard_paths_sort_instead_of_hashing(
+    people, disk, monkeypatch
+):
+    """An insert batch into a plain object with a dense B+Tree and into a
+    sharded one, a ``catch_up`` of an object built after the batch, a
+    sharded delete, IN / equality queries over range and hash shards, and
+    a dimension join: none of it calls a plain (hashing) ``np.unique``."""
+    from repro.relational.schema import Column, TableSchema
+    from repro.relational.table import Table, hash_join
+    from repro.relational.types import INT16
+    from tests.test_design_units import plain_unique_callers
+
+    plain = PhysicalObject(
+        HeapFile(people, ("state",), disk, name="people"),
+        btree_keys=[("city",)],
+    )
+    ranged = sharded_fact_object(
+        people, "people", ("state",), ShardSpec(4, "state"), disk
+    )
+    hashed_shards = sharded_fact_object(
+        people, "people", ("state",), ShardSpec(4, "state", HASH), disk
+    ).heapfile
+    late = PhysicalObject(
+        HeapFile(people, ("city",), disk, name="people_by_city"),
+        fact="people",
+    )
+    states = Table(
+        TableSchema("states", [Column("state", INT16), Column("zone", INT16)]),
+        {"state": np.arange(51), "zone": np.arange(51) % 4},
+    )
+    rng = np.random.default_rng(11)
+    n = 300
+    batch = {
+        "state": rng.integers(0, 51, n),
+        "region": rng.integers(0, 6, n),
+        "city": rng.integers(0, 1021, n),
+        "salary": rng.integers(20, 220, n),
+    }
+    queries = [
+        Query("in", "people", [InPredicate("state", (2.0, 44.0, 44.0))],
+              aggregates=[Aggregate("sum", ("salary",))]),
+        Query("eq", "people", [EqPredicate("state", 7.0)],
+              aggregates=[Aggregate("count", ("state",))]),
+    ]
+
+    hashed = plain_unique_callers(monkeypatch)
+    for db in (PhysicalDatabase([plain]), PhysicalDatabase([ranged])):
+        ex = RefreshExecutor(db, disk=disk, session=None)
+        assert ex.apply_insert("people", batch).rows == n
+    ex.apply_delete("people", [RangePredicate("state", 0, 3)])
+    db.add(late)
+    assert ex.catch_up(late) > 0
+    for q in queries:
+        for shf in (db.object("people").heapfile, hashed_shards):
+            assert sharded_scan(shf, q).shards_scanned < shf.spec.shards
+    assert hash_join(people, states, "state", "state").nrows == people.nrows
+    assert hashed == []
