@@ -18,6 +18,7 @@ stay exact because residual filtering happens in memory.
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.relational.query import (
     EqPredicate,
@@ -27,12 +28,18 @@ from repro.relational.query import (
 )
 
 
-def bucket_codes(values: np.ndarray, width: int) -> np.ndarray:
-    """Truncate values into buckets of ``width`` consecutive integers.
-    ``width == 1`` is the identity (no bucketing)."""
+def bucket_codes(values: ArrayLike, width: int) -> np.ndarray:
+    """Floor values into buckets of ``width`` consecutive integers: bucket
+    ``c`` covers ``[c*width, (c+1)*width)``, on either side of zero and for
+    float values too.  ``width == 1`` on integers is the identity (no
+    bucketing).  The one bucketing rule of both the build side and the
+    predicate side."""
     if width <= 0:
         raise ValueError("bucket width must be positive")
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        return np.floor_divide(arr, width).astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
     if width == 1:
         return arr
     return np.floor_divide(arr, width)
@@ -41,18 +48,22 @@ def bucket_codes(values: np.ndarray, width: int) -> np.ndarray:
 def entries_match(pred: Predicate, entry_buckets: np.ndarray, width: int) -> np.ndarray:
     """Boolean mask over CM entries (bucket codes) that may satisfy ``pred``.
 
-    Bucket ``c`` covers raw values ``[c*width, (c+1)*width - 1]``; it matches
+    Bucket ``c`` covers raw values ``[c*width, (c+1)*width)``; it matches
     when that interval intersects the predicate's admissible set.
     """
     entry_buckets = np.asarray(entry_buckets, dtype=np.int64)
     if isinstance(pred, EqPredicate):
-        return entry_buckets == int(pred.value) // width
+        return entry_buckets == int(bucket_codes(pred.value, width))
     if isinstance(pred, RangePredicate):
-        lo_bucket = int(np.floor(pred.lo / width))
-        hi_bucket = int(np.floor(pred.hi / width))
-        return (entry_buckets >= lo_bucket) & (entry_buckets <= hi_bucket)
+        # An open end (±inf) has no bucket and bounds nothing.
+        match = np.ones(len(entry_buckets), dtype=bool)
+        if pred.lo > -np.inf:
+            match &= entry_buckets >= int(bucket_codes(pred.lo, width))
+        if pred.hi < np.inf:
+            match &= entry_buckets <= int(bucket_codes(pred.hi, width))
+        return match
     if isinstance(pred, InPredicate):
-        wanted = np.unique(np.asarray(pred.values, dtype=np.int64) // width)
+        wanted = np.unique(bucket_codes(pred.values, width))
         return np.isin(entry_buckets, wanted)
     raise TypeError(f"unsupported predicate type {type(pred).__name__}")
 

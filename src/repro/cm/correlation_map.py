@@ -3,8 +3,9 @@
 A CM over key attributes K on a heap file clustered by C is the set of
 distinct (bucketed-K -> co-occurring bucketed-C-rank) pairs.  Lookups apply
 the query's predicates on K to the distinct entries and return the union of
-co-occurring clustered rank codes; the executor turns ranks into contiguous
-heap ranges (:meth:`repro.storage.layout.HeapFile.prefix_value_ranges`).
+co-occurring clustered buckets; each bucket is one contiguous heap range,
+read off the file's rank bounds
+(:meth:`repro.storage.layout.HeapFile.page_fragments_for_prefix_buckets`).
 
 The structure satisfies the :class:`repro.storage.access.SecondaryStructure`
 protocol, so :func:`repro.storage.access.cm_scan` can execute through it.
@@ -21,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.relational.query import Query
-from repro.storage.layout import HeapFile, sorted_unique
+from repro.storage.fragments import sorted_unique
+from repro.storage.layout import HeapFile
 from repro.cm.bucketing import bucket_codes, entries_match
 
 # Bytes to store one clustered bucket id inside an entry's posting list.
@@ -70,7 +72,6 @@ class CorrelationMap:
         # sorted region only — appended tail rows have no rank until
         # compaction, and CM-guided scans read the tail wholesale instead.
         hf = self.heapfile
-        self._nranks = hf.prefix_distinct_count(self.depth)
         self._built_epoch = hf.sorted_epoch
         nsorted = hf.sorted_rows
         bucketed = [
@@ -151,7 +152,6 @@ class CorrelationMap:
         # space: compactions.  Tail inserts and tombstones leave it alone.
         if (
             hf.sorted_epoch == self._built_epoch
-            and hf.prefix_distinct_count(self.depth) == self._nranks
             and self._entry_rows_built == hf.sorted_rows
         ):
             return False
@@ -198,7 +198,6 @@ class CorrelationMap:
             self._build()
             return "rebuild"
         self._built_epoch = hf.sorted_epoch
-        self._nranks = hf.prefix_distinct_count(self.depth)
         self._stale_rows = stale
         self._merge_rows(start)
         return "incremental"
@@ -255,8 +254,8 @@ class CorrelationMap:
     # --------------------------------------------------------------- lookup
 
     def lookup(self, query: Query) -> np.ndarray | None:
-        """Clustered rank codes to scan for ``query``, or None when the query
-        has no predicate on any key attribute."""
+        """Sorted distinct clustered buckets to scan for ``query``, or None
+        when the query has no predicate on any key attribute."""
         preds = [query.predicate_on(a) for a in self.key_attrs]
         if all(p is None for p in preds):
             return None
@@ -268,31 +267,7 @@ class CorrelationMap:
         if not mask.any():
             return np.empty(0, dtype=np.int64)
         posting_mask = np.repeat(mask, np.diff(self._offsets))
-        buckets = sorted_unique(self._packed[posting_mask])
-        return self._expand_cluster_buckets(buckets)
-
-    def _expand_cluster_buckets(self, buckets: np.ndarray) -> np.ndarray:
-        """Expand clustered bucket ids back into the rank codes they cover.
-
-        Vectorized: each (unique, sorted) bucket covers the disjoint window
-        ``[b*w, min((b+1)*w, nranks))``, so the expansion is one ``repeat``
-        plus a per-window ramp — no per-bucket Python loop, and the output
-        is sorted-unique by construction."""
-        if self.cluster_width == 1:
-            return buckets
-        buckets = sorted_unique(np.asarray(buckets, dtype=np.int64))
-        if len(buckets) == 0:
-            return np.empty(0, dtype=np.int64)
-        width = self.cluster_width
-        limit = max(self._nranks, 1)
-        starts = buckets * width
-        lengths = np.maximum(np.minimum(starts + width, limit) - starts, 0)
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-        return np.repeat(starts, lengths) + ramp
+        return sorted_unique(self._packed[posting_mask])
 
     def __repr__(self) -> str:
         return (

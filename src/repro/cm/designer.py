@@ -48,8 +48,9 @@ class CandidatePricer:
     *bucketed* key values pass ``entries_match`` — the CM's conservative
     bucket test, not ``Predicate.mask``, over the rows ``_build`` reads,
     tombstoned ones included.  Ranks are non-decreasing in heap order, so
-    the buckets gathered under that row mask come out sorted, and each is
-    one rowid range; from there the fragments and the charge are the code
+    the buckets gathered under that row mask come out sorted; from there
+    the fragments (:meth:`~repro.storage.layout.HeapFile.
+    page_fragments_for_prefix_buckets`) and the charge are the kernel
     :func:`~repro.storage.access.cm_scan` runs.  One row mask per (key
     attribute, width) serves every candidate of the query.
 
@@ -78,7 +79,7 @@ class CandidatePricer:
         self, key_attrs: tuple[str, ...], key_widths: tuple[int, ...]
     ) -> np.ndarray:
         """The sorted distinct clustered buckets the candidate's lookup
-        would match, before rank expansion."""
+        would return."""
         mask = self._row_mask(key_attrs[0], key_widths[0])
         for attr, width in zip(key_attrs[1:], key_widths[1:]):
             mask = mask & self._row_mask(attr, width)

@@ -78,11 +78,12 @@ class SecondaryStructure(Protocol):
 
     name: str
     key_attrs: tuple[str, ...]
-    depth: int  # clustered-prefix depth whose rank codes the structure maps to
+    depth: int  # clustered-prefix depth whose ranks the structure maps to
+    cluster_width: int  # consecutive ranks per cluster bucket
 
     def lookup(self, query: Query) -> np.ndarray | None:
-        """Rank codes of clustered-prefix groups to scan, or None if the
-        query has no usable predicate on the structure's key."""
+        """Sorted distinct cluster buckets to scan, or None if the query
+        has no predicate on the structure's key."""
         ...
 
 
@@ -269,13 +270,15 @@ def cm_scan(
     cm: SecondaryStructure,
     ctx: EvalContext | None = None,
 ) -> AccessResult | None:
-    """Scan guided by a Correlation Map (or any rank-code structure).
+    """Scan guided by a Correlation Map (or any cluster-bucket structure).
 
-    The CM maps predicate values to the clustered-prefix groups they co-occur
-    with; those groups are contiguous rowid ranges of the heap.  Bucketing
-    introduces false positives — a superset of rows is read — but the result
-    mask stays exact because residual filtering happens in memory.  The CM
-    itself is assumed memory-resident (the paper's premise: CMs are tiny).
+    The CM maps predicate values to the clustered-prefix buckets they
+    co-occur with; each bucket is one contiguous rowid range of the heap.
+    Bucketing introduces false positives — a superset of rows is read — but
+    the result mask stays exact because residual filtering happens in
+    memory.  The CM itself is assumed memory-resident (the paper's premise:
+    CMs are tiny).  Returns None, before any cache is consulted, when the
+    query has no predicate on the CM's key.
 
     With an active :class:`~repro.engine.EvalSession` the executed (plan,
     cost) pair is memoized per (heap-file content, CM content, query
@@ -284,6 +287,8 @@ def cm_scan(
     result mask always comes from the (cached) query mask, so memoized and
     fresh results are bit-identical.
     """
+    if all(query.predicate_on(a) is None for a in cm.key_attrs):
+        return None
     session = ctx.session if ctx is not None else get_session()
     if session is not None:
         cached = session.scan_cost(heapfile, cm, query)
@@ -291,10 +296,9 @@ def cm_scan(
             plan, cost = cached
             context = _context(heapfile, query, ctx)
             return AccessResult(plan, cost, _result_mask(heapfile, context))
-    codes = cm.lookup(query)
-    if codes is None:
-        return None
-    fragments = heapfile.page_fragments_for_prefix_codes(cm.depth, codes)
+    fragments = heapfile.page_fragments_for_prefix_buckets(
+        cm.depth, cm.cluster_width, cm.lookup(query)
+    )
     cost = guided_scan_cost(heapfile, fragments)
     plan = cm_scan_plan(cm)
     if session is not None:

@@ -32,7 +32,7 @@ import numpy as np
 from repro.relational.table import Table
 from repro.storage.btree import btree_height, clustered_overhead_bytes
 from repro.storage.disk import DiskModel
-from repro.storage.fragments import pages_for_rowids, sorted_unique
+from repro.storage.fragments import pages_for_rowids
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,9 @@ class HeapFile:
         key_bytes = max(1, self.table.schema.byte_size(self.cluster_key)) if cluster_key else 8
         self._key_bytes = key_bytes
         self.btree_height = btree_height(self.npages, key_bytes, disk.page_size)
-        # Sorted codes of the full cluster key and of each prefix, built
-        # lazily: prefix range lookups are the hot path of CM scans.
-        self._prefix_codes: dict[int, np.ndarray] = {}
+        # (rank codes, rank bounds) of each cluster-key prefix depth, built
+        # lazily: the bounds turn a CM's cluster buckets into rowid ranges.
+        self._prefixes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # -- mutation state -------------------------------------------------
         # Rows [0, sorted_rows) are in clustered order; [sorted_rows, nrows)
         # is the unsorted insert tail.  ``live`` is None (all rows live) or a
@@ -159,7 +159,7 @@ class HeapFile:
         """
         clone = object.__new__(HeapFile)
         clone.__dict__ = dict(self.__dict__)
-        clone._prefix_codes = dict(self._prefix_codes)
+        clone._prefixes = dict(self._prefixes)
         clone.shared = False
         return clone
 
@@ -296,7 +296,7 @@ class HeapFile:
         self.live = None
         self.sorted_rows = self.table.nrows
         self.sorted_epoch += 1
-        self._prefix_codes = {}
+        self._prefixes = {}
         self._refresh_geometry("compact")
         return CompactionStats(
             rows_merged=rows_merged,
@@ -357,7 +357,7 @@ class HeapFile:
         self.live = None
         self.sorted_rows = self.table.nrows
         self.sorted_epoch += 1
-        self._prefix_codes = {}
+        self._prefixes = {}
         self._refresh_geometry("tail_merge")
         first_page = boundary // self.rows_per_page
         return CompactionStats(
@@ -390,21 +390,24 @@ class HeapFile:
     def pages_for_rowids(self, rowids: np.ndarray) -> np.ndarray:
         return pages_for_rowids(rowids, self.rows_per_page)
 
-    def _prefix_code(self, depth: int) -> np.ndarray:
-        """Dense rank codes (0..D-1) of the leading ``depth`` cluster-key
-        attributes over the *sorted region*, in heap order — non-decreasing
-        by construction.  Tail rows have no rank (they are outside the
-        clustered order until compaction) and index-guided scans read the
-        tail separately.
+    def _prefix(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rank codes, rank bounds) of the leading ``depth`` cluster-key
+        attributes over the *sorted region*.  Tail rows have no rank (they
+        are outside the clustered order until compaction) and index-guided
+        scans read the tail separately.
 
-        Rank codes are the shared coordinate system between heap files and
-        the Correlation Maps built over them: a CM maps unclustered values to
-        co-occurring *ranks*, and :meth:`prefix_value_ranges` turns ranks
-        back into contiguous rowid ranges.
+        The codes are the dense rank (0..D-1) of every row, in heap order —
+        non-decreasing by construction.  The bounds hold the first rowid of
+        every rank and then ``sorted_rows``, so rank ``r`` is exactly the
+        rowids ``bounds[r]:bounds[r + 1]``.  Ranks are the shared coordinate
+        system between heap files and the Correlation Maps built over them:
+        a CM maps unclustered values to buckets of co-occurring ranks, and
+        :meth:`page_fragments_for_prefix_buckets` reads bucket ranges off
+        the bounds.
         """
         if depth <= 0 or depth > len(self.cluster_key):
             raise ValueError(f"bad prefix depth {depth}")
-        cached = self._prefix_codes.get(depth)
+        cached = self._prefixes.get(depth)
         if cached is not None:
             return cached
         names = self.cluster_key[:depth]
@@ -417,62 +420,27 @@ class HeapFile:
             for arr in arrays:
                 changed[1:] |= arr[1:] != arr[:-1]
         codes = np.cumsum(changed).astype(np.int64)
-        self._prefix_codes[depth] = codes
-        return codes
-
-    def prefix_value_ranges(
-        self, depth: int, wanted_codes: np.ndarray
-    ) -> list[tuple[int, int]]:
-        """Contiguous rowid ranges [start, end) holding the given prefix
-        codes.  ``wanted_codes`` must be in the same code space as
-        :meth:`prefix_codes_for_rows` output for this depth."""
-        codes = self._prefix_code(depth)
-        wanted = sorted_unique(np.asarray(wanted_codes, dtype=np.int64))
-        if len(wanted) == 0 or self.nrows == 0:
-            return []
-        starts = np.searchsorted(codes, wanted, side="left")
-        ends = np.searchsorted(codes, wanted, side="right")
-        present = ends > starts
-        starts = starts[present]
-        ends = ends[present]
-        if len(starts) == 0:
-            return []
-        # ``wanted`` is sorted and ``codes`` non-decreasing, so starts/ends
-        # are non-decreasing too: a new run begins exactly where a range
-        # does not touch its predecessor (consecutive wanted values merge).
-        breaks = np.ones(len(starts), dtype=bool)
-        breaks[1:] = starts[1:] > ends[:-1]
-        run_starts = np.nonzero(breaks)[0]
-        run_last = np.concatenate((run_starts[1:] - 1, [len(ends) - 1]))
-        return list(zip(starts[run_starts].tolist(), ends[run_last].tolist()))
-
-    def page_fragments_for_prefix_codes(
-        self, depth: int, wanted_codes: np.ndarray
-    ) -> list[tuple[int, int]]:
-        """Coalesced page fragments [(first, last), ...] covering the rows
-        whose leading-``depth`` prefix codes are in ``wanted_codes`` — the
-        I/O unit of a CM-guided scan.  Runs that touch or fall within the
-        disk's readahead gap are merged.
-        """
-        row_ranges = self.prefix_value_ranges(depth, wanted_codes)
-        if not row_ranges:
-            return []
-        ranges = np.asarray(row_ranges, dtype=np.int64)
-        return self.page_fragments_for_row_ranges(ranges[:, 0], ranges[:, 1])
+        changed[:1] = True  # row 0 starts rank 0
+        bounds = np.append(np.flatnonzero(changed), nsorted)
+        self._prefixes[depth] = (codes, bounds)
+        return codes, bounds
 
     def page_fragments_for_prefix_buckets(
         self, depth: int, width: int, buckets: np.ndarray
     ) -> list[tuple[int, int]]:
-        """:meth:`page_fragments_for_prefix_codes` for every rank code inside
-        the given cluster buckets — bucket ``b`` holds the ``width``
-        consecutive ranks from ``b * width`` — without expanding them:
-        ranks are non-decreasing in heap order, so a bucket is one rowid
-        range between two binary searches.  ``buckets`` must be strictly
-        increasing, which the distinct buckets of any row subset taken in
-        heap order are."""
-        codes = self._prefix_code(depth)
-        starts = np.searchsorted(codes, buckets * width, side="left")
-        ends = np.searchsorted(codes, (buckets + 1) * width, side="left")
+        """Coalesced page fragments [(first, last), ...] covering every rank
+        inside the given cluster buckets — the I/O unit of a CM-guided scan.
+        Bucket ``b`` holds the ``width`` consecutive ranks from ``b *
+        width``, so it is the one rowid range between two entries of the
+        rank bounds, the last bucket cut short by the rank count.
+        ``buckets`` must be strictly increasing, which the distinct buckets
+        of any row subset taken in heap order are; a bucket past the last
+        rank reads nothing."""
+        bounds = self._prefix(depth)[1]
+        nranks = len(bounds) - 1
+        first_rank = np.minimum(buckets * width, nranks)
+        starts = bounds[first_rank]
+        ends = bounds[np.minimum(first_rank + width, nranks)]
         present = ends > starts
         return self.page_fragments_for_row_ranges(starts[present], ends[present])
 
@@ -501,20 +469,10 @@ class HeapFile:
     def prefix_ranks(self, depth: int) -> np.ndarray:
         """Rank code of every row's leading-``depth`` cluster-key value, in
         heap order (public accessor used by CM construction)."""
-        return self._prefix_code(depth)
-
-    def prefix_codes_for_rows(self, depth: int, mask: np.ndarray) -> np.ndarray:
-        """Unique prefix codes of rows where ``mask`` is true (clustered
-        order; tail rows, which have no rank, are ignored).  Used to ask:
-        which clustered-key groups does a predicate co-occur with?"""
-        codes = self._prefix_code(depth)
-        return sorted_unique(codes[mask[: len(codes)]])
+        return self._prefix(depth)[0]
 
     def prefix_distinct_count(self, depth: int) -> int:
-        codes = self._prefix_code(depth)
-        if len(codes) == 0:
-            return 0
-        return 1 + int((np.diff(codes) != 0).sum())
+        return len(self._prefix(depth)[1]) - 1
 
     def __repr__(self) -> str:
         key = ",".join(self.cluster_key) or "<unclustered>"

@@ -7,7 +7,9 @@ on arrays instead of a scalar triple loop; one scalar pricing core instead
 of a ``PlanEstimate`` per plan family; CM candidates priced from the file's
 columns instead of each built and scanned; a synopsis key ordered by
 refining its parent prefix and counted from its group sizes instead of one
-``lexsort`` and one min/max re-pack + ``np.unique`` per key), moved here
+``lexsort`` and one min/max re-pack + ``np.unique`` per key; a CM scan's
+fragments by expanding its cluster buckets into rank codes and binary
+searching each instead of two gathers from the rank bounds), moved here
 verbatim: they exist *only* as test oracles (``test_reference_kernels.py``)
 and share no state with the code under test — no cache, no memo, no packed
 array.
@@ -286,6 +288,76 @@ class ReferenceCorrelationMap:
             return np.empty(0, dtype=np.int64)
         matched = [p for p, m in zip(self.postings, mask) if m]
         return np.unique(np.concatenate(matched))
+
+
+def reference_expand_cluster_buckets(
+    buckets: np.ndarray, width: int, nranks: int
+) -> np.ndarray:
+    """Expand clustered bucket ids back into the rank codes they cover.
+
+    Vectorized: each (unique, sorted) bucket covers the disjoint window
+    ``[b*w, min((b+1)*w, nranks))``, so the expansion is one ``repeat``
+    plus a per-window ramp — no per-bucket Python loop, and the output
+    is sorted-unique by construction."""
+    if width == 1:
+        return buckets
+    buckets = np.unique(np.asarray(buckets, dtype=np.int64))
+    if len(buckets) == 0:
+        return np.empty(0, dtype=np.int64)
+    limit = max(nranks, 1)
+    starts = buckets * width
+    lengths = np.maximum(np.minimum(starts + width, limit) - starts, 0)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
+    return np.repeat(starts, lengths) + ramp
+
+
+def reference_prefix_value_ranges(
+    heapfile: HeapFile, depth: int, wanted_codes: np.ndarray
+) -> list[tuple[int, int]]:
+    """Contiguous rowid ranges [start, end) holding the given prefix rank
+    codes: two binary searches per code, touching ranges merged."""
+    codes = heapfile.prefix_ranks(depth)
+    wanted = np.unique(np.asarray(wanted_codes, dtype=np.int64))
+    if len(wanted) == 0 or heapfile.nrows == 0:
+        return []
+    starts = np.searchsorted(codes, wanted, side="left")
+    ends = np.searchsorted(codes, wanted, side="right")
+    present = ends > starts
+    starts = starts[present]
+    ends = ends[present]
+    if len(starts) == 0:
+        return []
+    breaks = np.ones(len(starts), dtype=bool)
+    breaks[1:] = starts[1:] > ends[:-1]
+    run_starts = np.nonzero(breaks)[0]
+    run_last = np.concatenate((run_starts[1:] - 1, [len(ends) - 1]))
+    return list(zip(starts[run_starts].tolist(), ends[run_last].tolist()))
+
+
+def reference_cm_fragments(
+    heapfile: HeapFile, depth: int, cluster_width: int, buckets: np.ndarray
+) -> list[tuple[int, int]]:
+    """Page fragments a CM-guided scan reads for the given cluster
+    buckets, by the rank-code route: expand the buckets into rank codes,
+    find each code's rowid range, then coalesce pages one range at a time
+    (runs within the disk's readahead gap merge)."""
+    codes = heapfile.prefix_ranks(depth)
+    nranks = int(codes[-1]) + 1 if len(codes) else 0
+    wanted = reference_expand_cluster_buckets(buckets, cluster_width, nranks)
+    rows_per_page = heapfile.rows_per_page
+    gap = heapfile.disk.fragment_gap_pages
+    fragments: list[list[int]] = []
+    for start, end in reference_prefix_value_ranges(heapfile, depth, wanted):
+        first, last = start // rows_per_page, (end - 1) // rows_per_page
+        if fragments and first <= fragments[-1][1] + gap + 1:
+            fragments[-1][1] = max(fragments[-1][1], last)
+        else:
+            fragments.append([first, last])
+    return [(first, last) for first, last in fragments]
 
 
 def reference_best_cm_for_query(

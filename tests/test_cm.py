@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.cm.bucketing import bucket_codes, candidate_widths, entries_match
 from repro.cm.correlation_map import CorrelationMap
 from repro.cm.designer import CandidatePricer, CMDesigner, design_cms_for_object
+from repro.engine import EvalSession, use_session
 from repro.relational.query import (
     Aggregate,
     EqPredicate,
@@ -15,9 +16,13 @@ from repro.relational.query import (
     Query,
     RangePredicate,
 )
+from repro.relational.schema import Column, TableSchema
+from repro.relational.table import Table
+from repro.relational.types import FLOAT64, INT64
 from repro.storage.access import cm_scan, full_scan
 from repro.storage.btree import secondary_index_bytes
 from repro.storage.disk import DiskModel
+from repro.storage.fragments import sorted_unique
 from repro.storage.layout import HeapFile
 from tests.conftest import make_people
 from tests.test_design_units import count_calls
@@ -32,6 +37,15 @@ def disk():
 @pytest.fixture(scope="module")
 def by_state(disk):
     return HeapFile(make_people(n=40_000), ("state",), disk, name="by_state")
+
+
+def _covered_rows(hf: HeapFile, depth: int, cluster_width: int, buckets) -> np.ndarray:
+    """Rows on the pages a CM-guided scan of ``buckets`` reads."""
+    covered = np.zeros(hf.npages * hf.rows_per_page, dtype=bool)
+    fragments = hf.page_fragments_for_prefix_buckets(depth, cluster_width, buckets)
+    for first, last in fragments:
+        covered[first * hf.rows_per_page : (last + 1) * hf.rows_per_page] = True
+    return covered[: hf.nrows]
 
 
 class TestBucketing:
@@ -90,12 +104,11 @@ class TestCorrelationMap:
     def test_lookup_eq_exact(self, by_state):
         cm = CorrelationMap(by_state, ("city",))
         q = Query("q", "people", [EqPredicate("city", 123)])
-        codes = cm.lookup(q)
-        # city=123 belongs to state 6 only (city = state*20 + k).
-        ranks = by_state.prefix_codes_for_rows(
-            1, by_state.table.column("city") == 123
-        )
-        assert np.array_equal(codes, ranks)
+        buckets = cm.lookup(q)
+        # city=123 belongs to state 6 only (city = state*20 + k); with
+        # cluster_width 1 a bucket is a rank.
+        ranks = by_state.prefix_ranks(1)[by_state.table.column("city") == 123]
+        assert np.array_equal(buckets, sorted_unique(ranks))
 
     def test_lookup_returns_none_without_predicate(self, by_state):
         cm = CorrelationMap(by_state, ("city",))
@@ -135,11 +148,15 @@ class TestCorrelationMap:
         assert exact_codes <= bucket_codes_
 
     def test_cluster_bucketing_expands_ranks(self, by_state):
-        cm = CorrelationMap(by_state, ("city",), cluster_width=4)
+        """A cluster bucket stands for ``cluster_width`` consecutive ranks:
+        the bucketed lookup is the exact lookup's ranks floored by 4, and the
+        scan reads every row of every rank in those buckets."""
         q = Query("q", "people", [EqPredicate("city", 123)])
-        codes = cm.lookup(q)
-        # Bucket expansion yields rank multiples-of-4 blocks.
-        assert len(codes) >= 4 or len(codes) == by_state.prefix_distinct_count(1)
+        exact = CorrelationMap(by_state, ("city",)).lookup(q)
+        buckets = CorrelationMap(by_state, ("city",), cluster_width=4).lookup(q)
+        assert np.array_equal(buckets, sorted_unique(exact // 4))
+        in_buckets = np.isin(by_state.prefix_ranks(1) // 4, buckets)
+        assert _covered_rows(by_state, 1, 4, buckets)[in_buckets].all()
 
     def test_composite_key(self, by_state):
         cm = CorrelationMap(by_state, ("city", "salary"))
@@ -148,10 +165,10 @@ class TestCorrelationMap:
             "people",
             [EqPredicate("city", 123), RangePredicate("salary", 50, 60)],
         )
-        codes = cm.lookup(q)
-        assert codes is not None
-        truth = by_state.prefix_codes_for_rows(1, q.mask(by_state.table))
-        assert set(truth.tolist()) <= set(codes.tolist())
+        buckets = cm.lookup(q)
+        assert buckets is not None
+        truth = by_state.prefix_ranks(1)[q.mask(by_state.table)]
+        assert set(truth.tolist()) <= set(buckets.tolist())
 
     def test_validation(self, by_state, disk):
         with pytest.raises(ValueError):
@@ -177,11 +194,91 @@ def test_cm_scan_never_misses_rows(width, cluster_width, city, ):
     hf = HeapFile(make_people(n=5_000, seed=9), ("state",), DiskModel())
     cm = CorrelationMap(hf, ("city",), key_widths=(width,), cluster_width=cluster_width)
     q = Query("q", "people", [EqPredicate("city", city)])
-    codes = cm.lookup(q)
-    covered = np.zeros(hf.nrows, dtype=bool)
-    for s, e in hf.prefix_value_ranges(cm.depth, codes):
-        covered[s:e] = True
+    covered = _covered_rows(hf, cm.depth, cluster_width, cm.lookup(q))
     assert (covered | ~q.mask(hf.table)).all()
+
+
+def _float_file(n: int, seed: int) -> HeapFile:
+    """A heap clustered by ``k`` whose float column ``x`` is about
+    ``-k/100``: negative and mostly non-integral."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 1_000, n)
+    schema = TableSchema("f", [Column("k", INT64), Column("x", FLOAT64)])
+    x = -k / 100 + rng.normal(0.0, 0.01, n)
+    return HeapFile(Table(schema, {"k": k, "x": x}), ("k",), DiskModel())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 8]),
+    cluster_width=st.sampled_from([1, 2, 8]),
+    lo=st.floats(-10.5, 0.5, allow_nan=False),
+    span=st.floats(0.0, 2.0, allow_nan=False),
+    seed=st.integers(0, 100),
+)
+def test_cm_scan_never_misses_rows_on_negative_floats(
+    width, cluster_width, lo, span, seed
+):
+    """Property: bucketing floors a float key the way it floors a
+    predicate's bounds, so a CM-guided scan covers every matching row of a
+    negative, non-integral key — closed and open-ended ranges, and
+    equality / IN on stored values."""
+    hf = _float_file(2_000, seed)
+    cm = CorrelationMap(hf, ("x",), key_widths=(width,), cluster_width=cluster_width)
+    stored = hf.table.column("x")
+    for pred in (
+        RangePredicate("x", lo, lo + span),
+        RangePredicate("x", -np.inf, lo),
+        RangePredicate("x", lo, np.inf),
+        EqPredicate("x", float(stored[seed])),
+        InPredicate("x", (float(stored[seed]), float(stored[-1 - seed]))),
+    ):
+        q = Query("q", "f", [pred])
+        covered = _covered_rows(hf, cm.depth, cluster_width, cm.lookup(q))
+        assert (covered | ~q.mask(hf.table)).all()
+
+
+class TestCMScanKernel:
+    def test_unusable_cm_returns_none_before_the_session(self, by_state):
+        """A CM on whose key the query has no predicate answers None without
+        asking the scan memo — no miss is recorded, though the session built
+        the CM and so could key a scan through it."""
+        q = Query("q", "people", [EqPredicate("salary", 55)])
+        session = EvalSession()
+        session.adopt_heapfile(by_state)
+        cm = session.correlation_map(by_state, ("city",), (1,), 1)
+        before = dict(session.stats)
+        with use_session(session):
+            assert cm_scan(by_state, q, cm) is None
+        assert session.stats == before
+
+    @pytest.mark.parametrize("mutation", ["compact", "tail_merge"])
+    def test_rank_bounds_reset_with_the_codes(self, mutation):
+        """After a compaction or a tail merge, scanning the mutated file
+        gives the fragments a freshly built file over the same rows gives:
+        the rank bounds are rebuilt with the rank codes."""
+        hf = HeapFile(make_people(n=5_000, seed=4), ("state", "city"), DiskModel())
+        cm = CorrelationMap(hf, ("salary",), cluster_width=4)
+        probes = [
+            Query("q", "people", [RangePredicate("salary", 50, 70)]),
+            Query("q", "people", [EqPredicate("salary", 120)]),
+        ]
+        for q in probes:
+            cm_scan(hf, q, cm)  # warm the per-depth cache before mutating
+        extra = make_people(n=700, seed=5)
+        hf.insert({c: extra.column(c) for c in extra.column_names})
+        hf.delete_rows(np.arange(0, hf.nrows, 97))
+        getattr(hf, mutation)()
+        assert cm.refresh()
+        fresh_hf = HeapFile(hf.table, hf.cluster_key, hf.disk)
+        fresh_cm = CorrelationMap(fresh_hf, ("salary",), cluster_width=4)
+        for q in probes:
+            for depth in (1, 2):
+                buckets = fresh_cm.lookup(q)
+                assert hf.page_fragments_for_prefix_buckets(
+                    depth, 4, buckets
+                ) == fresh_hf.page_fragments_for_prefix_buckets(depth, 4, buckets)
+            assert cm_scan(hf, q, cm).cost == cm_scan(fresh_hf, q, fresh_cm).cost
 
 
 class TestCMDesigner:

@@ -24,6 +24,10 @@ from tests.conftest import make_people
 from tests.test_table import make_table
 
 
+# One row per page and no readahead merging: page fragments are row ranges.
+ROW_PAGES = DiskModel(page_size=1, fragment_gap_pages=0)
+
+
 @pytest.fixture(scope="module")
 def people():
     return make_people(n=60_000)
@@ -80,19 +84,39 @@ class TestHeapFile:
         with pytest.raises(ValueError):
             by_state.prefix_ranks(3)
 
-    def test_prefix_value_ranges_match_bruteforce(self, by_state):
-        ranks = by_state.prefix_ranks(1)
-        wanted = np.array([3, 4, 10])
-        ranges = by_state.prefix_value_ranges(1, wanted)
-        covered = np.zeros(by_state.nrows, dtype=bool)
-        for s, e in ranges:
-            covered[s:e] = True
-        assert (covered == np.isin(ranks, wanted)).all()
-        # Adjacent wanted ranks merge into one range.
-        assert len(ranges) == 2
+    def test_prefix_bucket_fragments_match_bruteforce(self, by_state):
+        """Rank ``r`` is the rowids ``bounds[r]:bounds[r + 1]``; a bucket
+        is its ``width`` ranks, the last one cut short by the rank count and
+        one past it empty; the pages read are exactly the pages of rows
+        whose bucket is wanted, touching buckets in one fragment."""
+        row_exact = HeapFile(by_state.table, by_state.cluster_key, ROW_PAGES)
+        for depth in (1, 2):
+            ranks, bounds = row_exact._prefix(depth)
+            nranks = row_exact.prefix_distinct_count(depth)
+            assert len(bounds) == nranks + 1 and bounds[-1] == row_exact.sorted_rows
+            for r in (0, 7, nranks - 1):
+                rows = np.arange(bounds[r], bounds[r + 1])
+                assert np.array_equal(np.flatnonzero(ranks == r), rows)
+            for width in (1, 4, 32):
+                last = (nranks - 1) // width
+                wanted = np.array([0, 3, 4, last, last + 1])
+                wanted = np.unique(wanted[wanted <= last + 1])
+                fragments = row_exact.page_fragments_for_prefix_buckets(
+                    depth, width, wanted
+                )
+                covered = np.zeros(row_exact.nrows, dtype=bool)
+                for first, end in fragments:
+                    covered[first : end + 1] = True
+                assert (covered == np.isin(ranks // width, wanted)).all()
+        # Adjacent wanted ranks merge into one fragment.
+        assert len(row_exact.page_fragments_for_prefix_buckets(
+            1, 1, np.array([3, 4, 10])
+        )) == 2
 
-    def test_prefix_value_ranges_empty(self, by_state):
-        assert by_state.prefix_value_ranges(1, np.array([])) == []
+    def test_prefix_bucket_fragments_empty(self, by_state):
+        empty = np.array([], dtype=np.int64)
+        assert by_state.page_fragments_for_prefix_buckets(1, 1, empty) == []
+        assert by_state.page_fragments_for_prefix_buckets(1, 4, empty) == []
 
 
 class TestAccessPaths:
@@ -174,15 +198,16 @@ class TestAccessPaths:
 )
 def test_prefix_ranges_property(states, wanted, ):
     t = make_table(s=states)
-    hf = HeapFile(t, ("s",), DiskModel())
+    hf = HeapFile(t, ("s",), ROW_PAGES)
     ranks = hf.prefix_ranks(1)
     # Map raw wanted values to ranks present in the data.
     sorted_vals = np.unique(np.asarray(states))
     wanted_ranks = np.array(
-        [int(np.searchsorted(sorted_vals, w)) for w in wanted if w in set(states)]
+        sorted(int(np.searchsorted(sorted_vals, w)) for w in wanted if w in set(states)),
+        dtype=np.int64,
     )
-    ranges = hf.prefix_value_ranges(1, wanted_ranks)
+    fragments = hf.page_fragments_for_prefix_buckets(1, 1, wanted_ranks)
     covered = np.zeros(hf.nrows, dtype=bool)
-    for s, e in ranges:
-        covered[s:e] = True
+    for first, last in fragments:
+        covered[first : last + 1] = True
     assert (covered == np.isin(ranks, wanted_ranks)).all()

@@ -26,14 +26,16 @@ from repro.engine import EvalSession, use_session
 from repro.relational.query import EqPredicate, InPredicate, Query, RangePredicate
 from repro.stats.collector import TableStatistics
 from repro.stats.keyindex import KeyIndex
-from repro.storage.access import cm_scan
+from repro.storage.access import cm_scan, guided_scan_cost
 from repro.storage.disk import DiskModel
 from repro.storage.executor import PhysicalDatabase, PhysicalObject
-from repro.storage.layout import HeapFile, sorted_unique
+from repro.storage.fragments import sorted_unique
+from repro.storage.layout import HeapFile
 from repro.workloads.registry import make
 from tests.reference_kernels import (
     ReferenceCorrelationMap,
     reference_best_cm_for_query,
+    reference_cm_fragments,
     reference_distinct,
     reference_distinct_among,
     reference_estimate_layout,
@@ -354,8 +356,6 @@ def _assert_cm_equals_reference(cm, ref, queries) -> None:
         assert np.array_equal(got, want)
     for query in queries:
         want = ref.lookup_buckets(query)
-        if want is not None:
-            want = cm._expand_cluster_buckets(want)
         got = cm.lookup(query)
         assert (got is None) == (want is None)
         if got is not None:
@@ -441,8 +441,8 @@ def test_empty_sorted_region_builds_an_empty_map():
     for key_attrs in (("m",), ("m", "c")):
         cm = CorrelationMap(hf, key_attrs, cluster_width=4)
         assert cm.n_entries == 0 and cm.total_postings == 0 and cm.size_bytes == 0
-        ranks = cm.lookup(probe)
-        assert ranks.dtype == np.int64 and len(ranks) == 0
+        buckets = cm.lookup(probe)
+        assert buckets.dtype == np.int64 and len(buckets) == 0
         assert cm.lookup(Query("none", "t", [EqPredicate("b", 1)])) is None
     # All tail: rows arrive, none has a rank yet; folding them in rebuilds.
     hf.insert({name: flat.column(name) for name in flat.column_names})
@@ -592,6 +592,95 @@ def test_candidate_pricer_equals_built_candidates(
             assert got.dtype == want.dtype and np.array_equal(got, want)
             cm = CorrelationMap(hf, key, widths, cluster_width=cluster_width)
             assert pricer.cost(key, widths) == cm_scan(hf, query, cm).cost
+
+
+# ------------------------------------------------------------ CM scan kernel
+
+CM_FILE_STATES = [
+    "pristine", "tail", "tombstones", "merged-incremental", "merged-rebuild",
+    "compacted",
+]
+
+
+def _cm_in_state(hf, cm, ref, rng, state) -> None:
+    """Mutate ``hf`` into ``state`` and bring ``cm`` (by its own refresh
+    path) and ``ref`` (by the branch ``cm`` reports) up to date."""
+    if state == "tail":
+        _churn(hf, rng, recent=True)
+    elif state == "tombstones":
+        hf.delete_rows(rng.choice(hf.nrows, size=min(3, hf.nrows), replace=False))
+    elif state.startswith("merged"):
+        incremental = state == "merged-incremental"
+        _churn(hf, rng, recent=incremental)
+        merged_from = hf.tail_merge().merged_from_row
+        outcome = cm.refresh_merged(
+            merged_from_row=merged_from, bloat_limit=100.0 if incremental else 0.0
+        )
+        if outcome == "incremental":
+            ref.merge_rows(merged_from)
+        else:
+            ref.build()
+        assert outcome == "incremental" or not incremental
+    elif state == "compacted":
+        _churn(hf, rng, recent=False)
+        hf.compact()
+        assert cm.refresh()
+        ref.build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 600),
+    cluster_key=st.sampled_from(CLUSTER_KEYS),
+    key=st.sampled_from(
+        [(("a",), (1,)), (("b",), (4,)), (("m",), (16,)), (("c", "a"), (1, 2)),
+         (("m", "b"), (8, 1))]
+    ),
+    cluster_width=st.sampled_from([1, 2, 4, 8, 32]),
+    state=st.sampled_from(CM_FILE_STATES),
+    disk=st.sampled_from(PROBE_DISKS),
+    queries=st.lists(predicates(), min_size=1, max_size=4),
+)
+def test_cm_scan_equals_reference_fragments(
+    seed, n, cluster_key, key, cluster_width, state, disk, queries
+):
+    """``cm_scan`` and ``CandidatePricer.cost`` read cluster buckets off the
+    rank bounds; the rank-code route (expand every bucket, binary-search
+    every code) gives the same fragments and cost — for every CM depth,
+    on a pristine file, after tail inserts, after tombstones, after a tail
+    merge refreshed incrementally or by rebuild, and after a compaction,
+    for a lookup that matches nothing too.  A ``cluster_width`` of 32 over
+    a few hundred rows cuts the last bucket short."""
+    rng = np.random.default_rng(seed)
+    hf = HeapFile(_random_table(rng, n), cluster_key, disk)
+    key_attrs, key_widths = key
+    depth = int(rng.integers(1, len(cluster_key) + 1))
+    cm = CorrelationMap(hf, key_attrs, key_widths, depth, cluster_width)
+    ref = ReferenceCorrelationMap(hf, key_attrs, key_widths, depth, cluster_width)
+    _cm_in_state(hf, cm, ref, rng, state)
+    fresh = ReferenceCorrelationMap(
+        hf, key_attrs, key_widths, len(cluster_key), cluster_width
+    )
+    probes = [Query(f"q{i}", "t", preds) for i, preds in enumerate(queries)]
+    probes.append(Query("nothing", "t", [EqPredicate(key_attrs[0], -1000)]))
+    for query in probes:
+        buckets = cm.lookup(query)
+        want_buckets = ref.lookup_buckets(query)
+        if want_buckets is None:
+            assert buckets is None and cm_scan(hf, query, cm) is None
+            continue
+        assert np.array_equal(buckets, want_buckets)
+        want = reference_cm_fragments(hf, depth, cluster_width, want_buckets)
+        got = hf.page_fragments_for_prefix_buckets(depth, cluster_width, buckets)
+        assert got == want
+        assert cm_scan(hf, query, cm).cost == guided_scan_cost(hf, want)
+        if all(query.predicate_on(a) is not None for a in key_attrs):
+            want = reference_cm_fragments(
+                hf, len(cluster_key), cluster_width, fresh.lookup_buckets(query)
+            )
+            pricer = CandidatePricer(hf, query, cluster_width)
+            assert pricer.cost(key_attrs, key_widths) == guided_scan_cost(hf, want)
 
 
 # ----------------------------------------------------- selectivity propagation
