@@ -9,31 +9,19 @@ Public surface::
             evaluate_design(designer.design(budget))
         print(session.stats)
 
-Parallel sweeps (see :mod:`repro.engine.parallel`)::
+A sweep is a loop under one session: the designs of a budget ladder share
+what they materialize, so the session carries almost all of the work from
+one budget to the next.  :class:`~repro.engine.parallel.ParallelSweep` is
+that loop, kept by name for its callers; it starts no processes.
 
-    from repro.engine import EvalSession, ParallelSweep
-
-    session = EvalSession()
-    sweep = ParallelSweep(workers=4)    # serial fallback when workers=1
-    evaluated = sweep.map(evaluate, designs, session=session)
-
-There is one parallel path — a forked standard-library process pool — and
-one session: neither takes a switch that selects an older behaviour.
-
-Forked workers inherit the session they evaluate under — ``fork`` is the
-only parent -> worker transport.  What comes home is each item's result;
-what a worker adds to its copy of the session stays there.
-
-Fault tolerance (see :mod:`repro.engine.faults`): every forked sweep has
-one recovery rule — an item a worker does not bring home (it raised, or a
-worker died) runs again in the parent — and a contextvar-ambient
-:class:`~repro.engine.faults.FaultPlan` injects deterministic
-crashes/hangs/exceptions for chaos tests::
+Fault injection (see :mod:`repro.engine.faults`): a contextvar-ambient
+:class:`~repro.engine.faults.FaultPlan` raises at a named site, which is how
+the chaos tests interrupt a migration at every step boundary::
 
     from repro.engine import FaultPlan, FaultSpec, use_faults
 
-    with use_faults(FaultPlan(FaultSpec("sweep.task", "crash", key=2))):
-        sweep.map(evaluate, designs, session=EvalSession())
+    with use_faults(FaultPlan(FaultSpec("migration.step", key=2))):
+        execute_transition(diff, db, journal=journal)   # raises InjectedFault
 """
 
 from repro.engine.context import EvalContext
@@ -44,7 +32,7 @@ from repro.engine.faults import (
     get_faults,
     use_faults,
 )
-from repro.engine.parallel import ParallelSweep, fork_available
+from repro.engine.parallel import ParallelSweep
 from repro.engine.session import (
     EvalSession,
     ambient_scope,
@@ -60,7 +48,6 @@ __all__ = [
     "InjectedFault",
     "ParallelSweep",
     "ambient_scope",
-    "fork_available",
     "get_faults",
     "get_session",
     "use_faults",

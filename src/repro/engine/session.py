@@ -31,9 +31,8 @@ plan, the same flattened fact table re-sorted at every budget point.  An
   across every database of a sweep.
 
 Those eight are all of them, and each is reached by a lookup that saves
-real work on a hit.  The session lives in one process: the forked workers of
-a :class:`repro.engine.parallel.ParallelSweep` inherit it copy-on-write and
-what they add to their copies is not brought back.
+real work on a hit.  The session lives in one process, and so does every
+sweep that evaluates under it.
 
 All keys are *content*-derived (array bytes are digested, predicates and
 disk models are value-hashable dataclasses), which makes the caches safe to

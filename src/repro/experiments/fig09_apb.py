@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from repro.design.baselines import CommercialDesigner
 from repro.design.designer import CoraddDesigner, DesignerConfig
+from repro.engine import use_session
 from repro.experiments.harness import (
     budget_ladder,
     evaluate_design,
     evaluate_design_model_guided,
-    evaluate_ladder,
 )
 from repro.experiments.report import ExperimentResult
 from repro.workloads.registry import make
@@ -69,16 +69,14 @@ def run_fig09(
     budgets = budget_ladder(base_bytes, fractions)
     designs = [(coradd.design(b), commercial.design(b)) for b in budgets]
 
-    def _evaluate(pair):
-        cd, md = pair
-        return (
-            evaluate_design(cd).without_design(),
-            evaluate_design_model_guided(
-                md, commercial.oblivious_models
-            ).without_design(),
-        )
-
-    evaluated = evaluate_ladder(designs, _evaluate)
+    with use_session():
+        evaluated = [
+            (
+                evaluate_design(cd),
+                evaluate_design_model_guided(md, commercial.oblivious_models),
+            )
+            for cd, md in designs
+        ]
     for frac, budget, (cd, md) in zip(fractions, budgets, evaluated):
         result.add_row(
             budget_frac=frac,

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from repro.design.baselines import CommercialDesigner, NaiveDesigner
 from repro.design.designer import CoraddDesigner, DesignerConfig
+from repro.engine import use_session
 from repro.experiments.harness import (
     budget_ladder,
     evaluate_design,
     evaluate_design_model_guided,
-    evaluate_ladder,
 )
 from repro.experiments.report import ExperimentResult
 from repro.workloads.registry import make
@@ -78,17 +78,15 @@ def run_fig11(
         for b in budgets
     ]
 
-    def _evaluate(triple):
-        cd, nd, md = triple
-        return (
-            evaluate_design(cd).without_design(),
-            evaluate_design(nd).without_design(),
-            evaluate_design_model_guided(
-                md, commercial.oblivious_models
-            ).without_design(),
-        )
-
-    evaluated = evaluate_ladder(designs, _evaluate)
+    with use_session():
+        evaluated = [
+            (
+                evaluate_design(cd),
+                evaluate_design(nd),
+                evaluate_design_model_guided(md, commercial.oblivious_models),
+            )
+            for cd, nd, md in designs
+        ]
     for frac, budget, (cd, nd, md) in zip(fractions, budgets, evaluated):
         result.add_row(
             budget_frac=frac,

@@ -9,17 +9,12 @@ estimates carried inside each :class:`~repro.design.designer.Design`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.costmodel.base import ObjectGeometry
 from repro.costmodel.oblivious import ObliviousCostModel
 from repro.design.designer import Design
-from repro.engine import (
-    EvalSession,
-    ParallelSweep,
-    ambient_scope,
-    get_session,
-)
+from repro.engine import EvalSession, ambient_scope, get_session
 from repro.obs.drift import get_monitor
 from repro.obs.trace import annotate, span
 from repro.relational.query import Query
@@ -35,12 +30,6 @@ class EvaluatedDesign:
     real_seconds: dict[str, float]
     model_seconds: dict[str, float]
     plans: dict[str, PlanChoice]
-
-    def without_design(self) -> "EvaluatedDesign":
-        """A copy without the design back-reference — what parallel workers
-        send back, so results do not drag whole base tables through pickle
-        (the parent reattaches its own design object by work-item index)."""
-        return replace(self, design=None)
 
     @property
     def real_total(self) -> float:
@@ -101,51 +90,20 @@ def _observe_evaluation(evaluated: EvaluatedDesign) -> None:
         monitor.observe_design(evaluated)
 
 
-def evaluate_ladder(
-    design_tuples: list[tuple[Design, ...]],
-    evaluate_fn,
-    workers: int = 1,
-    session: EvalSession | None = None,
-) -> list[tuple[EvaluatedDesign, ...]]:
-    """Shard an experiment's budget ladder across ``workers`` processes.
-
-    ``design_tuples`` holds one tuple of designs per budget point (one per
-    designer being compared); ``evaluate_fn`` maps such a tuple to the
-    matching tuple of :meth:`EvaluatedDesign.without_design` results —
-    stripped so workers do not ship whole base tables back through pickle.
-    The parent reattaches each design positionally.  The parallel path
-    runs through :class:`~repro.engine.ParallelSweep`: the first budget
-    warms the session in the parent, and idle forked workers, which inherit
-    that session, pull the remaining budgets one at a time.
-    Results are in ladder order and bit-identical to a serial
-    sweep; with ``workers=1`` this *is* a serial sweep.  With
-    ``session=None`` a throwaway session drives the sweep.
-    """
-    evaluated = ParallelSweep(workers=workers).map(
-        evaluate_fn,
-        design_tuples,
-        session=session if session is not None else EvalSession(),
-    )
-    for designs, evs in zip(design_tuples, evaluated):
-        for design, ev in zip(designs, evs):
-            ev.design = design
-    return evaluated
-
-
 def evaluate_designs(
     designs: list[Design],
     workers: int = 1,
     session: EvalSession | None = None,
 ) -> list[EvaluatedDesign]:
-    """Evaluate a ladder of designs, sharded across ``workers`` processes
-    (the single-designer form of :func:`evaluate_ladder`)."""
-    evaluated = evaluate_ladder(
-        [(design,) for design in designs],
-        lambda pair: (evaluate_design(pair[0]).without_design(),),
-        workers=workers,
-        session=session,
-    )
-    return [evs[0] for evs in evaluated]
+    """Evaluate a ladder of designs in order under ``session`` (a fresh one
+    when None), which shares what the designs materialize.
+
+    ``workers`` is accepted and ignored: forking workers was measured never
+    to beat this loop, because a ladder's work is almost all the shared
+    materialization that one session already does once.
+    """
+    session = session if session is not None else EvalSession()
+    return [evaluate_design(design, session=session) for design in designs]
 
 
 def _run_model_guided(

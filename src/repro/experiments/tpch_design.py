@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from repro.design.baselines import CommercialDesigner
 from repro.design.designer import CoraddDesigner, DesignerConfig
+from repro.engine import use_session
 from repro.experiments.harness import (
     budget_ladder,
     evaluate_design,
     evaluate_design_model_guided,
-    evaluate_ladder,
 )
 from repro.experiments.report import ExperimentResult
 from repro.workloads.registry import make
@@ -97,18 +97,16 @@ def run_tpch(
         (cd, commercial.design(b)) for cd, b in zip(coradd_designs, budgets)
     ]
 
-    def _evaluate(pair):
-        cd, md = pair
-        return (
-            evaluate_design(cd).without_design(),
-            evaluate_design_model_guided(
-                md, commercial.oblivious_models
-            ).without_design(),
-        )
-
     # Evaluation phase: one engine session across the whole ladder (sorted
     # heap files, CM designs and predicate masks shared sweep-wide).
-    evaluated = evaluate_ladder(designs, _evaluate)
+    with use_session():
+        evaluated = [
+            (
+                evaluate_design(cd),
+                evaluate_design_model_guided(md, commercial.oblivious_models),
+            )
+            for cd, md in designs
+        ]
     for frac, budget, (cd, md) in zip(fractions, budgets, evaluated):
         result.add_row(
             budget_frac=frac,

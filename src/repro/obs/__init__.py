@@ -13,10 +13,9 @@ Instrumented code uses the ambient helpers directly — :func:`span` and
 :func:`annotate` — which no-op in a single contextvar read when nothing is
 installed.  Times come from spans; counts come from the values the
 instrumented calls already return (``EvalSession.stats``, a refresh's
-``RefreshOutcome``, ``ParallelSweep.last_stats``, a ``Solution``).  The two
-layers can also be used independently (:func:`use_tracer` /
-:func:`use_monitor`); :func:`observed` is the bundle the experiments and
-benchmarks reach for.
+``RefreshOutcome``, a ``Solution``).  The two layers can also be used
+independently (:func:`use_tracer` / :func:`use_monitor`); :func:`observed`
+is the bundle the experiments and benchmarks reach for.
 
 Everything here is *observational*: with or without an active observation,
 plans, simulated costs and result masks are bit-identical (enforced by

@@ -166,8 +166,13 @@ class PhysicalDatabase:
         """Execute ``query`` with the best plan over all covering objects."""
         key = query.fingerprint()
         cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._plan_cache[key] = self.best_plan(query)
+        return cached
+
+    def best_plan(self, query: Query) -> PlanChoice:
+        """Execute every plan on every covering object and keep the
+        cheapest (the first on ties), bypassing the plan memo."""
         best: PlanChoice | None = None
         for obj in self.covering_objects(query):
             for res in self.plans_for(query, obj):
@@ -178,7 +183,6 @@ class PhysicalDatabase:
                 f"no physical object covers query {query.name!r} "
                 f"(attrs {query.attributes()})"
             )
-        self._plan_cache[key] = best
         return best
 
     def run_workload(self, workload: Workload) -> dict[str, PlanChoice]:

@@ -80,8 +80,13 @@ class HeapFile:
                     raise ValueError("permutation length does not match table rows")
             else:
                 permutation = table.sort_permutation(self.cluster_key)
-            self.table = table.select(permutation)
             self.source_rowids = np.asarray(permutation, dtype=np.int64)
+            # A table already in key order (a fact clustered on its primary
+            # key) is aliased, not copied: every mutator builds new arrays.
+            if np.array_equal(self.source_rowids, np.arange(table.nrows)):
+                self.table = table
+            else:
+                self.table = table.select(permutation)
         else:
             self.table = table
             self.source_rowids = np.arange(table.nrows, dtype=np.int64)

@@ -22,10 +22,8 @@ touched pages shrink.  :func:`choose_shard_key` picks the key by summing, per
 query, the strongest correlation from the key to any predicated attribute —
 the shard key is "just another correlated column" (ROADMAP direction 2).
 
-:func:`run_workload_shard_parallel` fans a workload's (object, surviving
-shard) units across an existing :class:`~repro.engine.parallel.ParallelSweep`
-pool and reassembles per-query winners bit-identically to the serial
-executor.
+:func:`run_workload_shard_parallel` evaluates a workload under a session
+without the executor's plan memo.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.context import EvalContext
-from repro.engine.session import get_session
+from repro.engine.session import ambient_scope, get_session
 from repro.obs.trace import annotate, span
 from repro.relational.query import KIND_IN, Query
 from repro.relational.table import Table
@@ -589,49 +587,15 @@ def shard_best_plan(
     return best
 
 
-def combine_shard_results(
-    sharded: ShardedHeapFile,
-    survivors: list[int],
-    results: list[AccessResult],
-) -> ShardedAccessResult:
-    """Assemble per-shard results into one concat-space result.  Both the
-    serial and the parallel path go through this function with survivors in
-    ascending order, so cost summation order (float addition) is identical
-    — the bit-identity requirement."""
-    by_shard = dict(zip(survivors, results))
-    mask = np.zeros(sharded.nrows, dtype=bool)
-    cost = ZERO_COST
-    details = []
-    pages_avoided = 0
-    base = 0
-    for s, hf in enumerate(sharded.shards):
-        res = by_shard.get(s)
-        if res is not None:
-            mask[base:base + hf.nrows] = res.mask
-            cost = cost + res.cost
-            details.append(ShardAccess(s, res.plan, res.cost))
-        else:
-            pages_avoided += hf.npages
-        base += hf.nrows
-    plan = f"sharded[{len(details)}/{len(sharded.shards)}]"
-    return ShardedAccessResult(
-        plan,
-        cost,
-        mask,
-        shard_details=tuple(details),
-        shards_total=len(sharded.shards),
-        pages_avoided=pages_avoided,
-    )
-
-
 def sharded_scan(
     sharded: ShardedHeapFile,
     query: Query,
     btree_keys: tuple[tuple[str, ...], ...] = (),
 ) -> ShardedAccessResult:
-    """Prune, then evaluate each surviving shard with its cheapest plan."""
+    """Prune, then evaluate each surviving shard with its cheapest plan,
+    summing shard costs in ascending shard order."""
     with span("shard.prune", object=sharded.name, query=query.name):
-        survivors = [int(s) for s in sharded.shards_for_query(query)]
+        survivors = {int(s) for s in sharded.shards_for_query(query)}
         pages_avoided = sum(
             hf.npages for i, hf in enumerate(sharded.shards)
             if i not in survivors
@@ -641,90 +605,34 @@ def sharded_scan(
             scanned=len(survivors),
             pages_avoided=pages_avoided,
         )
-    results = [
-        shard_best_plan(sharded, s, query, btree_keys) for s in survivors
-    ]
-    return combine_shard_results(sharded, survivors, results)
+    mask = np.zeros(sharded.nrows, dtype=bool)
+    cost = ZERO_COST
+    details = []
+    base = 0
+    for s, hf in enumerate(sharded.shards):
+        if s in survivors:
+            res = shard_best_plan(sharded, s, query, btree_keys)
+            mask[base:base + hf.nrows] = res.mask
+            cost = cost + res.cost
+            details.append(ShardAccess(s, res.plan, res.cost))
+        base += hf.nrows
+    return ShardedAccessResult(
+        f"sharded[{len(details)}/{len(sharded.shards)}]",
+        cost,
+        mask,
+        shard_details=tuple(details),
+        shards_total=len(sharded.shards),
+        pages_avoided=pages_avoided,
+    )
 
 
-# ---------------------------------------------------- shard-parallel sweeps
-
-
-def run_workload_shard_parallel(
-    db, workload, sweep, session=None
-) -> dict:
-    """Evaluate a workload with (object, surviving shard) as the unit of
-    parallelism over ``sweep``'s process pool.
-
-    Sharded objects expand into one task per surviving shard; plain objects
-    stay one task.  Reassembly walks objects in the executor's dict order
-    and sums shard costs in ascending shard order, so the returned
-    :class:`PlanChoice` per query is bit-identical to serial ``db.run`` —
-    plans, costs and masks included.
-    """
-    from repro.storage.executor import PlanChoice
-
-    queries = list(workload)
-    survivors_by: dict[tuple[int, str], list[int] | None] = {}
-    units: list[tuple[int, str, int]] = []
-    for qi, q in enumerate(queries):
-        for obj_name, obj in db.objects.items():
-            if not obj.covers(q):
-                continue
-            hf = obj.heapfile
-            if isinstance(hf, ShardedHeapFile):
-                with span("shard.prune", object=obj_name, query=q.name):
-                    surv = [int(s) for s in hf.shards_for_query(q)]
-                    annotate(shards=hf.spec.shards, scanned=len(surv))
-                survivors_by[(qi, obj_name)] = surv
-                units.extend((qi, obj_name, s) for s in surv)
-            else:
-                survivors_by[(qi, obj_name)] = None
-                units.append((qi, obj_name, -1))
-
-    def eval_unit(unit: tuple[int, str, int]) -> AccessResult:
-        qi, obj_name, s = unit
-        q = queries[qi]
-        obj = db.objects[obj_name]
-        if s < 0:
-            best = None
-            for res in db.plans_for(q, obj):
-                if best is None or res.seconds < best.seconds:
-                    best = res
-            assert best is not None  # full_scan always applies
-            return best
-        return shard_best_plan(
-            obj.heapfile, s, q, tuple(tuple(k) for k in obj.btree_keys)
-        )
-
-    flat = sweep.map(eval_unit, units, session=session)
-    grouped: dict[tuple[int, str], list[AccessResult]] = {
-        key: [] for key in survivors_by
-    }
-    for unit, res in zip(units, flat):
-        grouped[(unit[0], unit[1])].append(res)
-
-    out: dict[str, PlanChoice] = {}
-    for qi, q in enumerate(queries):
-        best: PlanChoice | None = None
-        for obj_name, obj in db.objects.items():
-            key = (qi, obj_name)
-            if key not in survivors_by:
-                continue
-            surv = survivors_by[key]
-            if surv is None:
-                res = grouped[key][0]
-            else:
-                res = combine_shard_results(obj.heapfile, surv, grouped[key])
-            if best is None or res.seconds < best.seconds:
-                best = PlanChoice(obj_name, res)
-        if best is None:
-            raise ValueError(
-                f"no physical object covers query {q.name!r} "
-                f"(attrs {q.attributes()})"
-            )
-        out[q.name] = best
-    return out
+def run_workload_shard_parallel(db, workload, sweep, session=None) -> dict:
+    """Evaluate ``workload`` on ``db`` under ``session``: query name ->
+    :class:`PlanChoice`, each the best plan over every covering object, as
+    :meth:`PhysicalDatabase.run` picks it but never from its plan memo.
+    ``sweep`` is accepted and ignored; shards are evaluated in process."""
+    with ambient_scope(session):
+        return {q.name: db.best_plan(q) for q in workload}
 
 
 def sharded_fact_object(

@@ -4,23 +4,31 @@ Property tests across every registered workload family: with a shared
 :class:`~repro.engine.EvalSession`, plan choices, simulated costs and result
 masks are bit-identical to uncached evaluation; sessions over different data
 never share cache entries; the materialization and plan caches actually hit
-(and invalidate) when they should.
+(and invalidate) when they should; and a sweep is a loop in one process.
 """
 
 from __future__ import annotations
 
+import ast
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.design.designer import CoraddDesigner, DesignerConfig
-from repro.engine import EvalSession, get_session, use_session
-from repro.experiments.harness import evaluate_design
+from repro.engine import EvalSession, ParallelSweep, get_session, use_session
+from repro.experiments.harness import evaluate_design, evaluate_designs
 from repro.storage.access import cm_scan
 from repro.storage.executor import PhysicalDatabase, PhysicalObject
 from repro.storage.layout import HeapFile
 from repro.workloads.registry import make
 
 CONFIG = DesignerConfig(t0=1, alphas=(0.0, 0.5), use_feedback=False)
+
+#: Modules no code under ``src/repro`` imports: evaluation is one process.
+PROCESS_POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
 
 def _tiny_instance(name: str, seed: int | None = None):
@@ -150,6 +158,83 @@ class TestSessionIsolation:
         mine = EvalSession()
         evaluate_design(design, session=mine)
         assert mine.stats["heapfile_misses"] > 0
+
+
+@pytest.fixture(scope="module")
+def tpch_designs():
+    """A four-budget TPC-H ladder."""
+    inst = make("tpch", scale=0.05, seed=3)
+    designer = CoraddDesigner(
+        inst.flat_tables,
+        inst.workload,
+        inst.primary_keys,
+        inst.fk_attrs,
+        config=CONFIG,
+    )
+    base = inst.total_base_bytes()
+    return [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5, 2.0)]
+
+
+#: The session's eight cache tiers, by attribute.
+_TIERS = (
+    "_masks", "_conjunctions", "_heapfiles", "_orderings", "_cm_builds",
+    "_cm_choices", "_cm_distincts", "_scan_results",
+)
+
+
+class TestRepeatEvaluationHitsTheSession:
+    def test_repeat_hits_scan_tier_and_reuses_orderings(self, tpch_designs):
+        design = tpch_designs[0]
+        session = EvalSession()
+        with use_session(session):
+            a = evaluate_design(design)
+            b = evaluate_design(design)
+        _assert_identical(a, b)
+        assert session.stats["scan_hits"] > 0
+        assert session.stats["ordering_misses"] > 0
+
+    def test_session_holds_the_eight_documented_tiers(self):
+        session = EvalSession()
+        assert {key.rsplit("_", 1)[0] for key in session.stats} == {
+            "mask", "conjunction", "heapfile", "ordering", "cm_build",
+            "cm_choice", "cm_distinct", "scan",
+        }
+        assert all(getattr(session, tier) == {} for tier in _TIERS)
+
+
+class TestOneProcess:
+    """Sweeps run in process; ``workers=`` is accepted and ignored."""
+
+    def test_workers_change_nothing(self, tpch_designs):
+        one = evaluate_designs(tpch_designs, workers=1, session=EvalSession())
+        two = evaluate_designs(tpch_designs, workers=2, session=EvalSession())
+        assert [ev.design for ev in two] == tpch_designs
+        for a, b in zip(one, two):
+            _assert_identical(a, b)
+        sweep = ParallelSweep(workers=2)
+        assert sweep.map(lambda _: os.getpid(), range(4)) == [os.getpid()] * 4
+        assert sweep.last_stats == {}
+
+    def test_no_module_imports_a_process_pool(self):
+        """No module under ``src/repro`` imports ``multiprocessing`` or
+        ``concurrent.futures``."""
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(
+                    n == p or n.startswith(p + ".")
+                    for n in names for p in PROCESS_POOL_MODULES
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestPlanMemoization:

@@ -1,25 +1,17 @@
-"""Fault injection, sweep recovery, and crash-safe migrations.
+"""Fault injection and crash-safe migrations.
 
-The robustness contract: under *any* deterministic fault schedule —
-worker crashes, per-item exceptions, hangs, mid-migration death — the
-system degrades instead of corrupting, and every recovered
-result is bit-identical to the fault-free serial run.  Covers:
+The robustness contract: a migration that dies at any step boundary
+degrades instead of corrupting, and its journal either resumes it to the
+exact target design or rolls it back to the exact source one.  Covers:
 
-* :class:`~repro.engine.faults.FaultPlan` semantics (matching, ``at`` /
-  ``times`` windows, seeded random schedules);
-* the sweep's one recovery rule (an item a worker does not bring home runs
-  in the parent) under crashes, exceptions, a broken pool and unpicklable
-  results, and pipe hygiene;
+* :class:`~repro.engine.faults.FaultPlan` semantics (site and key matching,
+  ``at`` / ``times`` windows, the ambient scope);
 * :class:`~repro.design.migration.MigrationJournal`: resume *and*
   rollback after death at **every** step boundary, refresh batches
   consumed exactly once across an interrupt.
 """
 
 from __future__ import annotations
-
-import gc
-import multiprocessing as mp
-import os
 
 import numpy as np
 import pytest
@@ -35,8 +27,6 @@ from repro.engine import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    ParallelSweep,
-    fork_available,
     get_faults,
     use_faults,
     use_session,
@@ -46,63 +36,48 @@ from repro.storage.executor import PhysicalDatabase
 from repro.storage.update import RefreshExecutor
 from repro.workloads.registry import make
 
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="platform cannot fork worker processes"
-)
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-ITEMS = list(range(10))
-EXPECTED = [_square(x) for x in ITEMS]
-
 
 # ------------------------------------------------------------------ fault plans
+
+
+def _fires(plan: FaultPlan, site: str, key=None) -> bool:
+    """Whether ``plan`` raised at ``site``/``key``."""
+    try:
+        plan.fire(site, key)
+    except InjectedFault:
+        return True
+    return False
 
 
 class TestFaultPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec("sweep.task", "explode")
+            FaultSpec("migration.step", "crash")
 
     def test_site_and_key_matching(self):
-        plan = FaultPlan(FaultSpec("sweep.task", "raise", key=3))
-        assert plan.fire("sweep.probe", key=3) is None
-        assert plan.fire("sweep.task", key=2) is None
+        plan = FaultPlan(FaultSpec("migration.step", key=3))
+        assert plan.fire("other.site", key=3) is None
+        assert plan.fire("migration.step", key=2) is None
         with pytest.raises(InjectedFault) as err:
-            plan.fire("sweep.task", key=3)
-        assert err.value.site == "sweep.task" and err.value.key == 3
-
-    # A zero-second hang returns its spec at once: the window tests below
-    # see exactly when a rule fires.
+            plan.fire("migration.step", key=3)
+        assert err.value.site == "migration.step" and err.value.key == 3
 
     def test_keyless_spec_matches_every_key(self):
-        plan = FaultPlan(FaultSpec("migration.step", "hang", delay_s=0.0))
-        assert plan.fire("migration.step").kind == "hang"
-        assert plan.fire("migration.step", key="anything").kind == "hang"
+        plan = FaultPlan(FaultSpec("migration.step"))
+        assert _fires(plan, "migration.step")
+        assert _fires(plan, "migration.step", key="anything")
 
     def test_at_window(self):
-        plan = FaultPlan(FaultSpec("migration.step", "hang", at=1, delay_s=0.0))
-        assert plan.fire("migration.step") is None  # hit 0: skipped
-        assert plan.fire("migration.step") is not None  # hit 1: fires
-        assert plan.fire("migration.step") is None  # hit 2: past the window
+        plan = FaultPlan(FaultSpec("migration.step", at=1))
+        assert not _fires(plan, "migration.step")  # hit 0: skipped
+        assert _fires(plan, "migration.step")  # hit 1: fires
+        assert not _fires(plan, "migration.step")  # hit 2: past the window
 
     def test_times_cap(self):
-        plan = FaultPlan(
-            FaultSpec("migration.step", "hang", times=2, delay_s=0.0)
-        )
-        assert plan.fire("migration.step") is not None
-        assert plan.fire("migration.step") is not None
-        assert plan.fire("migration.step") is None
-
-    def test_advisory_kinds_return_spec(self):
-        """A kind that does not abort the site hands the matched spec back."""
-        plan = FaultPlan(FaultSpec("migration.step", "hang", key=2, delay_s=0.0))
-        assert plan.fire("migration.step", key=1) is None
-        spec = plan.fire("migration.step", key=2)
-        assert spec is not None and spec.kind == "hang"
+        plan = FaultPlan(FaultSpec("migration.step", times=2))
+        assert _fires(plan, "migration.step")
+        assert _fires(plan, "migration.step")
+        assert not _fires(plan, "migration.step")
 
     def test_ambient_scope(self):
         assert get_faults() is None
@@ -110,173 +85,6 @@ class TestFaultPlan:
         with use_faults(plan):
             assert get_faults() is plan
         assert get_faults() is None
-
-    def test_random_schedules_are_seed_deterministic(self):
-        a = FaultPlan.random(7, n_items=32, rate=0.4)
-        b = FaultPlan.random(7, n_items=32, rate=0.4)
-        assert a.describe() == b.describe()
-        others = {FaultPlan.random(s, n_items=32, rate=0.4).describe()
-                  for s in range(8)}
-        assert len(others) > 1  # seeds actually vary the schedule
-
-
-# ---------------------------------------------------------- sweep recovery
-
-
-@needs_fork
-class TestSupervisedSweep:
-    """The sweep's one recovery rule: an item a worker does not bring home
-    runs in the parent, where fault sites do not fire."""
-
-    def _run(self, plan, workers=2):
-        sweep = ParallelSweep(workers=workers)
-        with use_faults(plan):
-            results = sweep.map(_square, ITEMS)
-        return results, sweep.last_stats["parent_runs"]
-
-    def test_persistent_crash_degrades_to_parent(self):
-        results, parent_runs = self._run(
-            FaultPlan(FaultSpec("sweep.task", "crash", key=3))
-        )
-        assert results == EXPECTED
-        # The crash breaks the pool; item 3, and whatever else had not come
-        # home by then, runs in the parent.
-        assert parent_runs >= 1
-
-    def test_item_exception_requeues_and_completes(self):
-        results, parent_runs = self._run(
-            FaultPlan(FaultSpec("sweep.task", "raise", key=5, times=1))
-        )
-        assert results == EXPECTED
-        # An exception costs its own item only: the pool stays up.
-        assert parent_runs == 1
-
-    def test_total_collapse_finishes_serially_in_parent(self):
-        results, parent_runs = self._run(
-            FaultPlan(FaultSpec("sweep.task", "crash")),  # every task
-        )
-        assert results == EXPECTED
-        assert parent_runs == len(ITEMS)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_randomized_schedules_stay_exact(self, seed):
-        plan = FaultPlan.random(
-            seed, n_items=len(ITEMS), kinds=("crash", "raise"), rate=0.3
-        )
-        results, _ = self._run(plan, workers=3)
-        assert results == EXPECTED
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            FaultSpec("sweep.task", "crash", key=3),
-            FaultSpec("sweep.task", "raise", key=5, times=1),
-            FaultSpec("sweep.task", "crash"),
-        ],
-        ids=["crash", "raise", "collapse"],
-    )
-    def test_recovery_counters_equal_the_supervision_record(self, spec):
-        """Every item the parent runs is counted once in ``last_stats``,
-        and every handed-out item is answered by a worker or by the
-        parent, never both."""
-        sweep = ParallelSweep(workers=2)
-        with use_faults(FaultPlan(spec)):
-            results = sweep.map(_square, ITEMS)
-        stats = sweep.last_stats
-        assert results == EXPECTED
-        assert stats["parent_runs"] >= 1  # the schedule did fire
-        assert stats["tasks"] == len(ITEMS)
-        assert sum(stats["worker_tasks"]) + stats["parent_runs"] == len(ITEMS)
-
-    def test_unshippable_result_is_rerun_in_the_parent(self):
-        """A result that cannot be pickled never comes home; the item runs
-        in the parent, where nothing has to be pickled."""
-        sweep = ParallelSweep(workers=2)
-        results = sweep.map(lambda x: (lambda: x) if x == 4 else x, ITEMS)
-        assert results[4]() == 4
-        assert results[:4] + results[5:] == ITEMS[:4] + ITEMS[5:]
-        assert sweep.last_stats["parent_runs"] == 1
-
-    def test_randomized_hangs_stay_exact(self):
-        plan = FaultPlan.random(
-            11, n_items=len(ITEMS), kinds=("hang",), rate=0.2, delay_s=0.05
-        )
-        assert plan.specs  # seed 11 draws at least one hang
-        results, parent_runs = self._run(plan)
-        assert results == EXPECTED
-        assert parent_runs == 0  # a hang only delays its item
-
-
-def _open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
-
-
-@needs_fork
-@pytest.mark.skipif(
-    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
-)
-class TestPipeHygiene:
-    """A forked ``map`` leaves no worker process and no pipe end behind,
-    whether it returns or raises."""
-
-    def test_shutdown_closes_every_pipe_end(self):
-        before = _open_fds()
-        assert ParallelSweep(workers=2).map(_square, ITEMS) == EXPECTED
-        gc.collect()
-        assert not mp.active_children()
-        assert _open_fds() == before
-
-    def test_terminate_closes_every_pipe_end(self):
-        def fail(x):
-            raise ValueError(x)
-
-        before = _open_fds()
-        # Every worker attempt fails, and so does the parent's rerun.
-        with pytest.raises(ValueError):
-            ParallelSweep(workers=2).map(fail, ITEMS)
-        gc.collect()
-        assert not mp.active_children()
-        assert _open_fds() == before
-
-
-# ----------------------------------------------- design sweeps under faults
-
-
-@pytest.fixture(scope="module")
-def tpch_designs():
-    inst = make("tpch", scale=0.05, seed=3)
-    designer = CoraddDesigner(
-        inst.flat_tables, inst.workload, inst.primary_keys, inst.fk_attrs,
-        config=DesignerConfig(t0=1, alphas=(0.0, 0.5), use_feedback=False),
-    )
-    base = inst.total_base_bytes()
-    return [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5)]
-
-
-def _assert_identical(a, b):
-    assert a.real_seconds == b.real_seconds
-    for qname, x in a.plans.items():
-        y = b.plans[qname]
-        assert x.plan == y.plan and x.object_name == y.object_name
-        assert x.result.cost == y.result.cost
-        assert np.array_equal(x.result.mask, y.result.mask)
-
-
-@needs_fork
-class TestFaultySweepIdentity:
-    def test_crashing_ladder_sweep_is_bit_identical(self, tpch_designs):
-        from repro.experiments.harness import evaluate_design
-
-        with use_session(EvalSession()):
-            serial = [evaluate_design(d) for d in tpch_designs]
-        sweep = ParallelSweep(workers=2)
-        with use_faults(FaultPlan(FaultSpec("sweep.task", "crash", key=1))):
-            parallel = sweep.map(
-                evaluate_design, tpch_designs, session=EvalSession()
-            )
-        for a, b in zip(serial, parallel):
-            _assert_identical(a, b)
-        assert sweep.last_stats["parent_runs"] >= 1
 
 
 # ------------------------------------------------------- crash-safe migration

@@ -122,6 +122,23 @@ class TestHeapFileMutation:
         assert hf.prefix_distinct_count(1) == before
         assert hf.version == 1
 
+    def test_file_on_a_key_ordered_table_shares_its_columns(self):
+        """A table already in key order (a fact clustered on its primary
+        key) is aliased, not copied, and no mutator writes through to it."""
+        table, _ = self._file()
+        ordered = table.select(table.sort_permutation(("k",)))
+        before = {n: ordered.column(n).copy() for n in ordered.column_names}
+        hf = HeapFile(ordered, ("k",), DiskModel(), name="t")
+        for name in ordered.column_names:
+            assert np.shares_memory(hf.table.column(name), ordered.column(name))
+        hf.insert({"k": np.array([250, 10_000]), "v": np.array([1, 2])})
+        hf.delete_rows(np.arange(5))
+        hf.tail_merge()
+        hf.insert({"k": np.array([-1]), "v": np.array([3])})
+        hf.compact()
+        for name, column in before.items():
+            assert np.array_equal(ordered.column(name), column)
+
     def test_insert_target_pages_follow_cluster_position(self):
         _, hf = self._file()
         lo = hf.insert({"k": np.array([-1]), "v": np.array([0])})

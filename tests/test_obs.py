@@ -7,8 +7,7 @@ The layer's contract has three legs, each tested here:
   (no ambient tracer/monitor) costs one contextvar read per site;
 * **one channel per fact** — times come from spans, and every count a
   layer reports is a value its calls already return (``EvalSession.stats``,
-  ``RefreshOutcome``, ``ParallelSweep.last_stats``, the returned
-  ``EvaluatedDesign`` list), exactly once under any fault schedule;
+  ``RefreshOutcome``, the returned ``EvaluatedDesign`` list);
 * **parity** — the online :class:`~repro.obs.drift.CostModelMonitor`
   replayed over Figure 10's offline rows reproduces the experiment's
   per-query error ratios exactly, and a noisy interleaved online stream
@@ -25,15 +24,7 @@ import numpy as np
 import pytest
 
 from repro.design.designer import CoraddDesigner, DesignerConfig
-from repro.engine import (
-    EvalSession,
-    FaultPlan,
-    FaultSpec,
-    ParallelSweep,
-    fork_available,
-    use_faults,
-    use_session,
-)
+from repro.engine import EvalSession, use_session
 from repro.experiments.harness import evaluate_design, evaluate_designs
 from repro.obs import (
     NULL_SPAN,
@@ -147,59 +138,22 @@ class TestDisabledPath:
 
 
 class TestEngineCacheMetrics:
-    @pytest.mark.skipif(
-        not fork_available(), reason="platform cannot fork worker processes"
-    )
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            None,
-            FaultSpec("sweep.task", "crash", key=2),
-            FaultSpec("sweep.task", "raise", key=1, times=1),
-        ],
-        ids=["no-fault", "crash", "raise"],
-    )
     def test_harness_totals_equal_serial_with_and_without_a_session(
-        self, instance, spec, monkeypatch
+        self, instance
     ):
-        """Every design comes home evaluated exactly once — forked or not,
-        session or not, item crashed-and-rerun or not: the returned list is
-        the count, and the sweep's ``last_stats`` accounts for every item
-        it handed out."""
+        """Every design comes home evaluated exactly once, session or not:
+        the returned list is the count."""
         designer = _fresh_designer(instance)
         base = instance.total_base_bytes()
         designs = [designer.design(int(base * f)) for f in (0.5, 1.0, 1.5, 2.0)]
-        sweeps = []
-        original_map = ParallelSweep.map
-
-        def recording_map(sweep, *args, **kwargs):
-            sweeps.append(sweep)
-            return original_map(sweep, *args, **kwargs)
-
-        monkeypatch.setattr(ParallelSweep, "map", recording_map)
-
-        def evaluated(workers, session):
-            plan = FaultPlan(spec) if spec is not None and workers > 1 else None
-            with use_faults(plan):
-                return evaluate_designs(designs, workers=workers, session=session)
-
-        serial = evaluated(1, None)
+        serial = evaluate_designs(designs)
         assert len(serial) == len(designs)
         for session in (EvalSession(), None):
-            forked = evaluated(2, session)
-            assert [ev.design for ev in forked] == designs
-            assert [len(ev.real_seconds) for ev in forked] == [
+            again = evaluate_designs(designs, session=session)
+            assert [ev.design for ev in again] == designs
+            assert [len(ev.real_seconds) for ev in again] == [
                 len(ev.real_seconds) for ev in serial
             ]
-            # Every item but the warm-up was handed out; each was answered
-            # by a worker or, when it did not come home, run by the parent.
-            # A crash can break the pool before any worker answers.
-            stats = sweeps[-1].last_stats
-            assert stats["tasks"] == len(designs) - 1
-            assert sum(stats["worker_tasks"]) + stats["parent_runs"] == (
-                len(designs) - 1
-            )
-            assert len(stats["worker_busy_seconds"]) == len(stats["worker_tasks"])
 
 
 # -------------------------------------------------------------- bit identity
