@@ -26,6 +26,7 @@ from repro.relational.query import (
     Predicate,
     RangePredicate,
 )
+from repro.storage.fragments import sorted_unique
 
 
 def bucket_codes(values: ArrayLike, width: int) -> np.ndarray:
@@ -63,7 +64,7 @@ def entries_match(pred: Predicate, entry_buckets: np.ndarray, width: int) -> np.
             match &= entry_buckets <= int(bucket_codes(pred.hi, width))
         return match
     if isinstance(pred, InPredicate):
-        wanted = np.unique(bucket_codes(pred.values, width))
+        wanted = sorted_unique(bucket_codes(pred.values, width))
         return np.isin(entry_buckets, wanted)
     raise TypeError(f"unsupported predicate type {type(pred).__name__}")
 

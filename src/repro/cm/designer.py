@@ -13,6 +13,17 @@ A CM is a function of two column sets and nothing else, so what a candidate
 *would* return is read off the heap file's own columns
 (:class:`CandidatePricer`) and a :class:`~repro.cm.correlation_map.
 CorrelationMap` is built only for a candidate that beats the best so far.
+
+The search is bounded before it prices.  A candidate's scan reads every
+sorted-region page holding a row its conservative bucket test passes — a
+superset of the rows passing the query's exact predicates on the key
+attributes — with at least one descent, so
+:func:`~repro.storage.access.guided_scan_floor` over that conjunction is a
+lower bound on its price, and over the query mask a lower bound on every
+candidate's.  Page and seek counts are integers, ``scan_seconds`` is
+monotone in both and only a strict improvement wins, so a candidate whose
+floor is not below the best so far is skipped without changing the winner,
+its seconds or the CMs built.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from repro.storage.access import (
     cm_scan_plan,
     full_scan,
     guided_scan_cost,
+    guided_scan_floor,
     usable_cluster_prefix,
 )
 from repro.storage.layout import HeapFile
@@ -147,12 +159,27 @@ class CMDesigner:
         best_seconds = baseline
         session = get_session()
         pricer = CandidatePricer(heapfile, query, self.cluster_width)
+        # A candidate reads at least the pages of the rows passing its key
+        # attributes' exact predicates (its key's floor), which hold the
+        # query's rows (the query's floor): only a candidate whose floor is
+        # strictly below the best so far can win.
+        query_floor = guided_scan_floor(heapfile, ctx.query_mask)
         for key in self.candidate_keys(heapfile, query):
+            if not query_floor < best_seconds:
+                break
+            key_mask = ctx.conjunction_mask(
+                tuple(query.predicate_on(a) for a in key)
+            )
+            key_floor = guided_scan_floor(heapfile, key_mask)
+            if not key_floor < best_seconds:
+                continue
             if session is not None:
                 ndistinct = session.distinct_count(heapfile, key)
             else:
                 ndistinct = heapfile.table.distinct_count(key)
             for width in candidate_widths(ndistinct, self.max_widths):
+                if not key_floor < best_seconds:
+                    break
                 widths = (width,) + tuple(1 for _ in key[1:])
                 cost = pricer.cost(key, widths)
                 if not cost.seconds < best_seconds:

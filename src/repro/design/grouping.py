@@ -33,6 +33,7 @@ from repro.design.kmeans import kmeans
 from repro.design.selectivity import SelectivityVectors
 from repro.relational.query import Query
 from repro.stats.collector import TableStatistics
+from repro.storage.fragments import sorted_unique
 
 DEFAULT_ALPHAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -177,7 +178,7 @@ def enumerate_query_groups(
                 ).labels
                 if memo is not None:
                     memo.store(slot, digest, labels, names)
-            for label in np.unique(labels):
+            for label in sorted_unique(labels):
                 members = frozenset(
                     names[i] for i in np.nonzero(labels == label)[0]
                 )

@@ -142,6 +142,20 @@ def guided_scan_cost(
     )
 
 
+def guided_scan_floor(heapfile: HeapFile, mask: np.ndarray) -> float:
+    """A lower bound on the seconds of :func:`guided_scan_cost` for any scan
+    whose fragments cover every sorted-region row ``mask`` holds: the
+    distinct pages of those rows and one descent, or 0 when there are none.
+    Such a scan reads at least those pages and makes at least that descent,
+    ``scan_seconds`` is monotone in both integer counts (under IEEE rounding
+    too), and the tail read only adds."""
+    rowids = np.flatnonzero(mask[: heapfile.sorted_rows])
+    if len(rowids) == 0:
+        return 0.0
+    pages = len(heapfile.pages_for_rowids(rowids))
+    return heapfile.disk.scan_seconds(pages, heapfile.btree_height)
+
+
 def cm_scan_plan(cm: SecondaryStructure) -> str:
     """Plan name of a :func:`cm_scan` through ``cm``."""
     return f"cm_scan[{cm.name}]"

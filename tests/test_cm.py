@@ -19,7 +19,7 @@ from repro.relational.query import (
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import FLOAT64, INT64
-from repro.storage.access import cm_scan, full_scan
+from repro.storage.access import cm_scan, full_scan, guided_scan_floor
 from repro.storage.btree import secondary_index_bytes
 from repro.storage.disk import DiskModel
 from repro.storage.fragments import sorted_unique
@@ -370,14 +370,31 @@ class TestCMDesigner:
 
     def test_tie_keeps_the_earlier_candidate(self, by_pair, monkeypatch):
         """x2 is a copy of x: (x2,) and (x, x2) price exactly as (x,) does,
-        and only a strict improvement replaces — or builds — a candidate."""
+        and only a strict improvement replaces — or builds — a candidate.
+        Buckets of 8 ranks straddle the start of the x = 3 block (g 60–79),
+        so the tied price lies above the query's floor and the tied
+        candidates are priced."""
+        q = Query("q", "t", [EqPredicate("x", 3), EqPredicate("x2", 3)])
+        designer = CMDesigner(cluster_width=8)
+        priced = count_calls(monkeypatch, CandidatePricer, "cost")
+        built = count_calls(monkeypatch, CorrelationMap, "_build")
+        cm, seconds = designer.best_cm_for_query(by_pair, q)
+        assert len(priced) > 3 and len(built) == 1
+        assert cm.name == "cm[x|w=1|cw=8]"
+        assert seconds > guided_scan_floor(by_pair, q.mask(by_pair.table))
+        pricer = CandidatePricer(by_pair, q, designer.cluster_width)
+        assert pricer.cost(("x2",), (1,)).seconds == seconds
+        assert pricer.cost(("x", "x2"), (1, 1)).seconds == seconds
+
+    def test_candidate_at_the_query_floor_ends_the_search(self, by_pair, monkeypatch):
+        """With buckets of 4 ranks the x = 3 block is read exactly: the first
+        candidate prices at the query's floor, which no later candidate can
+        beat, so nothing else is priced."""
         q = Query("q", "t", [EqPredicate("x", 3), EqPredicate("x2", 3)])
         designer = CMDesigner()
         priced = count_calls(monkeypatch, CandidatePricer, "cost")
         built = count_calls(monkeypatch, CorrelationMap, "_build")
         cm, seconds = designer.best_cm_for_query(by_pair, q)
-        assert len(priced) > 3 and len(built) == 1
+        assert (len(priced), len(built)) == (1, 1)
         assert cm.name == "cm[x|w=1|cw=4]"
-        pricer = CandidatePricer(by_pair, q, designer.cluster_width)
-        assert pricer.cost(("x2",), (1,)).seconds == seconds
-        assert pricer.cost(("x", "x2"), (1, 1)).seconds == seconds
+        assert seconds == guided_scan_floor(by_pair, q.mask(by_pair.table))

@@ -127,7 +127,8 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 SORTING_MODULES = (
     "repro.stats",
     "repro.relational.table",
-    "repro.cm.correlation_map",
+    "repro.cm",
+    "repro.design.grouping",
     "repro.storage.layout",
     "repro.storage.fragments",
     "repro.storage.update",
@@ -375,8 +376,9 @@ def test_cm_design_work_is_bounded(monkeypatch):
     """Materializing and evaluating a four-budget ladder on the same SSB
     fixture under one session, as exact counts (they repeat): CM candidates
     priced from columns, candidates that beat the best so far, Correlation
-    Maps built.  Only an improving candidate may cost a build, and the
-    session's build cache may spare even that.  Heap files are built here
+    Maps built.  Only a candidate whose scan floor is below the best so far
+    is priced, only an improving one may cost a build, and the session's
+    build cache may spare even that.  Heap files are built here
     (so ``lexsort`` is legitimate), but nothing hashes through a plain
     ``np.unique``."""
     inst = make("ssb", lineorder_rows=12_000, seed=3)
@@ -395,7 +397,7 @@ def test_cm_design_work_is_bounded(monkeypatch):
     hashed = plain_unique_callers(monkeypatch)
     session = EvalSession()
     evaluate_designs(designs, session=session)
-    assert (len(priced), len(improved), len(built)) == (448, 11, 6)
+    assert (len(priced), len(improved), len(built)) == (38, 11, 6)
     assert len(built) == session.stats["cm_build_misses"] <= len(improved)
     assert not hashed
 

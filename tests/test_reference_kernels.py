@@ -26,7 +26,7 @@ from repro.engine import EvalSession, use_session
 from repro.relational.query import EqPredicate, InPredicate, Query, RangePredicate
 from repro.stats.collector import TableStatistics
 from repro.stats.keyindex import KeyIndex
-from repro.storage.access import cm_scan, guided_scan_cost
+from repro.storage.access import cm_scan, guided_scan_cost, guided_scan_floor
 from repro.storage.disk import DiskModel
 from repro.storage.executor import PhysicalDatabase, PhysicalObject
 from repro.storage.fragments import sorted_unique
@@ -575,12 +575,18 @@ def test_candidate_pricer_equals_built_candidates(
 ):
     """For every candidate the designer enumerates, the buckets read off the
     columns are the reference CM's lookup, and the price is the cost of a
-    ``cm_scan`` through the built CM."""
+    ``cm_scan`` through the built CM.  The floors the designer skips
+    candidates by are sound: the query's floor is at most the floor of the
+    key attributes' exact predicates, which is at most the price."""
     hf = _file_in_state(seed, n, cluster_key, state, disk)
     query = Query("q", "t", preds)
     designer = CMDesigner(cluster_width=cluster_width)
     pricer = CandidatePricer(hf, query, cluster_width)
+    query_floor = guided_scan_floor(hf, query.mask(hf.table))
     for key in designer.candidate_keys(hf, query):
+        key_query = Query("k", "t", [query.predicate_on(a) for a in key])
+        key_floor = guided_scan_floor(hf, key_query.mask(hf.table))
+        assert query_floor <= key_floor
         ndistinct = hf.table.distinct_count(key)
         for width in candidate_widths(ndistinct, designer.max_widths):
             widths = (width,) + (1,) * (len(key) - 1)
@@ -591,7 +597,9 @@ def test_candidate_pricer_equals_built_candidates(
             want = ref.lookup_buckets(query)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             cm = CorrelationMap(hf, key, widths, cluster_width=cluster_width)
-            assert pricer.cost(key, widths) == cm_scan(hf, query, cm).cost
+            cost = pricer.cost(key, widths)
+            assert cost == cm_scan(hf, query, cm).cost
+            assert key_floor <= cost.seconds
 
 
 # ------------------------------------------------------------ CM scan kernel
